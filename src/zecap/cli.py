@@ -126,9 +126,13 @@ def _suite_properties(channel, report: Report, slots: list[int] | None) -> None:
 
 def _suite_ce(channel, report: Report, seed: int, restarts: int | None) -> None:
     pl = channel.payload
-    for label, sub in (("S0", pl.s0), ("S1", pl.s1)):
-        cert = certify_completely_entangled(sub, restarts=restarts, seed=seed,
-                                            label=f"{channel.name}/{label}")
+    # the one-shot certificate searches S0 with this seed, restarts, gap and
+    # label; its S1 search uses seed + 1, so only S0 is shared
+    alpha = certify_alpha_local_one(channel, restarts=restarts, seed=seed)
+    s1_cert = certify_completely_entangled(pl.s1, restarts=restarts, seed=seed,
+                                           label=f"{channel.name}/S1")
+    for label, sub, cert in (("S0", pl.s0, alpha.s0_certificate),
+                             ("S1", pl.s1, s1_cert)):
         report.add(f"ce/{label}", "no product state found in the subspace",
                    cert.max_overlap_found, 1.0 - cert.gap,
                    cert.verdict == "certified-CE")
@@ -141,7 +145,6 @@ def _suite_ce(channel, report: Report, seed: int, restarts: int | None) -> None:
                        f"grid oracle (resolution {res}) agrees with the "
                        "alternating search within 0.05",
                        grid_val, 0.05, agree)
-    alpha = certify_alpha_local_one(channel, restarts=restarts, seed=seed)
     report.add("ce/alpha-local-one",
                "single use cannot transmit any bit perfectly",
                alpha.alpha_local_one, None, alpha.alpha_local_one)

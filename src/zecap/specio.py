@@ -18,6 +18,7 @@ from .channels import (
     BinaryProjectivePayload,
     CQPayload,
     MultiUserChannel,
+    check_input_dim,
     make_e12,
     make_e21,
     make_em1,
@@ -183,6 +184,7 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
     sender_dims = tuple(int(d) for d in spec["sender_dims"])
     receiver_dims = tuple(int(d) for d in spec["receiver_dims"])
     if kind == "binary-projective":
+        check_input_dim(sender_dims)
         total = dim_of(sender_dims)
         term_lists = [_terms_from_json(v, total) for v in spec["s0_basis"]]
         span = [ket_from_terms([total], [(i, complex(c)) for i, c in t])

@@ -91,6 +91,8 @@ class ProductCandidate:
     overlap: float
     restart_index: int = -1
     sweeps: int = 0
+    converged: bool = True     # the winner's last sweep gained less than tol
+    retired: int = 0           # restarts stopped early by the retirement rule
 
     def ket(self) -> np.ndarray:
         out = self.factors[0]
@@ -105,10 +107,11 @@ class CECertificate:
     max_overlap_found: float
     witness: ProductCandidate
     restarts: int
-    converged: bool
+    converged: bool            # the winning restart stopped on gain < tol
     verdict: str               # certified-CE | product-state-found | inconclusive
     gap: float
     seed: int
+    retired: int = 0           # restarts the search retired early
 
     @property
     def certified(self) -> bool:
@@ -146,6 +149,18 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     operator. The objective never decreases within a restart. Restarts are
     independent and run in lockstep; the best is merged by (overlap, lowest
     restart index), so the result does not depend on the schedule.
+
+    A restart stops when a sweep gains less than `tol`, or at `max_sweeps`.
+    After each sweep the leader is the restart with the highest overlap so
+    far (ties to the lowest index). Every other running restart is retired
+    when it cannot change the answer: either its current per-sweep gain,
+    kept up over the sweeps left, would not reach the leader, or it already
+    sits within PRODUCT_FOUND_TOL of the leader, whose own sweeps refine the
+    same level. The leader is never retired and stops by the first rule
+    only, while a retired restart stays frozen at or below the leader, so
+    the winner is a restart that ran to its own stop. The rule reads only
+    overlaps, so the result stays a pure function of (subspace, restarts,
+    seed).
     """
     if restarts is None:
         restarts = default_restarts(subspace.dims)
@@ -164,6 +179,8 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     paths = [None] * n_par
     obj = np.zeros(restarts)
     sweeps = np.zeros(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
+    retired = 0
     alive = np.arange(restarts)
     for sweep in range(1, max_sweeps + 1):
         prev_sweep = obj[alive].copy()
@@ -190,14 +207,24 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
             cur = new
         obj[alive] = cur
         sweeps[alive] = sweep
-        alive = alive[cur - prev_sweep >= tol]
+        gain = cur - prev_sweep
+        running = gain >= tol
+        converged[alive[~running]] = True
+        leader = int(np.argmax(obj))        # ties resolve to the lowest index
+        best = obj[leader]
+        retire = running & (alive != leader) & (
+            (cur + gain * (max_sweeps - sweep) < best)
+            | (best - cur <= PRODUCT_FOUND_TOL))
+        retired += int(np.count_nonzero(retire))
+        alive = alive[running & ~retire]
         if alive.size == 0:
             break
     best_idx = int(np.argmax(obj))      # ties resolve to the lowest index
     best_factors = [np.ascontiguousarray(factors[t][best_idx])
                     for t in range(n_par)]
     return ProductCandidate(best_factors, float(obj[best_idx]),
-                            restart_index=best_idx, sweeps=int(sweeps[best_idx]))
+                            restart_index=best_idx, sweeps=int(sweeps[best_idx]),
+                            converged=bool(converged[best_idx]), retired=retired)
 
 
 def certify_completely_entangled(subspace: Subspace, restarts: int | None = None,
@@ -215,8 +242,8 @@ def certify_completely_entangled(subspace: Subspace, restarts: int | None = None
         raise ValueError("restarts must be >= 1")
     if subspace.dim == 0:
         empty = ProductCandidate([np.zeros(d) for d in subspace.dims], 0.0)
-        return CECertificate(label, 0.0, empty, restarts, True, "certified-CE",
-                             gap, seed)
+        return CECertificate(label, 0.0, empty, restarts, empty.converged,
+                             "certified-CE", gap, seed)
     cand = max_product_overlap(subspace, restarts=restarts, seed=seed)
     if cand.overlap >= 1.0 - PRODUCT_FOUND_TOL:
         verdict = "product-state-found"
@@ -224,8 +251,8 @@ def certify_completely_entangled(subspace: Subspace, restarts: int | None = None
         verdict = "certified-CE"
     else:
         verdict = "inconclusive"
-    return CECertificate(label, cand.overlap, cand, restarts, True, verdict,
-                         gap, seed)
+    return CECertificate(label, cand.overlap, cand, restarts, cand.converged,
+                         verdict, gap, seed, retired=cand.retired)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
 
+import zecap.channels
+import zecap.specio
+import zecap.subspaces
 from zecap.cli import main
 from zecap.linalg import max_abs
 from zecap.specio import channel_from_spec, make_builtin
@@ -36,6 +39,43 @@ def test_verify_em1_suites(tmp_path):
                 "--seed", "3", "--restarts", "120", "--out", str(out)])
     assert code == 0
     assert read_report(out)["verdict"] == "pass"
+
+
+def test_verify_ce_searches_s0_once(tmp_path, monkeypatch):
+    searched = []
+    search = zecap.subspaces.max_product_overlap
+
+    def counting(subspace, **kwargs):
+        searched.append(kwargs["seed"])
+        return search(subspace, **kwargs)
+
+    monkeypatch.setattr(zecap.subspaces, "max_product_overlap", counting)
+    out = tmp_path / "report.json"
+    code = run(["verify", "--builtin", "em1:4", "--suite", "ce", "--seed", "4",
+                "--restarts", "100", "--out", str(out)])
+    assert code == 0
+    # S0 at seed 4 serves both ce/S0 and the one-shot certificate, whose S1
+    # search runs at seed 5 beside ce/S1 at seed 4
+    assert sorted(searched) == [4, 4, 5]
+    names = [c["name"] for c in read_report(out)["checks"]]
+    assert names == ["channel/trace-preserving", "ce/S0", "ce/S0/grid",
+                     "ce/S1", "ce/S1/grid", "ce/alpha-local-one"]
+
+
+def test_oversized_input_is_usage_error_before_allocation(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("spanning vectors built for an oversized channel")
+
+    monkeypatch.setattr(zecap.channels, "em1_spanning_terms", refuse)
+    monkeypatch.setattr(zecap.specio, "ket_from_terms", refuse)
+    assert run(["verify", "--builtin", "em1:40", "--suite", "ce"]) == 3
+    assert run(["describe", "em1:40"]) == 3
+    spec = {"format": "zecap-channel/1", "kind": "binary-projective",
+            "sender_dims": [1000, 1000], "receiver_dims": [2],
+            "s0_basis": [[{"index": 0, "coeff": {}}]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    assert run(["verify", "--spec", str(path), "--suite", "properties"]) == 3
 
 
 def test_verify_variant_slot_b_passes(tmp_path):

@@ -207,6 +207,37 @@ def test_certify_inconclusive_below_min_restarts(s0_e21):
     assert cert.verdict == "inconclusive"
 
 
+def test_em1_m4_search_keeps_its_winner_while_retiring_stragglers():
+    # every restart creeps toward the degenerate maximum 7/8 and none meets
+    # tol; the winner and its digits are those of the search without
+    # retirement, which ran all 100 restarts for all 500 sweeps
+    sub = subspace_from_terms([2] * 4, em1_spanning_terms(4))
+    cand = max_product_overlap(sub, restarts=100, seed=0)
+    assert cand.overlap == 0.8749999764783223
+    assert cand.restart_index == 51
+    assert cand.sweeps == 500
+    assert not cand.converged
+    assert cand.retired > 0
+    cert = certify_completely_entangled(sub, restarts=100, seed=0)
+    assert cert.verdict == "certified-CE"
+    assert (cert.converged, cert.retired) == (False, cand.retired)
+
+
+def test_converged_search_reports_convergence(s0_e21):
+    cert = certify_completely_entangled(s0_e21, restarts=150, seed=0)
+    assert cert.converged
+    assert cert.witness.sweeps < 500
+    assert 0 < cert.retired < 150
+
+
+def test_retirement_keeps_the_em1_m2_product_state():
+    sub = subspace_from_terms([2, 2], em1_spanning_terms(2))
+    cert = certify_completely_entangled(sub, restarts=100, seed=0)
+    assert cert.verdict == "product-state-found"
+    assert cert.max_overlap_found >= 1 - 1e-6
+    assert cert.retired > 0
+
+
 def test_grid_oracle_pole_coverage():
     sub = Subspace.from_span([2, 2], [basis_ket([2, 2], 0)])
     assert abs(grid_product_overlap(sub, resolution=10) - 1.0) < 1e-12
