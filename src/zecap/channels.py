@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exactnum import ExactComplex, exact, exact_vector
+from .exactnum import Coeff, exact_vector
 from .linalg import (
     assert_density,
     basis_ket,
@@ -61,7 +62,7 @@ class BinaryProjectivePayload:
     s1: Subspace
     u: np.ndarray                      # Hermitian unitary used by two-use codes
     u_slots: tuple[int, ...]           # slots where the conjugation identity holds
-    exact_s0: list | None = None       # spanning vectors over Q(sqrt(2)), unnormalized
+    exact_s0: list | None = None       # exact column vectors spanning S0, unnormalized
 
     @property
     def p0(self) -> np.ndarray:
@@ -327,17 +328,17 @@ def choi_matrix(channel: MultiUserChannel) -> np.ndarray:
 # concrete constructors
 # ---------------------------------------------------------------------------
 
-_M1 = ExactComplex(-1)
-_P1 = ExactComplex(1)
-_PRT2 = exact(0, 1)      # +sqrt(2)
-_MRT2 = exact(0, -1)     # -sqrt(2)
+_M1 = Coeff(Fraction(-1))
+_P1 = Coeff(Fraction(1))
+_PRT2 = Coeff(b=Fraction(1))      # +sqrt(2)
+_MRT2 = Coeff(b=Fraction(-1))     # -sqrt(2)
 
 
 def _pair_index(a: int, b: int, db: int = 4) -> int:
     return a * db + b
 
 
-def e21_spanning_terms() -> list[list[tuple[int, ExactComplex]]]:
+def e21_spanning_terms() -> list[list[tuple[int, Coeff]]]:
     """Unnormalized spanning vectors of the 4x4 construction, exact coefficients."""
     ix = _pair_index
     return [
@@ -352,7 +353,7 @@ def e21_spanning_terms() -> list[list[tuple[int, ExactComplex]]]:
     ]
 
 
-def variant34_spanning_terms() -> list[list[tuple[int, ExactComplex]]]:
+def variant34_spanning_terms() -> list[list[tuple[int, Coeff]]]:
     """Unnormalized spanning vectors of the reduced 3x4 construction."""
     ix = _pair_index
     return [
@@ -365,7 +366,7 @@ def variant34_spanning_terms() -> list[list[tuple[int, ExactComplex]]]:
     ]
 
 
-def em1_spanning_terms(m: int) -> list[list[tuple[int, ExactComplex]]]:
+def em1_spanning_terms(m: int) -> list[list[tuple[int, Coeff]]]:
     """Spanning vectors of the m-qubit family: |0..0>+|1..1> and |0,x>-|1,xbar>."""
     if m < 2:
         raise ValueError("the m-qubit family needs m >= 2")
@@ -377,12 +378,12 @@ def em1_spanning_terms(m: int) -> list[list[tuple[int, ExactComplex]]]:
     return vectors
 
 
-def _terms_to_float(terms: list[tuple[int, ExactComplex]], total: int) -> np.ndarray:
+def _terms_to_float(terms: list[tuple[int, Coeff]], total: int) -> np.ndarray:
     return ket_from_terms([total], [(i, complex(c)) for i, c in terms])
 
 
 def _binary_projective(sender_dims: Sequence[int],
-                       spanning_terms: list[list[tuple[int, ExactComplex]]],
+                       spanning_terms: list[list[tuple[int, Coeff]]],
                        u_dim: int, u_slots: Sequence[int], name: str) -> MultiUserChannel:
     total = dim_of(sender_dims)
     span = [_terms_to_float(t, total) for t in spanning_terms]

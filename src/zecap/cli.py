@@ -106,9 +106,7 @@ def _suite_properties(channel, report: Report, slots: list[int] | None) -> None:
     use_slots = slots if slots is not None else list(pl.u_slots)
     for pos, slot in enumerate(use_slots):
         u = parity_phase(channel.sender_dims[slot])
-        float_report = symmetry_checks(pl.s0, pl.s1, u, slots=[slot],
-                                       include_transpose=(pos == 0),
-                                       include_products=True)
+        float_report = symmetry_checks(pl.s0, pl.s1, u, slots=[slot])
         for check in float_report.checks:
             if pos > 0 and check.slot is None:
                 continue        # transpose/orthogonality are slot independent

@@ -1,4 +1,10 @@
-"""Exact arithmetic over the field Q(sqrt(2)) and complex matrices above it.
+"""Exact matrices over the field Q(sqrt(2), i).
+
+An `ExactMatrix` is (N0 + sqrt(2) N1 + i N2 + i sqrt(2) N3) / den for integer
+matrices N0..N3, stacked in `num`, and one positive integer `den` shared by
+every entry. Products are integer matmuls of the components, so no
+arithmetic happens entry by entry; the only division is the Gauss-Jordan
+inverse of a Gram matrix.
 
 Used where only field operations are needed (projectors from spans,
 transpose/conjugation identities, trace-orthogonality). Eigendecompositions
@@ -7,275 +13,166 @@ are out of scope for this backend: eigenvalues generally leave the field.
 
 from __future__ import annotations
 
+import math
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 _SQRT2 = 2.0 ** 0.5
+_ZERO = Fraction(0)
 
 
-class QSqrt2:
-    """Field element a + b*sqrt(2) with rational a, b."""
+class Coeff(NamedTuple):
+    """The scalar (a + b*sqrt(2)) + i*(c + d*sqrt(2)) with rational a, b, c, d."""
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0) -> None:
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __repr__(self) -> str:
-        return f"QSqrt2({self.a}, {self.b})"
-
-    def __eq__(self, other) -> bool:
-        other = _coerce_real(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __add__(self, other):
-        other = _coerce_real(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QSqrt2(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSqrt2(-self.a, -self.b)
-
-    def __sub__(self, other):
-        other = _coerce_real(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QSqrt2(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce_real(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QSqrt2(self.a * other.a + 2 * self.b * other.b,
-                      self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QSqrt2":
-        # 1/(a + b rt2) = (a - b rt2)/(a^2 - 2 b^2); the norm vanishes only at 0
-        norm = self.a * self.a - 2 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        return QSqrt2(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        other = _coerce_real(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce_real(other) * self.inverse()
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT2
-
-
-def _coerce_real(x):
-    if isinstance(x, QSqrt2):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QSqrt2(x, 0)
-    return NotImplemented
-
-
-class ExactComplex:
-    """Complex number with real and imaginary parts in Q(sqrt(2))."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0) -> None:
-        self.re = re if isinstance(re, QSqrt2) else QSqrt2(re)
-        self.im = im if isinstance(im, QSqrt2) else QSqrt2(im)
-
-    def __repr__(self) -> str:
-        return f"ExactComplex({self.re!r}, {self.im!r})"
-
-    def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactComplex(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExactComplex(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
-
-    def inverse(self) -> "ExactComplex":
-        norm = self.re * self.re + self.im * self.im
-        inv = norm.inverse()
-        return ExactComplex(self.re * inv, -(self.im * inv))
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+    a: Fraction = _ZERO
+    b: Fraction = _ZERO
+    c: Fraction = _ZERO
+    d: Fraction = _ZERO
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(float(self.a) + float(self.b) * _SQRT2,
+                       float(self.c) + float(self.d) * _SQRT2)
 
 
-def _coerce(x):
-    if isinstance(x, ExactComplex):
-        return x
-    if isinstance(x, (int, Fraction, QSqrt2)):
-        return ExactComplex(x)
-    return NotImplemented
+def _product(x, y, op, shape: tuple[int, ...]) -> np.ndarray:
+    """Components of x * y, where op multiplies one component of x by one of y.
 
-
-ZERO = ExactComplex(0)
-ONE = ExactComplex(1)
-SQRT2 = ExactComplex(QSqrt2(0, 1))
-
-
-def exact(re_a=0, re_b=0, im_a=0, im_b=0) -> ExactComplex:
-    """Shorthand for (re_a + re_b*sqrt2) + i*(im_a + im_b*sqrt2)."""
-    return ExactComplex(QSqrt2(re_a, re_b), QSqrt2(im_a, im_b))
-
-
-# ---------------------------------------------------------------------------
-# matrices: numpy object arrays of ExactComplex
-# ---------------------------------------------------------------------------
-
-def exact_zeros(rows: int, cols: int) -> np.ndarray:
-    m = np.empty((rows, cols), dtype=object)
-    for i in range(rows):
-        for j in range(cols):
-            m[i, j] = ZERO
-    return m
-
-
-def exact_eye(n: int) -> np.ndarray:
-    m = exact_zeros(n, n)
-    for i in range(n):
-        m[i, i] = ONE
-    return m
-
-
-def exact_vector(length: int, terms: Sequence[tuple[int, ExactComplex]]) -> np.ndarray:
-    v = np.empty(length, dtype=object)
-    for i in range(length):
-        v[i] = ZERO
-    for idx, coeff in terms:
-        v[idx] = v[idx] + coeff
-    return v
-
-
-def exact_dagger(m: np.ndarray) -> np.ndarray:
-    out = np.empty(m.T.shape, dtype=object)
-    for i in range(out.shape[0]):
-        for j in range(out.shape[1]):
-            out[i, j] = m[j, i].conjugate()
+    Component k carries sqrt(2) when bit 0 of k is set and i when bit 1 is,
+    so e_j e_k = e_(j^k), doubled when both carry sqrt(2) and negated when
+    both carry i. All-zero components are skipped.
+    """
+    out = np.zeros((4,) + shape, dtype=object)
+    for j in range(4):
+        if not np.any(x[j]):
+            continue
+        for k in range(4):
+            if not np.any(y[k]):
+                continue
+            term = op(x[j], y[k])
+            if j & k & 1:
+                term = 2 * term
+            if j & k & 2:
+                term = -term
+            out[j ^ k] += term
     return out
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class ExactMatrix:
+    """A matrix over Q(sqrt(2), i): num / den, num of shape (4, rows, cols)."""
+
+    num: np.ndarray       # object array of Python ints: parts 1, sqrt2, i, i*sqrt2
+    den: int = 1          # positive, coprime to the entries of num
+
+    @classmethod
+    def reduced(cls, num: np.ndarray, den: int) -> "ExactMatrix":
+        g = math.gcd(den, *num.flat)
+        return cls(num // g, den // g) if g > 1 else cls(num, den)
+
+    @classmethod
+    def eye(cls, n: int) -> "ExactMatrix":
+        num = np.zeros((4, n, n), dtype=object)
+        num[0] = np.eye(n, dtype=int).astype(object)
+        return cls(num)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.num.shape[1:]
+
+    @property
+    def T(self) -> "ExactMatrix":
+        return ExactMatrix(self.num.transpose(0, 2, 1), self.den)
+
+    def dagger(self) -> "ExactMatrix":
+        num = self.num.transpose(0, 2, 1).copy()
+        num[2:] = -num[2:]
+        return ExactMatrix(num, self.den)
+
+    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        den = math.lcm(self.den, other.den)
+        return ExactMatrix.reduced(self.num * (den // self.den)
+                                   - other.num * (den // other.den), den)
+
+    def sign_conjugate(self, signs: np.ndarray) -> "ExactMatrix":
+        """diag(s) M diag(s) for a vector s of +-1 signs."""
+        flip = np.outer(signs, signs) < 0
+        return ExactMatrix(np.where(flip, -self.num, self.num), self.den)
+
+    def inverse(self) -> "ExactMatrix":
+        """Gauss-Jordan inverse, each pivot p inverted through the field norm.
+
+        p * conj(p) = x + y*sqrt(2) is real, and multiplying by x - y*sqrt(2)
+        leaves the rational x^2 - 2y^2, which vanishes only at p = 0.
+        """
+        n = self.shape[0]
+        if self.shape != (n, n):
+            raise ValueError("inverse expects a square matrix")
+        # [N | den*I] reduces to [I | (N/den)^-1]
+        work = np.concatenate([self.num, ExactMatrix.eye(n).num * self.den], axis=2)
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if work[:, r, col].any()), None)
+            if pivot is None:
+                raise ZeroDivisionError("matrix is singular over Q(sqrt(2), i)")
+            work[:, [col, pivot]] = work[:, [pivot, col]]
+            a, b, c, d = (Fraction(v) for v in work[:, col, col])
+            x = a * a + 2 * b * b + c * c + 2 * d * d
+            y = 2 * (a * b + c * d)
+            conj = np.array([a, b, -c, -d], dtype=object)
+            recip = _product(conj, (x, -y, 0, 0), operator.mul, ()) / (x * x - 2 * y * y)
+            row = _product(recip, work[:, col], operator.mul, (2 * n,))
+            work = work - _product(work[:, :, col:col + 1], row[:, None, :],
+                                   operator.mul, (n, 2 * n))
+            work[:, col] = row
+        inv = work[:, :, n:]
+        den = math.lcm(*(v.denominator for v in inv.flat))
+        num = np.array([int(v * den) for v in inv.flat], dtype=object)
+        return ExactMatrix.reduced(num.reshape(inv.shape), den)
+
+    def to_complex(self) -> np.ndarray:
+        parts = self.num.astype(float)
+        return ((parts[0] + _SQRT2 * parts[1])
+                + 1j * (parts[2] + _SQRT2 * parts[3])) / self.den
+
+
+def exact_vector(length: int, terms: Sequence[tuple[int, Coeff]]) -> ExactMatrix:
+    """Column vector from (flat index, coefficient) terms; repeated indices add."""
+    den = math.lcm(*(Fraction(x).denominator for _, c in terms for x in c))
+    num = np.zeros((4, length, 1), dtype=object)
+    for idx, c in terms:
+        for k, x in enumerate(c):
+            num[k, idx, 0] += int(Fraction(x) * den)
+    return ExactMatrix.reduced(num, den)
+
+
+def vector_terms(v: ExactMatrix) -> list[tuple[int, Coeff]]:
+    """The nonzero (flat index, coefficient) terms of a column vector, in index order."""
+    col = v.num[:, :, 0]
+    return [(i, Coeff(*(Fraction(x, v.den) for x in col[:, i])))
+            for i in range(col.shape[1]) if col[:, i].any()]
+
+
+def exact_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    out = exact_zeros(a.shape[0], b.shape[1])
-    for i in range(a.shape[0]):
-        for k in range(a.shape[1]):
-            aik = a[i, k]
-            if aik.is_zero():
-                continue
-            for j in range(b.shape[1]):
-                out[i, j] = out[i, j] + aik * b[k, j]
-    return out
+    num = _product(a.num, b.num, np.matmul, (a.shape[0], b.shape[1]))
+    return ExactMatrix.reduced(num, a.den * b.den)
 
 
-def exact_inverse(m: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverse of a square matrix over Q(sqrt(2))[i]."""
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("exact_inverse expects a square matrix")
-    work = np.concatenate([m.copy(), exact_eye(n)], axis=1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r, col].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular over Q(sqrt(2))")
-        if pivot != col:
-            work[[col, pivot]] = work[[pivot, col]]
-        inv = work[col, col].inverse()
-        for j in range(2 * n):
-            work[col, j] = work[col, j] * inv
-        for r in range(n):
-            if r == col or work[r, col].is_zero():
-                continue
-            factor = work[r, col]
-            for j in range(2 * n):
-                work[r, j] = work[r, j] - factor * work[col, j]
-    return work[:, n:]
-
-
-def exact_projector(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Projector onto the span of exact vectors, via Gram-matrix inversion.
+def exact_projector(vectors: Sequence[ExactMatrix]) -> ExactMatrix:
+    """Projector onto the span of exact column vectors, via Gram-matrix inversion.
 
     Avoids normalization (square roots leave the field): P = V (V^dag V)^-1 V^dag.
+    P depends only on the span, so each vector enters by its integer numerator.
     """
-    v = np.stack(vectors).T  # columns are the spanning vectors
-    vd = exact_dagger(v)
+    v = ExactMatrix(np.concatenate([x.num for x in vectors], axis=2))
+    vd = v.dagger()
     gram = exact_matmul(vd, v)
-    return exact_matmul(exact_matmul(v, exact_inverse(gram)), vd)
+    return exact_matmul(exact_matmul(v, gram.inverse()), vd)
 
 
-def exact_to_complex(m: np.ndarray) -> np.ndarray:
-    out = np.empty(m.shape, dtype=complex)
-    for idx in np.ndindex(m.shape):
-        out[idx] = complex(m[idx])
-    return out
-
-
-def exact_all_zero(m: np.ndarray) -> bool:
-    return all(m[idx].is_zero() for idx in np.ndindex(m.shape))
+def exact_all_zero(m: ExactMatrix) -> bool:
+    return not m.num.any()

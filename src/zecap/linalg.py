@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ORTHO_TOL = 1e-10       # rank / orthogonality decisions
-NORM_TOL = 1e-12        # ket normalization
 DENSITY_TOL = 1e-9      # trace-one check for density operators
 
 
@@ -74,10 +73,6 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def is_normalized(psi: np.ndarray, tol: float = NORM_TOL) -> bool:
-    return abs(np.vdot(psi, psi).real - 1.0) <= tol
-
-
 def assert_density(rho: np.ndarray, tol: float = DENSITY_TOL,
                    eig_tol: float = 1e-8) -> None:
     """Raise if rho is not (numerically) a density operator."""
@@ -115,7 +110,7 @@ def projector_from_span(vectors: Sequence[np.ndarray], tol: float = ORTHO_TOL) -
         dim = len(vectors[0]) if len(vectors) else 0
         return np.zeros((dim, dim), dtype=complex)
     b = np.stack(basis)
-    return b.conj().T @ b
+    return b.T @ b.conj()
 
 
 def transpose_plain(m: np.ndarray) -> np.ndarray:

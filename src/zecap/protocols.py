@@ -143,11 +143,11 @@ def basis_codebook(channel: MultiUserChannel, uses: int,
 def check_local_preparability(state: np.ndarray, dims: Sequence[int],
                               partition: Sequence[Sequence[int]],
                               tol: float = 1e-9) -> bool:
-    """True iff the state is a product across the given partition.
+    """True iff the ket is a product across the given partition.
 
-    Works for kets and density operators: the state (as a density operator,
-    permuted to group-major factor order) is compared entrywise against the
-    tensor product of its per-group marginals.
+    A ket is a product iff every group|rest cut has Schmidt rank 1. With
+    Schmidt coefficients s0 >= s1 >= ... across a cut, s0 * s1 <= tol is the
+    numerical test; tol is absolute, so the ket is taken as normalized.
     """
     dims = list(dims)
     groups = [tuple(int(i) for i in g) for g in partition]
@@ -155,14 +155,16 @@ def check_local_preparability(state: np.ndarray, dims: Sequence[int],
     if flat != list(range(len(dims))):
         raise ValueError(f"partition {groups} does not cover factors 0..{len(dims) - 1}")
     state = np.asarray(state, dtype=complex)
-    rho = np.outer(state, state.conj()) if state.ndim == 1 else state
-    marginals = [partial_trace(rho, dims, keep=g) for g in groups]
-    perm = [i for g in groups for i in g]
-    rho_grouped = permute_factors(rho, dims, perm)
-    prod = marginals[0]
-    for marg in marginals[1:]:
-        prod = np.kron(prod, marg)
-    return max_abs(rho_grouped - prod) <= tol
+    if state.ndim != 1:
+        raise ValueError(f"expected a ket, got an array of shape {state.shape}")
+    psi = state.reshape(dims)
+    for g in groups:
+        rest = [i for i in range(len(dims)) if i not in g]
+        cut = np.transpose(psi, list(g) + rest).reshape(dim_of([dims[i] for i in g]), -1)
+        s = np.linalg.svd(cut, compute_uv=False)
+        if s.size > 1 and s[0] * s[1] > tol:
+            return False
+    return True
 
 
 def verify_orthogonal_outputs(channel: MultiUserChannel,

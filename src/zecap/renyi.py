@@ -79,10 +79,6 @@ class RankSearchResult:
     threshold_ratio: float
     tried_ranks: dict[int, float] = field(default_factory=dict)  # target -> best tail mass
 
-    @property
-    def tail_mass(self) -> float:
-        return float(np.sum(self.output_spectrum[self.best_rank:]))
-
 
 def _output_spectrum(channel: MultiUserChannel, psi: np.ndarray) -> np.ndarray:
     psi = psi / np.linalg.norm(psi)

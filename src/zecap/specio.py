@@ -25,7 +25,7 @@ from .channels import (
     make_variant34,
     parity_phase,
 )
-from .exactnum import ExactComplex, QSqrt2, exact_vector
+from .exactnum import Coeff, exact_vector, vector_terms
 from .linalg import dim_of, ket_from_terms
 from .subspaces import Subspace
 
@@ -65,27 +65,27 @@ def _frac_from_json(pair: Any) -> Fraction:
     return Fraction(num, den)
 
 
-def _coeff_to_json(c: ExactComplex) -> dict:
+def _coeff_to_json(c: Coeff) -> dict:
     return {
-        "re": {"r": _frac_to_json(c.re.a), "s": _frac_to_json(c.re.b)},
-        "im": {"r": _frac_to_json(c.im.a), "s": _frac_to_json(c.im.b)},
+        "re": {"r": _frac_to_json(c.a), "s": _frac_to_json(c.b)},
+        "im": {"r": _frac_to_json(c.c), "s": _frac_to_json(c.d)},
     }
 
 
-def _coeff_from_json(obj: Any) -> ExactComplex:
+def _coeff_from_json(obj: Any) -> Coeff:
     re = obj.get("re", {"r": [0, 1], "s": [0, 1]})
     im = obj.get("im", {"r": [0, 1], "s": [0, 1]})
-    return ExactComplex(
-        QSqrt2(_frac_from_json(re.get("r", [0, 1])), _frac_from_json(re.get("s", [0, 1]))),
-        QSqrt2(_frac_from_json(im.get("r", [0, 1])), _frac_from_json(im.get("s", [0, 1]))),
+    return Coeff(
+        _frac_from_json(re.get("r", [0, 1])), _frac_from_json(re.get("s", [0, 1])),
+        _frac_from_json(im.get("r", [0, 1])), _frac_from_json(im.get("s", [0, 1])),
     )
 
 
-def _terms_to_json(terms: list[tuple[int, ExactComplex]]) -> list[dict]:
+def _terms_to_json(terms: list[tuple[int, Coeff]]) -> list[dict]:
     return [{"index": idx, "coeff": _coeff_to_json(c)} for idx, c in terms]
 
 
-def _terms_from_json(items: Any, total: int) -> list[tuple[int, ExactComplex]]:
+def _terms_from_json(items: Any, total: int) -> list[tuple[int, Coeff]]:
     out = []
     for item in items:
         idx = int(item["index"])
@@ -114,7 +114,7 @@ def describe_channel(channel: MultiUserChannel) -> dict:
             raise ValueError("channel carries no exact spanning data to describe")
         base["subspace_dims"] = [pl.s0.dim, pl.s1.dim]
         base["u_slots"] = list(pl.u_slots)
-        base["s0_basis"] = [_terms_to_json(_exact_array_to_terms(v))
+        base["s0_basis"] = [_terms_to_json(vector_terms(v))
                             for v in pl.exact_s0]
         return base
     if channel.kind == "cq":
@@ -122,10 +122,6 @@ def describe_channel(channel: MultiUserChannel) -> dict:
                            for k, rho in enumerate(channel.payload.outputs)]
         return base
     raise ValueError(f"cannot describe channels of kind {channel.kind!r}")
-
-
-def _exact_array_to_terms(vec: np.ndarray) -> list[tuple[int, ExactComplex]]:
-    return [(i, vec[i]) for i in range(len(vec)) if not vec[i].is_zero()]
 
 
 def _cq_output_to_json(k: int, rho: np.ndarray) -> dict:
@@ -155,22 +151,22 @@ def _cq_output_to_json(k: int, rho: np.ndarray) -> dict:
     return {"input": k, "components": comps}
 
 
-def _float_to_exact(z: complex, max_den: int = 4096) -> ExactComplex:
+def _float_to_exact(z: complex, max_den: int = 4096) -> Coeff:
     """Recognize a rational or a rational multiple of sqrt(2) in each part.
 
     Small denominators are preferred so that, e.g., 1/sqrt(2) resolves to
     (1/2)*sqrt(2) rather than a high Pell convergent. Covers the amplitudes
     occurring in the shipped constructions.
     """
-    def part(x: float) -> QSqrt2:
+    def part(x: float) -> tuple[Fraction, Fraction]:
         a = Fraction(x).limit_denominator(max_den)
         if abs(float(a) - x) < 1e-11:
-            return QSqrt2(a, 0)
+            return a, Fraction(0)
         b = Fraction(x / 2 ** 0.5).limit_denominator(max_den)
         if abs(float(b) * 2 ** 0.5 - x) < 1e-11:
-            return QSqrt2(0, b)
+            return Fraction(0), b
         raise ValueError(f"{x} is not recognizably in Q(sqrt(2))")
-    return ExactComplex(part(z.real), part(z.imag))
+    return Coeff(*part(z.real), *part(z.imag))
 
 
 def channel_from_spec(spec: dict) -> MultiUserChannel:
@@ -190,6 +186,9 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
         span = [ket_from_terms([total], [(i, complex(c)) for i, c in t])
                 for t in term_lists]
         s0 = Subspace.from_span(sender_dims, span)
+        if s0.dim < len(span):
+            raise ValueError(f"s0_basis: {len(span)} vectors span only {s0.dim} "
+                             "dimensions; give linearly independent vectors")
         s1 = s0.complement()
         u_slots = tuple(int(s) for s in spec.get("u_slots", range(len(sender_dims))))
         u_dim = sender_dims[u_slots[0]] if u_slots else sender_dims[0]
@@ -212,11 +211,6 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
         return MultiUserChannel(sender_dims, receiver_dims, "cq",
                                 CQPayload(outputs), name=str(spec.get("name", "custom")))
     raise ValueError(f"unsupported channel kind {kind!r} in spec")
-
-
-def load_channel(path: str) -> MultiUserChannel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return channel_from_spec(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactnum import ONE, exact_all_zero, exact_matmul, exact_projector, exact_zeros
+from .exactnum import ExactMatrix, exact_all_zero, exact_matmul, exact_projector
 from .linalg import (
     ORTHO_TOL,
     dim_of,
@@ -61,7 +61,7 @@ class Subspace:
                     f"match dims {tuple(dims)} (total {total})")
         basis = gram_schmidt(spanning, tol=tol)
         b = np.stack(basis) if basis else np.zeros((0, total), dtype=complex)
-        proj = b.conj().T @ b
+        proj = b.T @ b.conj()
         return cls(tuple(int(d) for d in dims), _frozen(b), _frozen(proj))
 
     @property
@@ -77,7 +77,7 @@ class Subspace:
         w, v = np.linalg.eigh(self.projector)
         kernel = [v[:, i] for i in range(self.total_dim) if w[i] < 0.5]
         b = np.stack(kernel) if kernel else np.zeros((0, self.total_dim), dtype=complex)
-        return Subspace(self.dims, _frozen(b), _frozen(b.conj().T @ b))
+        return Subspace(self.dims, _frozen(b), _frozen(b.T @ b.conj()))
 
     def is_real(self, tol: float = 1e-12) -> bool:
         return max_abs(self.projector.imag) <= tol
@@ -370,10 +370,7 @@ class SymmetryReport:
 
 def symmetry_checks(s0: Subspace, s1: Subspace, u: np.ndarray,
                     slots: Sequence[int] | None = None,
-                    tol: float = 1e-9,
-                    include_transpose: bool = True,
-                    include_conjugation: bool = True,
-                    include_products: bool = True) -> SymmetryReport:
+                    tol: float = 1e-9) -> SymmetryReport:
     """Residuals of the transpose and phase-conjugation identities.
 
     Checks, for complementary projectors P0, P1 and a Hermitian unitary u
@@ -382,8 +379,8 @@ def symmetry_checks(s0: Subspace, s1: Subspace, u: np.ndarray,
       conjugation:     P_l - U^i P_{1-l} U^i
       orthogonality:   P_l^T P_{1-l}
       twist:           P_l^T U^i P_l U^i
-    Each family can be toggled off; slots restrict which parties are tested
-    (some constructions satisfy the conjugation identities only on one slot).
+    Slots restrict which parties are tested (some constructions satisfy the
+    conjugation identities only on one slot).
     """
     if s0.dims != s1.dims:
         raise ValueError(f"dims mismatch: {s0.dims} vs {s1.dims}")
@@ -392,31 +389,27 @@ def symmetry_checks(s0: Subspace, s1: Subspace, u: np.ndarray,
         slots = [i for i, d in enumerate(dims) if d == u.shape[0]]
     projs = {0: s0.projector, 1: s1.projector}
     report = SymmetryReport()
-    if include_transpose:
-        for ell in (0, 1):
-            p = projs[ell]
-            report.checks.append(SymmetryCheck(
-                f"transpose[{ell}]", None, max_abs(p - transpose_plain(p)), tol))
+    for ell in (0, 1):
+        p = projs[ell]
+        report.checks.append(SymmetryCheck(
+            f"transpose[{ell}]", None, max_abs(p - transpose_plain(p)), tol))
     for slot in slots:
         if u.shape != (dims[slot], dims[slot]):
             raise ValueError(
                 f"u of shape {u.shape} does not act on slot {slot} of dims {dims}")
         ui = embed_operator(u, slot, dims)
-        if include_conjugation:
-            for ell in (0, 1):
-                resid = max_abs(projs[ell] - ui @ projs[1 - ell] @ ui)
-                report.checks.append(SymmetryCheck(
-                    f"conjugation[{ell}]", slot, resid, tol))
-        if include_products:
-            for ell in (0, 1):
-                resid = max_abs(transpose_plain(projs[ell]) @ ui @ projs[ell] @ ui)
-                report.checks.append(SymmetryCheck(
-                    f"twist[{ell}]", slot, resid, tol))
-    if include_products:
         for ell in (0, 1):
-            resid = max_abs(transpose_plain(projs[ell]) @ projs[1 - ell])
+            resid = max_abs(projs[ell] - ui @ projs[1 - ell] @ ui)
             report.checks.append(SymmetryCheck(
-                f"orthogonality[{ell}]", None, resid, tol))
+                f"conjugation[{ell}]", slot, resid, tol))
+        for ell in (0, 1):
+            resid = max_abs(transpose_plain(projs[ell]) @ ui @ projs[ell] @ ui)
+            report.checks.append(SymmetryCheck(
+                f"twist[{ell}]", slot, resid, tol))
+    for ell in (0, 1):
+        resid = max_abs(transpose_plain(projs[ell]) @ projs[1 - ell])
+        report.checks.append(SymmetryCheck(
+            f"orthogonality[{ell}]", None, resid, tol))
     return report
 
 
@@ -424,69 +417,32 @@ def symmetry_checks(s0: Subspace, s1: Subspace, u: np.ndarray,
 # exact-arithmetic variant of the symmetry checks
 # ---------------------------------------------------------------------------
 
-def _exact_transpose(m: np.ndarray) -> np.ndarray:
-    out = np.empty(m.shape, dtype=object)
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            out[i, j] = m[j, i]
-    return out
-
-
-def _exact_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(a.shape):
-        out[idx] = a[idx] - b[idx]
-    return out
-
-
-def _parity_signs(dims: Sequence[int], slot: int) -> list[int]:
-    total = dim_of(dims)
-    signs = []
-    for flat in range(total):
-        digits = np.unravel_index(flat, tuple(dims))
-        signs.append(-1 if digits[slot] % 2 else 1)
-    return signs
-
-
-def _exact_sign_conjugate(m: np.ndarray, signs: Sequence[int]) -> np.ndarray:
-    # diag(s) M diag(s) for +-1 signs, entrywise
-    out = np.empty(m.shape, dtype=object)
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            v = m[i, j]
-            out[i, j] = v if signs[i] * signs[j] == 1 else -v
-    return out
+def _parity_signs(dims: Sequence[int], slot: int) -> np.ndarray:
+    digits = np.unravel_index(np.arange(dim_of(dims)), tuple(dims))[slot]
+    return 1 - 2 * (digits % 2)
 
 
 def exact_symmetry_checks(dims: Sequence[int],
-                          exact_spanning: Sequence[np.ndarray],
+                          exact_spanning: Sequence[ExactMatrix],
                           slots: Sequence[int]) -> dict[str, bool]:
-    """Exact-field version of `symmetry_checks` for spans over Q(sqrt(2)).
+    """Exact-field version of `symmetry_checks` for spans over Q(sqrt(2), i).
 
     The projector pair is built by exact Gram-matrix inversion, so every
     reported identity is an exact zero test, not a tolerance comparison.
     The parity phase is applied entrywise as a sign pattern.
     """
-    total = dim_of(dims)
     p0 = exact_projector(exact_spanning)
-    eye = exact_zeros(total, total)
-    for i in range(total):
-        eye[i, i] = ONE
-    p1 = _exact_sub(eye, p0)
-    projs = {0: p0, 1: p1}
+    projs = {0: p0, 1: ExactMatrix.eye(dim_of(dims)) - p0}
     results: dict[str, bool] = {}
     for ell in (0, 1):
-        results[f"transpose[{ell}]"] = exact_all_zero(
-            _exact_sub(projs[ell], _exact_transpose(projs[ell])))
+        results[f"transpose[{ell}]"] = exact_all_zero(projs[ell] - projs[ell].T)
         results[f"orthogonality[{ell}]"] = exact_all_zero(
-            exact_matmul(_exact_transpose(projs[ell]), projs[1 - ell]))
+            exact_matmul(projs[ell].T, projs[1 - ell]))
     for slot in slots:
         signs = _parity_signs(dims, slot)
         for ell in (0, 1):
-            conj = _exact_sign_conjugate(projs[1 - ell], signs)
             results[f"conjugation[{ell}]@{slot}"] = exact_all_zero(
-                _exact_sub(projs[ell], conj))
-            twist = exact_matmul(_exact_transpose(projs[ell]),
-                                 _exact_sign_conjugate(projs[ell], signs))
+                projs[ell] - projs[1 - ell].sign_conjugate(signs))
+            twist = exact_matmul(projs[ell].T, projs[ell].sign_conjugate(signs))
             results[f"twist[{ell}]@{slot}"] = exact_all_zero(twist)
     return results

@@ -1,4 +1,6 @@
+import importlib
 import json
+import os
 
 import zecap.channels
 import zecap.specio
@@ -195,6 +197,58 @@ def test_describe_roundtrip_through_file(tmp_path):
     loaded = channel_from_spec(read_report(spec_path))
     assert max_abs(loaded.payload.s0.projector
                    - original.payload.s0.projector) < 1e-12
+
+
+def test_locally_phased_spec_keeps_float_and_exact_verdicts_together(tmp_path):
+    # a phase i on every term whose A digit is 1 is a local unitary on A:
+    # the measurement stays complete and both subspaces stay product-free
+    spec_path = tmp_path / "e21.json"
+    assert run(["describe", "e21", "--out", str(spec_path)]) == 0
+    spec = read_report(spec_path)
+    for vec in spec["s0_basis"]:
+        for term in vec:
+            if term["index"] // 4 == 1:
+                re, im = term["coeff"]["re"], term["coeff"]["im"]
+                term["coeff"] = {"re": {k: [-v[0], v[1]] for k, v in im.items()},
+                                 "im": re}
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    run(["verify", "--spec", str(spec_path), "--suite", "properties",
+         "--out", str(out)])
+    checks = {c["name"]: c for c in read_report(out)["checks"]}
+    assert checks["channel/trace-preserving"]["value"] < 1e-12
+    exact = [n for n in checks if n.startswith("properties/exact/")]
+    assert len(exact) == 12
+    for name in exact:
+        float_name = name.replace("exact/", "")
+        assert checks[name]["passed"] == checks[float_name]["passed"], name
+    assert checks["properties/exact/conjugation[0]@0"]["passed"]
+    code = run(["verify", "--spec", str(spec_path), "--suite", "ce",
+                "--restarts", "100", "--out", str(out)])
+    assert code == 0
+    checks = {c["name"]: c for c in read_report(out)["checks"]}
+    assert checks["ce/S0"]["passed"] and checks["ce/S1"]["passed"]
+
+
+def test_linearly_dependent_s0_basis_is_usage_error(tmp_path, capsys):
+    spec_path = tmp_path / "e21.json"
+    assert run(["describe", "e21", "--out", str(spec_path)]) == 0
+    spec = read_report(spec_path)
+    spec["s0_basis"].append(spec["s0_basis"][0])
+    spec_path.write_text(json.dumps(spec))
+    for suite in ("properties", "ce"):
+        assert run(["verify", "--spec", str(spec_path), "--suite", suite]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: s0_basis") and err.count("\n") == 1
+
+
+def test_tracer_binds_every_traced_function(monkeypatch):
+    # the benchmark's tracer patches functions by the names zecap modules
+    # import them under; a rename or a new import must fail here
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "bench")
+    monkeypatch.syspath_prepend(bench)
+    importlib.import_module("tracer").check_targets()
 
 
 def test_malformed_spec_is_usage_error(tmp_path):

@@ -62,6 +62,12 @@ def test_local_preparability_requires_cover():
         check_local_preparability(basis_ket([2, 2], 0), [2, 2], [(0,)])
 
 
+def test_local_preparability_takes_kets_only():
+    ket = basis_ket([2, 2], 0)
+    with pytest.raises(ValueError, match="expected a ket"):
+        check_local_preparability(np.outer(ket, ket.conj()), [2, 2], [(0,), (1,)])
+
+
 def test_two_use_outputs_all_slots(e21):
     power = tensor_power(e21, 2)
     for slot in ("A", "B", "A'", "B'"):
