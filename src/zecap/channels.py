@@ -1,16 +1,16 @@
 """Multi-user quantum channels: concrete constructors and channel algebra.
 
-A channel carries its sender/receiver factor structure and one of several
-kind-specific payloads. Payloads are kept structural (projector pairs,
-classical-quantum output tables, Kraus lists, tensor powers, trivial-party
-extensions) rather than eagerly expanded, with a uniform Kraus conversion
-for generic processing.
+A channel is its sender/receiver factor structure, one stack of one-use
+Kraus operators of shape (K, out, in), and a number of parallel uses. k uses
+share the one-use stack: they are applied by contracting it into each use's
+input factors in turn, so no Kronecker expansion over k uses is ever built.
+Flag-output channels also carry their measured subspaces as `payload`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -19,48 +19,41 @@ import numpy as np
 from .exactnum import Coeff, exact_vector
 from .linalg import (
     assert_density,
-    basis_ket,
-    dagger,
     dim_of,
-    eigh_descending,
     ket_from_terms,
     ket_to_matrix,
     max_abs,
-    max_entangled_ket,
-    parity_phase,
     partial_trace,
 )
 from .subspaces import Subspace
 
-TP_TOL = 1e-9
-# largest joint sender dimension of a binary projective channel: a full
-# `verify --suite all` takes under a minute on em1:6 (64), while on em1:7
-# (128) the two-use suite asks for a 4 GiB density matrix and em1:40 would
-# build 2^39 vectors of length 2^40
+# largest joint sender dimension of a flag-output channel, and largest joint
+# sender or receiver dimension of a cq spec. Time, not memory, sets it: with
+# it lifted, `verify --suite all` took 13 s on em1:7 and 34 s on em1:8 (2-CPU
+# VM, one BLAS thread, < 110 MB), most of it in the exact `properties` suite
 MAX_INPUT_DIM = 64
 
 
-def check_input_dim(sender_dims: Iterable[int]) -> None:
-    """Refuse a joint sender dimension above MAX_INPUT_DIM before anything is built.
+def check_input_dim(dims: Iterable[int], field: str = "sender_dims") -> None:
+    """Refuse a joint dimension above MAX_INPUT_DIM before anything is built.
 
     The product is taken factor by factor and stops at the first excess, so
-    even an absurd number of senders costs nothing.
+    even an absurd number of factors costs nothing.
     """
     total = 1
-    for d in sender_dims:
+    for d in dims:
         total *= int(d)
         if total > MAX_INPUT_DIM:
-            raise ValueError(f"sender dimensions multiply to more than "
-                             f"{MAX_INPUT_DIM}, the largest supported input dimension")
+            raise ValueError(f"{field}: dimensions multiply to more than "
+                             f"{MAX_INPUT_DIM}, the largest supported dimension")
 
 
 @dataclass
 class BinaryProjectivePayload:
-    """Measure {P0, P1} and emit a classical flag qubit."""
+    """Measured subspaces of a flag-output channel: measure {P0, P1}."""
 
     s0: Subspace
     s1: Subspace
-    u: np.ndarray                      # Hermitian unitary used by two-use codes
     u_slots: tuple[int, ...]           # slots where the conjugation identity holds
     exact_s0: list | None = None       # exact column vectors spanning S0, unnormalized
 
@@ -74,43 +67,35 @@ class BinaryProjectivePayload:
 
 
 @dataclass
-class CQPayload:
-    """Classical-quantum: basis bra-kets on the input, fixed output states."""
-
-    outputs: list[np.ndarray]          # rho_k for input |k><k|
-
-
-@dataclass
-class KrausPayload:
-    ops: list[np.ndarray]
-    flag: str = "trace-preserving"     # | trace-non-increasing | unnormalized-CP
-    source: Subspace | None = None     # set for channels built from a subspace
-    scale: float = 1.0
-
-
-@dataclass
-class PowerPayload:
-    base: "MultiUserChannel"
-    uses: int
-
-
-@dataclass
-class ExtensionPayload:
-    base: "MultiUserChannel"
-    extra_senders: tuple[int, ...]
-    extra_receivers: tuple[int, ...]
-
-
-@dataclass
 class MultiUserChannel:
-    """A completely positive map with sender/receiver partition metadata."""
+    """`uses` parallel uses of a completely positive map, with sender/receiver
+    partition metadata.
+
+    `kraus` is the write-protected one-use stack (K, out, in); the dims list
+    the factors of every use, use-major. `payload` holds the measured
+    subspaces of one use of a flag-output channel and is None for every
+    other channel, tensor powers included.
+    """
 
     sender_dims: tuple[int, ...]
     receiver_dims: tuple[int, ...]
-    kind: str                          # cq | binary-projective | kraus | subspace-cj | power | extended
-    payload: object
+    kraus: np.ndarray
+    uses: int = 1
     name: str = ""
-    _kraus_cache: list[np.ndarray] | None = field(default=None, repr=False)
+    payload: BinaryProjectivePayload | None = None
+
+    def __post_init__(self) -> None:
+        ops = np.asarray(self.kraus, dtype=complex)
+        if ops.flags.writeable:            # a stack is shared between powers, never changed
+            ops = ops.copy()
+        k = self.uses
+        one_use = (dim_of(self.receiver_dims[:len(self.receiver_dims) // k]),
+                   dim_of(self.sender_dims[:len(self.sender_dims) // k]))
+        if ops.ndim != 3 or ops.shape[1:] != one_use:
+            raise ValueError(f"Kraus stack of shape {ops.shape} does not fit "
+                             f"{self.uses} use(s) of the channel's dimensions")
+        ops.setflags(write=False)
+        self.kraus = ops
 
     @property
     def in_dim(self) -> int:
@@ -120,72 +105,50 @@ class MultiUserChannel:
     def out_dim(self) -> int:
         return dim_of(self.receiver_dims)
 
-    @property
-    def trace_preserving_flag(self) -> bool:
-        if self.kind in ("kraus", "subspace-cj"):
-            return self.payload.flag == "trace-preserving"
-        if self.kind == "power":
-            return self.payload.base.trace_preserving_flag
-        if self.kind == "extended":
-            return self.payload.base.trace_preserving_flag
-        return True
 
-    def sender_slot_groups(self) -> list[tuple[int, ...]]:
-        """Input factor indices owned by each sender (one group per party)."""
-        if self.kind == "power":
-            base = self.payload.base
-            m = len(base.sender_dims)
-            k = self.payload.uses
-            groups = base.sender_slot_groups()
-            return [tuple(use * m + s for use in range(k) for s in g)
-                    for g in groups]
-        return [(i,) for i in range(len(self.sender_dims))]
+def to_kraus(channel: MultiUserChannel) -> np.ndarray:
+    """The one-use Kraus stack (K, out, in); every use applies it in turn."""
+    return channel.kraus
 
 
-def to_kraus(channel: MultiUserChannel) -> list[np.ndarray]:
-    """Kraus operators realizing the channel; cached per channel object."""
-    if channel._kraus_cache is not None:
-        return channel._kraus_cache
-    kind = channel.kind
-    if kind in ("kraus", "subspace-cj"):
-        ops = list(channel.payload.ops)
-    elif kind == "binary-projective":
-        pl = channel.payload
-        out0 = basis_ket([2], 0)
-        out1 = basis_ket([2], 1)
-        ops = [np.outer(out0, e.conj()) for e in pl.s0.basis]
-        ops += [np.outer(out1, f.conj()) for f in pl.s1.basis]
-    elif kind == "cq":
-        ops = []
-        for k, rho in enumerate(channel.payload.outputs):
-            w, v = eigh_descending(rho)
-            bra = basis_ket([channel.in_dim], k).conj()
-            for i in range(len(w)):
-                if w[i] > 1e-12:
-                    ops.append(np.sqrt(w[i]) * np.outer(v[:, i], bra))
-    elif kind == "power":
-        base_ops = to_kraus(channel.payload.base)
-        ops = []
-        for combo in itertools.product(base_ops, repeat=channel.payload.uses):
-            k = combo[0]
-            for factor in combo[1:]:
-                k = np.kron(k, factor)
-            ops.append(k)
-    elif kind == "extended":
-        pl = channel.payload
-        base_ops = to_kraus(pl.base)
-        extra_in = dim_of(pl.extra_senders)
-        extra_out = dim_of(pl.extra_receivers)
-        ground = basis_ket([extra_out], 0)
-        ops = []
-        for k in base_ops:
-            for j in range(extra_in):
-                bra = basis_ket([extra_in], j).conj()
-                ops.append(np.kron(k, np.outer(ground, bra)))
-    else:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    channel._kraus_cache = ops
-    return ops
+def _each_use(m: np.ndarray, x: np.ndarray, uses: int) -> np.ndarray:
+    """Apply the matrix m to the leading `uses` factors of x, one at a time.
+
+    Each step consumes the leading factor (of size m.shape[1]) and appends
+    m's row index at the end, so the result is laid out as (trailing
+    factors of x, row index for use 1, ..., row index for use k).
+    """
+    for _ in range(uses):
+        x = x.reshape(m.shape[1], -1).T @ m.T
+    return x
+
+
+def _paired(k: int) -> list[int]:
+    """Axis order taking (a1..ak, b1..bk) to (a1, b1, ..., ak, bk)."""
+    return [i for j in range(k) for i in (j, k + j)]
+
+
+def _unpaired(k: int) -> list[int]:
+    """Axis order taking (a1, b1, ..., ak, bk) to (a1..ak, b1..bk)."""
+    return [*range(0, 2 * k, 2), *range(1, 2 * k, 2)]
+
+
+def kraus_images(ops: np.ndarray, uses: int, psi: np.ndarray) -> np.ndarray:
+    """The (out^k, K^k) matrix whose columns are (K_a x ... x K_z) psi, one
+    column per word of k one-use operators."""
+    n, out, d = ops.shape
+    x = _each_use(ops.transpose(1, 0, 2).reshape(out * n, d), psi, uses)
+    return x.reshape((out, n) * uses).transpose(_unpaired(uses)).reshape(
+        out ** uses, n ** uses)
+
+
+def kraus_adjoint(ops: np.ndarray, uses: int, w: np.ndarray) -> np.ndarray:
+    """Adjoint of `kraus_images`: the sum over words of (K_a x ... x K_z)^dag
+    applied to that word's column of w."""
+    n, out, d = ops.shape
+    x = w.reshape((out,) * uses + (n,) * uses).transpose(_paired(uses))
+    return _each_use(ops.transpose(1, 0, 2).reshape(out * n, d).conj().T,
+                     x, uses).reshape(-1)
 
 
 def apply_channel_to_ket(channel: MultiUserChannel, psi: np.ndarray) -> np.ndarray:
@@ -195,89 +158,34 @@ def apply_channel_to_ket(channel: MultiUserChannel, psi: np.ndarray) -> np.ndarr
         raise ValueError(
             f"input of length {psi.size} does not match channel input "
             f"dimension {channel.in_dim}")
-    if channel.kind == "binary-projective":
-        pl = channel.payload
-        p0 = float(np.real(np.vdot(psi, pl.p0 @ psi)))
-        p1 = float(np.real(np.vdot(psi, pl.p1 @ psi)))
-        return np.diag([p0, p1]).astype(complex)
-    if channel.kind == "power" and channel.payload.base.kind == "binary-projective":
-        return _apply_projective_power_ket(channel, psi)
-    out = np.zeros((channel.out_dim, channel.out_dim), dtype=complex)
-    for k in to_kraus(channel):
-        w = k @ psi
-        out += np.outer(w, w.conj())
-    return out
+    w = kraus_images(channel.kraus, channel.uses, psi)
+    return w @ w.conj().T
 
 
-def _apply_projective_power_ket(channel: MultiUserChannel, psi: np.ndarray) -> np.ndarray:
-    """k-use product of binary projective measurements: enumerate outcomes."""
-    base = channel.payload.base
-    k = channel.payload.uses
-    d = base.in_dim
-    projs = (base.payload.p0, base.payload.p1)
-    out = np.zeros((2 ** k, 2 ** k), dtype=complex)
-    for outcome in itertools.product((0, 1), repeat=k):
-        vec = psi.reshape((d,) * k)
-        for use, ell in enumerate(outcome):
-            vec = np.tensordot(projs[ell], vec, axes=([1], [use]))
-            vec = np.moveaxis(vec, 0, use)
-        prob = float(np.real(np.vdot(psi, vec.reshape(-1))))
-        flat = int("".join(str(b) for b in outcome), 2)
-        out[flat, flat] += prob
-    return out
+def apply_channel(channel: MultiUserChannel, rho: np.ndarray) -> np.ndarray:
+    """Apply the channel to a density operator, validated as one.
 
-
-def apply_channel(channel: MultiUserChannel, rho: np.ndarray,
-                  validate: bool = True) -> np.ndarray:
-    """Apply the channel to a density operator.
-
-    Inputs are validated as density operators unless the channel is flagged
-    unnormalized-CP or validate=False.
+    Each use's (row, column) factor pair is contracted with the one-use
+    superoperator sum_K K (x) conj(K) in turn.
     """
     rho = np.asarray(rho, dtype=complex)
     d = channel.in_dim
     if rho.shape != (d, d):
         raise ValueError(f"input shape {rho.shape} does not match input dimension {d}")
-    if validate and channel.trace_preserving_flag:
-        assert_density(rho)
-    kind = channel.kind
-    if kind == "cq":
-        out = np.zeros((channel.out_dim, channel.out_dim), dtype=complex)
-        for k, rho_k in enumerate(channel.payload.outputs):
-            out += rho[k, k].real * rho_k
-        return out
-    if kind == "binary-projective":
-        pl = channel.payload
-        p0 = float(np.real(np.trace(pl.p0 @ rho)))
-        p1 = float(np.real(np.trace(pl.p1 @ rho)))
-        return np.diag([p0, p1]).astype(complex)
-    if kind == "extended":
-        pl = channel.payload
-        base = pl.base
-        n_base = len(base.sender_dims)
-        dims = list(base.sender_dims) + list(pl.extra_senders)
-        reduced = partial_trace(rho, dims, keep=range(n_base))
-        base_out = apply_channel(base, reduced, validate=False)
-        ground = basis_ket([dim_of(pl.extra_receivers)], 0)
-        return np.kron(base_out, np.outer(ground, ground.conj()))
-    out = np.zeros((channel.out_dim, channel.out_dim), dtype=complex)
-    for k in to_kraus(channel):
-        out += k @ rho @ dagger(k)
-    return out
+    assert_density(rho)
+    ops, k = channel.kraus, channel.uses
+    n, out, d1 = ops.shape
+    sup = np.einsum("kai,kbj->abij", ops, ops.conj()).reshape(out * out, d1 * d1)
+    x = _each_use(sup, rho.reshape((d1,) * (2 * k)).transpose(_paired(k)), k)
+    return x.reshape((out,) * (2 * k)).transpose(_unpaired(k)).reshape(
+        channel.out_dim, channel.out_dim)
 
 
 def check_trace_preserving(channel: MultiUserChannel) -> float:
-    """Max-norm residual of the trace-preservation condition for the kind."""
-    if channel.kind == "binary-projective":
-        pl = channel.payload
-        return max_abs(pl.p0 + pl.p1 - np.eye(channel.in_dim))
-    if channel.kind == "cq":
-        return max(abs(float(np.trace(r).real) - 1.0) for r in channel.payload.outputs)
-    ops = to_kraus(channel)
-    acc = np.zeros((channel.in_dim, channel.in_dim), dtype=complex)
-    for k in ops:
-        acc += dagger(k) @ k
-    return max_abs(acc - np.eye(channel.in_dim))
+    """Max-norm residual of sum K^dag K - I over the one-use stack (k uses
+    preserve the trace exactly when one use does)."""
+    m = channel.kraus.reshape(-1, channel.kraus.shape[2])
+    return max_abs(m.conj().T @ m - np.eye(m.shape[1]))
 
 
 def tensor_power(channel: MultiUserChannel, k: int) -> MultiUserChannel:
@@ -289,8 +197,8 @@ def tensor_power(channel: MultiUserChannel, k: int) -> MultiUserChannel:
     return MultiUserChannel(
         sender_dims=tuple(channel.sender_dims) * k,
         receiver_dims=tuple(channel.receiver_dims) * k,
-        kind="power",
-        payload=PowerPayload(channel, k),
+        kraus=channel.kraus,
+        uses=channel.uses * k,
         name=f"{channel.name}^x{k}" if channel.name else "",
     )
 
@@ -303,24 +211,25 @@ def extend_trivial_parties(channel: MultiUserChannel,
     extra_r = tuple(int(d) for d in extra_receivers)
     if not extra_s and not extra_r:
         return channel
+    extra_in, extra_out = dim_of(extra_s), dim_of(extra_r)
+    drop = np.zeros((1, extra_in, extra_out, extra_in))
+    drop[0, range(extra_in), 0, range(extra_in)] = 1.0       # |0><j| for each j
+    ops = np.kron(channel.kraus[:, None], drop)
     return MultiUserChannel(
         sender_dims=tuple(channel.sender_dims) + extra_s,
         receiver_dims=tuple(channel.receiver_dims) + extra_r,
-        kind="extended",
-        payload=ExtensionPayload(channel, extra_s, extra_r),
+        kraus=ops.reshape(-1, *ops.shape[2:]),
         name=f"{channel.name}+trivial" if channel.name else "",
+        payload=channel.payload,
     )
 
 
 def choi_matrix(channel: MultiUserChannel) -> np.ndarray:
-    """(channel x id) on the unnormalized maximally entangled operator.
-
-    Index order is (output factor, input factor).
-    """
-    d = channel.in_dim
-    ops = to_kraus(channel)
-    vecs = np.stack([np.kron(k, np.eye(d)) @
-                     (max_entangled_ket(d) * np.sqrt(d)) for k in ops])
+    """(channel x id) on the unnormalized maximally entangled operator, for
+    one use. Index order is (output factor, input factor)."""
+    if channel.uses != 1:
+        raise ValueError("choi_matrix takes one use of a channel")
+    vecs = channel.kraus.reshape(len(channel.kraus), -1)
     return vecs.T @ vecs.conj()
 
 
@@ -382,29 +291,39 @@ def _terms_to_float(terms: list[tuple[int, Coeff]], total: int) -> np.ndarray:
     return ket_from_terms([total], [(i, complex(c)) for i, c in terms])
 
 
+def binary_projective_channel(sender_dims: Sequence[int],
+                              payload: BinaryProjectivePayload,
+                              name: str = "") -> MultiUserChannel:
+    """Measure {P0, P1} and emit the outcome as a flag qubit: one Kraus
+    operator |l><e| per orthonormal basis vector e of S_l."""
+    b0, b1 = payload.s0.basis, payload.s1.basis
+    ops = np.zeros((len(b0) + len(b1), 2, dim_of(sender_dims)), dtype=complex)
+    ops[:len(b0), 0] = b0.conj()
+    ops[len(b0):, 1] = b1.conj()
+    return MultiUserChannel(tuple(sender_dims), (2,), ops, name=name,
+                            payload=payload)
+
+
 def _binary_projective(sender_dims: Sequence[int],
                        spanning_terms: list[list[tuple[int, Coeff]]],
-                       u_dim: int, u_slots: Sequence[int], name: str) -> MultiUserChannel:
+                       u_slots: Sequence[int], name: str) -> MultiUserChannel:
     total = dim_of(sender_dims)
     span = [_terms_to_float(t, total) for t in spanning_terms]
     s0 = Subspace.from_span(sender_dims, span)
-    s1 = s0.complement()
-    exact_span = [exact_vector(total, t) for t in spanning_terms]
     payload = BinaryProjectivePayload(
-        s0=s0, s1=s1, u=parity_phase(u_dim), u_slots=tuple(u_slots),
-        exact_s0=exact_span)
-    return MultiUserChannel(tuple(sender_dims), (2,), "binary-projective",
-                            payload, name=name)
+        s0=s0, s1=s0.complement(), u_slots=tuple(u_slots),
+        exact_s0=[exact_vector(total, t) for t in spanning_terms])
+    return binary_projective_channel(sender_dims, payload, name)
 
 
 def make_e21() -> MultiUserChannel:
     """Two senders with 4-dimensional inputs, one qubit receiver."""
-    return _binary_projective([4, 4], e21_spanning_terms(), 4, (0, 1), "e21")
+    return _binary_projective([4, 4], e21_spanning_terms(), (0, 1), "e21")
 
 
 def make_variant34() -> MultiUserChannel:
     """Input reduced to 3x4; the conjugation identity holds on the 4-dim slot only."""
-    return _binary_projective([3, 4], variant34_spanning_terms(), 4, (1,), "variant34")
+    return _binary_projective([3, 4], variant34_spanning_terms(), (1,), "variant34")
 
 
 def make_em1(m: int) -> MultiUserChannel:
@@ -412,56 +331,35 @@ def make_em1(m: int) -> MultiUserChannel:
     if m < 2:
         raise ValueError("the m-qubit family needs m >= 2")
     check_input_dim(itertools.repeat(2, m))
-    return _binary_projective([2] * m, em1_spanning_terms(m), 2,
-                              tuple(range(m)), f"em1:{m}")
-
-
-def e12_output_states() -> tuple[np.ndarray, np.ndarray]:
-    alpha = max_entangled_ket(2)
-    rho0 = np.outer(alpha, alpha.conj())
-    rho1 = (np.eye(4) - rho0) / 3.0
-    return rho0, rho1
+    return _binary_projective([2] * m, em1_spanning_terms(m), tuple(range(m)),
+                              f"em1:{m}")
 
 
 def make_e12() -> MultiUserChannel:
-    """One qubit sender, two qubit receivers: |0> -> maximally entangled pair,
-    |1> -> the normalized complement state."""
-    rho0, rho1 = e12_output_states()
-    return MultiUserChannel((2,), (2, 2), "cq", CQPayload([rho0, rho1]), name="e12")
+    """One qubit sender, two qubit receivers: |0> -> the maximally entangled
+    pair (|00> + |11>)/sqrt(2); |1> -> the normalized complement state, an even
+    mixture of |01>, |10> and (|00> - |11>)/sqrt(2)."""
+    r, t = 2 ** -0.5, 3 ** -0.5
+    ops = np.zeros((4, 4, 2), dtype=complex)
+    ops[0, [0, 3], 0] = r
+    ops[1, 1, 1] = ops[2, 2, 1] = t
+    ops[3, [0, 3], 1] = r * t, -r * t
+    return MultiUserChannel((2,), (2, 2), ops, name="e12")
 
 
-def make_cj_channel(subspace: Subspace, completion: str = "none") -> MultiUserChannel:
+def make_cj_channel(subspace: Subspace) -> MultiUserChannel:
     """Channel whose Kraus operators reshape an orthonormal basis of a bipartite
     subspace, scaled so the largest eigenvalue of sum K^dag K is one.
 
-    completion="none" leaves a trace-non-increasing CP map (flagged
-    unnormalized-CP); completion="flag" appends operators routing the defect
-    into one extra output dimension, yielding a trace-preserving channel.
+    The result is trace-non-increasing in general. sum K^dag K before scaling
+    is (Tr_B P)^T for the subspace projector P.
     """
     if len(subspace.dims) != 2:
         raise ValueError("subspace must be bipartite (two party dimensions)")
     if subspace.dim == 0:
         raise ValueError("cannot build a channel from the zero subspace")
     da, db = subspace.dims
-    ops = [ket_to_matrix(e, da, db) for e in subspace.basis]
-    frame = np.zeros((da, da), dtype=complex)
-    for k in ops:
-        frame += dagger(k) @ k
-    scale = float(np.linalg.eigvalsh(frame)[-1].real)
-    ops = [k / np.sqrt(scale) for k in ops]
-    if completion == "none":
-        payload = KrausPayload(ops, flag="unnormalized-CP", source=subspace,
-                               scale=scale)
-        return MultiUserChannel((da,), (db,), "subspace-cj", payload)
-    if completion != "flag":
-        raise ValueError(f"unknown completion {completion!r}")
-    defect = np.eye(da) - frame / scale
-    w, v = eigh_descending(defect)
-    flag_ket = basis_ket([db + 1], db)
-    lifted = [np.vstack([k, np.zeros((1, da))]) for k in ops]
-    for i in range(len(w)):
-        if w[i] > 1e-12:
-            lifted.append(np.sqrt(w[i]) * np.outer(flag_ket, v[:, i].conj()))
-    payload = KrausPayload(lifted, flag="trace-preserving", source=subspace,
-                           scale=scale)
-    return MultiUserChannel((da,), (db + 1,), "subspace-cj", payload)
+    frame = partial_trace(subspace.projector, [da, db], keep=[0]).T
+    scale = float(np.linalg.eigvalsh(frame)[-1])
+    ops = np.stack([ket_to_matrix(e, da, db) for e in subspace.basis]) / np.sqrt(scale)
+    return MultiUserChannel((da,), (db,), ops)

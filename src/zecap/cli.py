@@ -86,7 +86,7 @@ def _product_param_count(dims) -> int:
 
 
 def _applicable_suites(channel: MultiUserChannel) -> list[str]:
-    if channel.kind == "cq":
+    if channel.payload is None:
         return ["teleport"]
     suites = ["properties", "ce", "two-use"]
     if len(channel.sender_dims) >= 2 and len(set(channel.sender_dims)) == 1 \
@@ -284,7 +284,7 @@ def cmd_verify(args) -> int:
 def cmd_renyi_gap(args) -> int:
     channel = _load_channel(args)
     seed = args.seed if args.seed is not None else _default_seed()
-    if channel.kind != "binary-projective" or len(channel.sender_dims) != 2:
+    if channel.payload is None or len(channel.sender_dims) != 2:
         return _usage_error("the gap check needs a two-sender projective channel")
     report = Report(command="renyi-gap", channel=channel.name or "custom", seed=seed)
     try:

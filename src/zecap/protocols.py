@@ -11,16 +11,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    MultiUserChannel,
-    apply_channel_to_ket,
-    parity_phase,
-    tensor_power,
-)
+from .channels import MultiUserChannel, apply_channel_to_ket, tensor_power
 from .linalg import (
     dim_of,
     max_abs,
     max_entangled_ket,
+    parity_phase,
     partial_trace,
     permute_factors,
     tensor,
@@ -82,8 +78,8 @@ def build_two_use_code(channel: MultiUserChannel, slot: int | str) -> CodeBook:
 
     Input factors are laid out use-major (use-1 factors, then use-2 factors).
     """
-    if channel.kind not in ("binary-projective", "extended"):
-        raise ValueError(f"no two-use code construction for kind {channel.kind!r}")
+    if channel.payload is None:
+        raise ValueError("two-use codes are built for one use of a flag-output channel")
     sender_dims = channel.sender_dims
     m = len(sender_dims)
     idx = slot_index(channel, slot)
@@ -205,11 +201,8 @@ def _teleportation_decodes(channel: MultiUserChannel,
                            outputs: list[np.ndarray]) -> bool:
     """True when the teleportation decoder maps the codewords to distinct
     deterministic outcomes (codeword labels themselves do not matter)."""
-    if channel.kind != "power" or channel.payload.uses != 2:
-        return False
-    base = channel.payload.base
-    if (base.kind != "cq" or len(base.sender_dims) != 1
-            or base.receiver_dims != (2, 2) or len(outputs) != 2):
+    if (channel.uses != 2 or len(channel.sender_dims) != 2
+            or channel.receiver_dims != (2, 2) * 2 or len(outputs) != 2):
         return False
     seen = set()
     for out in outputs:
@@ -222,9 +215,7 @@ def _teleportation_decodes(channel: MultiUserChannel,
 
 
 def _receiver_count(channel: MultiUserChannel) -> int:
-    if channel.kind == "power":
-        return _receiver_count(channel.payload.base)
-    return len(channel.receiver_dims)
+    return len(channel.receiver_dims) // channel.uses
 
 
 def certify_alpha_local_one(channel: MultiUserChannel,
@@ -243,18 +234,10 @@ def certify_alpha_local_one(channel: MultiUserChannel,
     senders are ignored and added receivers get a fixed state, so output
     distinguishability is unchanged.
     """
-    if channel.kind == "extended":
-        base_cert = certify_alpha_local_one(channel.payload.base,
-                                            restarts=restarts, gap=gap, seed=seed)
-        notes = base_cert.notes + " inherited through a trivial-party extension;"
-        return AlphaLocalCertificate(channel.name, base_cert.alpha_local_one,
-                                     base_cert.s0_certificate,
-                                     base_cert.s1_certificate, notes.strip())
-    if channel.kind != "binary-projective":
-        raise ValueError(
-            f"one-shot certificate applies to binary projective channels, "
-            f"got kind {channel.kind!r}")
     pl = channel.payload
+    if pl is None:
+        raise ValueError("the one-shot certificate applies to one use of a "
+                         "binary projective channel")
     c0 = certify_completely_entangled(pl.s0, restarts=restarts, gap=gap,
                                       seed=seed, label=f"{channel.name}/S0")
     c1 = certify_completely_entangled(pl.s1, restarts=restarts, gap=gap,
@@ -265,6 +248,8 @@ def certify_alpha_local_one(channel: MultiUserChannel,
              if ok else
              "certification failed: " +
              "; ".join(f"{c.subspace_label}: {c.verdict}" for c in (c0, c1) if not c.certified))
+    if len(channel.sender_dims) > len(pl.s0.dims):
+        notes += " inherited through a trivial-party extension;"
     return AlphaLocalCertificate(channel.name, ok, c0, c1, notes)
 
 

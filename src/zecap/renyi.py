@@ -18,7 +18,15 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import MultiUserChannel, apply_channel_to_ket, make_cj_channel, tensor_power, to_kraus
+from .channels import (
+    MultiUserChannel,
+    apply_channel_to_ket,
+    kraus_adjoint,
+    kraus_images,
+    make_cj_channel,
+    tensor_power,
+    to_kraus,
+)
 from .linalg import dagger, haar_ket, max_entangled_ket
 from .subspaces import CECertificate, Subspace, certify_completely_entangled
 
@@ -157,54 +165,28 @@ def structured_rank_seeds(channel: MultiUserChannel) -> list[np.ndarray]:
     return seeds
 
 
-def _reject_flag_completed(channel: MultiUserChannel) -> None:
-    """Rank searches run on the completion-free form of subspace channels.
-
-    The completing operators that restore trace preservation route weight
-    into the extra flag dimension and can raise every output rank, so rank
-    results on the completed channel would not reflect the subspace. Rank is
-    invariant under the positive scaling of the completion-free form.
-    """
-    pl = getattr(channel, "payload", None)
-    if channel.kind == "power":
-        _reject_flag_completed(channel.payload.base)
-        return
-    if channel.kind == "subspace-cj" and pl.flag == "trace-preserving":
-        raise ValueError(
-            "rank searches need the completion-free form of a subspace "
-            "channel (completion='none'); the flag completion can raise "
-            "output ranks")
-
-
 def _tail_objective(channel: MultiUserChannel, target_rank: int) -> Callable:
     d = channel.in_dim
-    ops = to_kraus(channel)
-    frame = np.zeros((d, d), dtype=complex)
-    for k in ops:
-        frame += dagger(k) @ k
+    ops, uses = to_kraus(channel), channel.uses
 
     def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
         psi = x[:d] + 1j * x[d:]
         norm2 = float(np.real(np.vdot(psi, psi)))
         if norm2 < 1e-14:
             return 1.0, np.zeros_like(x)
-        vecs = np.stack([k @ psi for k in ops])
-        rho = vecs.T @ vecs.conj()
-        w, v = np.linalg.eigh(rho)
+        vecs = kraus_images(ops, uses, psi)
+        w, v = np.linalg.eigh(vecs @ vecs.conj().T)
         order = np.argsort(w)[::-1]
         w = np.clip(w[order].real, 0.0, None)
         v = v[:, order]
         total = float(np.sum(w))
         tail = float(np.sum(w[target_rank:]))
         value = tail / total
-        # subgradient through the tail eigenprojector (eigenbasis held fixed)
+        # subgradient through the tail eigenprojector (eigenbasis held fixed):
+        # sum_K K^dag (total * tail_proj - tail) K psi / total^2
         tail_proj = v[:, target_rank:] @ dagger(v[:, target_rank:])
-        a = np.zeros(d, dtype=complex)
-        b = np.zeros(d, dtype=complex)
-        for k in ops:
-            a += dagger(k) @ (tail_proj @ (k @ psi))
-        b = frame @ psi
-        grad_psi_bar = (a * total - tail * b) / total ** 2
+        weight = total * tail_proj - tail * np.eye(len(w))
+        grad_psi_bar = kraus_adjoint(ops, uses, weight @ vecs) / total ** 2
         grad = np.concatenate([2 * grad_psi_bar.real, 2 * grad_psi_bar.imag])
         return value, grad
 
@@ -226,7 +208,6 @@ def min_output_rank_search(channel: MultiUserChannel,
     target whose tail mass cannot be driven to zero, which is sound because
     tail masses are nested.
     """
-    _reject_flag_completed(channel)
     d = channel.in_dim
     rng = np.random.default_rng([seed, 0x5eed])
     pool: list[np.ndarray] = [s / np.linalg.norm(s) for s in
@@ -329,7 +310,7 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
     complement = subspace.complement()
     cert = certify_completely_entangled(complement, restarts=ce_restarts,
                                         seed=seed, label="complement")
-    channel = make_cj_channel(subspace, completion="none")
+    channel = make_cj_channel(subspace)
     two_use = tensor_power(channel, 2)
 
     single = min_output_rank_search(channel, restarts=min(budget, 200),

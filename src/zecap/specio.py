@@ -16,14 +16,13 @@ import numpy as np
 
 from .channels import (
     BinaryProjectivePayload,
-    CQPayload,
     MultiUserChannel,
+    binary_projective_channel,
     check_input_dim,
     make_e12,
     make_e21,
     make_em1,
     make_variant34,
-    parity_phase,
 )
 from .exactnum import Coeff, exact_vector, vector_terms
 from .linalg import dim_of, ket_from_terms
@@ -58,11 +57,13 @@ def _frac_to_json(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
 
 
-def _frac_from_json(pair: Any) -> Fraction:
-    num, den = int(pair[0]), int(pair[1])
-    if den == 0:
-        raise ValueError("zero denominator in exact coefficient")
-    return Fraction(num, den)
+def _frac_from_json(pair: Any, where: str) -> Fraction:
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(x) is int for x in pair)):
+        raise ValueError(f"{where}: {pair!r} is not a [numerator, denominator] pair")
+    if pair[1] == 0:
+        raise ValueError(f"{where}: zero denominator in exact coefficient")
+    return Fraction(*pair)
 
 
 def _coeff_to_json(c: Coeff) -> dict:
@@ -72,27 +73,50 @@ def _coeff_to_json(c: Coeff) -> dict:
     }
 
 
-def _coeff_from_json(obj: Any) -> Coeff:
-    re = obj.get("re", {"r": [0, 1], "s": [0, 1]})
-    im = obj.get("im", {"r": [0, 1], "s": [0, 1]})
-    return Coeff(
-        _frac_from_json(re.get("r", [0, 1])), _frac_from_json(re.get("s", [0, 1])),
-        _frac_from_json(im.get("r", [0, 1])), _frac_from_json(im.get("s", [0, 1])),
-    )
+def _coeff_from_json(obj: Any, where: str) -> Coeff:
+    fracs = []
+    for part in ("re", "im"):
+        pair = obj.get(part, {}) if isinstance(obj, dict) else None
+        if not isinstance(pair, dict):
+            raise ValueError(f"{where}: coefficient {obj!r} is not a {{re, im}} object")
+        fracs += [_frac_from_json(pair.get(k, [0, 1]), where) for k in ("r", "s")]
+    return Coeff(*fracs)
 
 
 def _terms_to_json(terms: list[tuple[int, Coeff]]) -> list[dict]:
     return [{"index": idx, "coeff": _coeff_to_json(c)} for idx, c in terms]
 
 
-def _terms_from_json(items: Any, total: int) -> list[tuple[int, Coeff]]:
+def _terms_from_json(items: Any, total: int, where: str) -> list[tuple[int, Coeff]]:
     out = []
-    for item in items:
-        idx = int(item["index"])
-        if not 0 <= idx < total:
-            raise ValueError(f"basis index {idx} out of range for dimension {total}")
-        out.append((idx, _coeff_from_json(item["coeff"])))
+    for item in _list_field(items, where):
+        idx = _field(item, "index", where)
+        if type(idx) is not int or not 0 <= idx < total:
+            raise ValueError(f"{where}: basis index {idx!r} out of range for "
+                             f"dimension {total}")
+        out.append((idx, _coeff_from_json(_field(item, "coeff", where), where)))
     return out
+
+
+def _field(obj: Any, key: str, where: str = "") -> Any:
+    """obj[key], or a ValueError naming the missing field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where + '.' if where else ''}{key}: missing from the spec")
+    return obj[key]
+
+
+def _list_field(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _dims_field(spec: dict, key: str) -> tuple[int, ...]:
+    dims = _list_field(_field(spec, key), key)
+    if not dims or not all(type(d) is int and d >= 1 for d in dims):
+        raise ValueError(f"{key}: expected a non-empty list of positive integers, "
+                         f"got {dims!r}")
+    return tuple(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +125,17 @@ def _terms_from_json(items: Any, total: int) -> list[tuple[int, Coeff]]:
 
 def describe_channel(channel: MultiUserChannel) -> dict:
     """A JSON-ready description that `channel_from_spec` re-ingests exactly."""
+    pl = channel.payload
+    if channel.uses != 1 or (pl is not None and len(channel.sender_dims) > len(pl.s0.dims)):
+        raise ValueError("cannot describe tensor powers or trivial-party extensions")
     base: dict[str, Any] = {
         "format": SPEC_FORMAT,
         "name": channel.name,
-        "kind": channel.kind,
+        "kind": "cq" if pl is None else "binary-projective",
         "sender_dims": list(channel.sender_dims),
         "receiver_dims": list(channel.receiver_dims),
     }
-    if channel.kind == "binary-projective":
-        pl = channel.payload
+    if pl is not None:
         if pl.exact_s0 is None:
             raise ValueError("channel carries no exact spanning data to describe")
         base["subspace_dims"] = [pl.s0.dim, pl.s1.dim]
@@ -117,38 +143,36 @@ def describe_channel(channel: MultiUserChannel) -> dict:
         base["s0_basis"] = [_terms_to_json(vector_terms(v))
                             for v in pl.exact_s0]
         return base
-    if channel.kind == "cq":
-        base["outputs"] = [_cq_output_to_json(k, rho)
-                           for k, rho in enumerate(channel.payload.outputs)]
-        return base
-    raise ValueError(f"cannot describe channels of kind {channel.kind!r}")
+    # a cq channel: every Kraus operator sqrt(w)|ket><k| reads one input k
+    inputs = [np.flatnonzero(np.any(op, axis=0)) for op in channel.kraus]
+    if any(len(cols) != 1 for cols in inputs):
+        raise ValueError("only binary projective and classical-quantum "
+                         "channels can be described")
+    base["outputs"] = [
+        {"input": k, "components": [_cq_component_to_json(op[:, k])
+                                    for op, cols in zip(channel.kraus, inputs)
+                                    if cols[0] == k]}
+        for k in range(channel.in_dim)]
+    return base
 
 
-def _cq_output_to_json(k: int, rho: np.ndarray) -> dict:
-    """Eigen-decompose a cq output into rational weights and exact kets.
+def _cq_component_to_json(col: np.ndarray) -> dict:
+    """Rational weight w and exact ket of one output component sqrt(w)|ket>.
 
-    Supports the shipped constructions, whose spectra are rational and whose
-    eigenvectors have amplitudes in Q(sqrt(2)).
+    Supports the shipped constructions, whose weights are rational and whose
+    amplitudes are in Q(sqrt(2)).
     """
-    w, v = np.linalg.eigh(rho)
-    comps = []
-    for i in range(len(w))[::-1]:
-        if w[i] < 1e-12:
-            continue
-        weight = Fraction(float(w[i])).limit_denominator(10 ** 6)
-        if abs(float(weight) - float(w[i])) > 1e-10:
-            raise ValueError(f"output spectrum entry {w[i]} is not rational")
-        ket = v[:, i]
-        # gauge: first significant amplitude real positive
-        lead = next(j for j in range(len(ket)) if abs(ket[j]) > 1e-9)
-        ket = ket * (abs(ket[lead]) / ket[lead])
-        terms = []
-        for j in range(len(ket)):
-            if abs(ket[j]) < 1e-12:
-                continue
-            terms.append((j, _float_to_exact(complex(ket[j]))))
-        comps.append({"weight": _frac_to_json(weight), "ket": _terms_to_json(terms)})
-    return {"input": k, "components": comps}
+    w = float(np.vdot(col, col).real)
+    weight = Fraction(w).limit_denominator(10 ** 6)
+    if abs(float(weight) - w) > 1e-10:
+        raise ValueError(f"output weight {w} is not rational")
+    ket = col / np.sqrt(w)
+    # gauge: first significant amplitude real positive
+    lead = next(j for j in range(len(ket)) if abs(ket[j]) > 1e-9)
+    ket = ket * (abs(ket[lead]) / ket[lead])
+    terms = [(j, _float_to_exact(complex(ket[j])))
+             for j in range(len(ket)) if abs(ket[j]) >= 1e-12]
+    return {"weight": _frac_to_json(weight), "ket": _terms_to_json(terms)}
 
 
 def _float_to_exact(z: complex, max_den: int = 4096) -> Coeff:
@@ -170,46 +194,69 @@ def _float_to_exact(z: complex, max_den: int = 4096) -> Coeff:
 
 
 def channel_from_spec(spec: dict) -> MultiUserChannel:
-    """Build a channel from a parsed spec dict (or {'builtin': name})."""
-    if "builtin" in spec:
+    """Build a channel from a parsed spec dict (or {'builtin': name}).
+
+    Every field read is checked first; a malformed one raises a one-line
+    ValueError that names it.
+    """
+    if isinstance(spec, dict) and "builtin" in spec:
         return make_builtin(str(spec["builtin"]))
-    fmt = spec.get("format")
+    fmt = spec.get("format") if isinstance(spec, dict) else None
     if fmt != SPEC_FORMAT:
         raise ValueError(f"unsupported spec format {fmt!r}")
     kind = spec.get("kind")
-    sender_dims = tuple(int(d) for d in spec["sender_dims"])
-    receiver_dims = tuple(int(d) for d in spec["receiver_dims"])
+    name = str(spec.get("name", "custom"))
+    sender_dims = _dims_field(spec, "sender_dims")
+    receiver_dims = _dims_field(spec, "receiver_dims")
     if kind == "binary-projective":
         check_input_dim(sender_dims)
+        if receiver_dims != (2,):
+            raise ValueError(f"receiver_dims: a binary-projective channel emits "
+                             f"one flag qubit, [2], not {list(receiver_dims)}")
+        u_slots = _list_field(spec.get("u_slots", list(range(len(sender_dims)))),
+                              "u_slots")
+        if not all(type(s) is int and 0 <= s < len(sender_dims) for s in u_slots):
+            raise ValueError(f"u_slots: {u_slots!r} names a slot outside "
+                             f"0..{len(sender_dims) - 1}")
         total = dim_of(sender_dims)
-        term_lists = [_terms_from_json(v, total) for v in spec["s0_basis"]]
+        vectors = _list_field(_field(spec, "s0_basis"), "s0_basis")
+        term_lists = [_terms_from_json(v, total, f"s0_basis[{i}]")
+                      for i, v in enumerate(vectors)]
         span = [ket_from_terms([total], [(i, complex(c)) for i, c in t])
                 for t in term_lists]
         s0 = Subspace.from_span(sender_dims, span)
-        if s0.dim < len(span):
-            raise ValueError(f"s0_basis: {len(span)} vectors span only {s0.dim} "
-                             "dimensions; give linearly independent vectors")
-        s1 = s0.complement()
-        u_slots = tuple(int(s) for s in spec.get("u_slots", range(len(sender_dims))))
-        u_dim = sender_dims[u_slots[0]] if u_slots else sender_dims[0]
+        if not span or s0.dim < len(span):
+            raise ValueError(f"s0_basis: {len(span)} vectors span {s0.dim} dimensions; "
+                             "give one or more linearly independent vectors")
         payload = BinaryProjectivePayload(
-            s0=s0, s1=s1, u=parity_phase(u_dim), u_slots=u_slots,
+            s0=s0, s1=s0.complement(), u_slots=tuple(u_slots),
             exact_s0=[exact_vector(total, t) for t in term_lists])
-        return MultiUserChannel(sender_dims, receiver_dims, "binary-projective",
-                                payload, name=str(spec.get("name", "custom")))
+        return binary_projective_channel(sender_dims, payload, name)
     if kind == "cq":
-        total_out = dim_of(receiver_dims)
-        outputs = []
-        for entry in sorted(spec["outputs"], key=lambda e: int(e["input"])):
-            rho = np.zeros((total_out, total_out), dtype=complex)
-            for comp in entry["components"]:
-                weight = float(_frac_from_json(comp["weight"]))
-                terms = _terms_from_json(comp["ket"], total_out)
-                ket = ket_from_terms([total_out], [(i, complex(c)) for i, c in terms])
-                rho += weight * np.outer(ket, ket.conj())
-            outputs.append(rho)
-        return MultiUserChannel(sender_dims, receiver_dims, "cq",
-                                CQPayload(outputs), name=str(spec.get("name", "custom")))
+        check_input_dim(sender_dims)
+        check_input_dim(receiver_dims, "receiver_dims")
+        n_in, n_out = dim_of(sender_dims), dim_of(receiver_dims)
+        entries = _list_field(_field(spec, "outputs"), "outputs")
+        inputs = [_field(e, "input", "outputs[]") for e in entries]
+        if not all(type(k) is int for k in inputs) or sorted(inputs) != list(range(n_in)):
+            raise ValueError(f"outputs: inputs {inputs!r} are not exactly 0..{n_in - 1}, "
+                             "one per basis state of sender_dims")
+        ops = []
+        for k, entry in sorted(zip(inputs, entries), key=lambda pair: pair[0]):
+            where = f"outputs[input {k}].components"
+            for comp in _list_field(_field(entry, "components", f"outputs[input {k}]"),
+                                    where):
+                weight = _frac_from_json(_field(comp, "weight", where), where)
+                if weight <= 0:
+                    raise ValueError(f"{where}: weight {weight} is not positive")
+                terms = _terms_from_json(_field(comp, "ket", where), n_out, where)
+                op = np.zeros((n_out, n_in), dtype=complex)
+                op[:, k] = np.sqrt(float(weight)) * ket_from_terms(
+                    [n_out], [(i, complex(c)) for i, c in terms])
+                ops.append(op)
+        if not ops:
+            raise ValueError("outputs: no output components given")
+        return MultiUserChannel(sender_dims, receiver_dims, np.stack(ops), name=name)
     raise ValueError(f"unsupported channel kind {kind!r} in spec")
 
 

@@ -188,7 +188,7 @@ def test_criterion_7_renyi_gap(tmp_path):
     ok &= report.complement_certificate.verdict == "certified-CE"
     ok &= report.two_use_result is not None
     witness = report.two_use_result.achiever
-    two = tensor_power(make_cj_channel(e21.payload.s0, "none"), 2)
+    two = tensor_power(make_cj_channel(e21.payload.s0), 2)
     spectrum = np.clip(np.linalg.eigvalsh(apply_channel_to_ket(two, witness)),
                        0, None)[::-1]
     ok &= spectrum_rank(spectrum) == report.two_use_rank

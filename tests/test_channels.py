@@ -161,22 +161,40 @@ def test_tensor_power_factorizes_on_products(e21, e12):
         assert max_abs(joint - split) < 1e-10
 
 
-def test_tensor_power_sender_groups(e21):
-    power = tensor_power(e21, 2)
-    assert power.sender_slot_groups() == [(0, 2), (1, 3)]
-
-
 def test_power_outcome_enumeration_matches_kraus_path(e21):
-    # pure inputs take the measurement-enumeration shortcut; cross-check it
-    # against the generic Kraus expansion on entangled inputs
+    # pure inputs are contracted use by use; cross-check them against the
+    # explicit Kronecker expansion of the one-use stack on entangled inputs
     power = tensor_power(e21, 2)
     rng = np.random.default_rng(7)
     for _ in range(3):
         psi = haar_ket(256, rng)
         fast = apply_channel_to_ket(power, psi)
-        ops = to_kraus(power)
+        ops = [np.kron(a, b) for a in to_kraus(e21) for b in to_kraus(e21)]
         slow = sum(np.outer(k @ psi, (k @ psi).conj()) for k in ops)
         assert max_abs(fast - slow) < 1e-12
+
+
+def test_three_uses_match_the_explicit_kronecker_expansion(e21):
+    one = make_cj_channel(e21.payload.s0)
+    power = tensor_power(one, 3)
+    # the one-use stack is all a power holds: no 8^3 = 512 operator expansion
+    assert to_kraus(power).shape == (8, 4, 4)
+    ops = to_kraus(one)
+    words = [np.kron(np.kron(a, b), c) for a in ops for b in ops for c in ops]
+    rng = np.random.default_rng(9)
+    psi = haar_ket(64, rng)
+    reference = sum(np.outer(k @ psi, (k @ psi).conj()) for k in words)
+    assert max_abs(apply_channel_to_ket(power, psi) - reference) < 1e-12
+    rho = random_density(64, rng)
+    reference = sum(k @ rho @ k.conj().T for k in words)
+    assert max_abs(apply_channel(power, rho) - reference) < 1e-12
+
+
+def test_kraus_stack_is_write_protected(e21):
+    power = tensor_power(e21, 2)
+    assert to_kraus(power) is to_kraus(e21)
+    with pytest.raises(ValueError):
+        to_kraus(e21)[0, 0, 0] = 1.0
 
 
 def test_extend_trivial_parties_behaviour(e21):
@@ -213,17 +231,18 @@ def test_extension_preserves_output_gram(e21):
 
 def test_cj_channel_of_entangled_line_is_unitary_like():
     sub = Subspace.from_span([2, 2], [basis_ket([2, 2], 0) + basis_ket([2, 2], 3)])
-    ch = make_cj_channel(sub, completion="none")
-    assert len(ch.payload.ops) == 1
+    ch = make_cj_channel(sub)
+    assert len(to_kraus(ch)) == 1
     assert check_trace_preserving(ch) < 1e-12        # single unitary-like Kraus
     out = apply_channel_to_ket(ch, haar_ket(2, np.random.default_rng(0)))
     assert np.linalg.matrix_rank(out, tol=1e-9) == 1
 
 
 def test_cj_channel_frame_operator(e21):
-    ch = make_cj_channel(e21.payload.s0, completion="none")
-    assert len(ch.payload.ops) == 8
-    frame = sum(k.conj().T @ k for k in ch.payload.ops) * ch.payload.scale
+    ch = make_cj_channel(e21.payload.s0)
+    assert len(to_kraus(ch)) == 8
+    scale = 1 / np.linalg.norm(to_kraus(ch)[0]) ** 2   # basis kets have unit norm
+    frame = sum(k.conj().T @ k for k in to_kraus(ch)) * scale
     contraction = transpose_plain(partial_trace(e21.payload.s0.projector,
                                                 [4, 4], keep=[0]))
     assert max_abs(frame - contraction) < 1e-10
@@ -232,17 +251,8 @@ def test_cj_channel_frame_operator(e21):
     # the top frame eigenvalue makes this particular channel trace preserving
     assert abs(np.trace(contraction).real - 8) < 1e-9
     assert max_abs(contraction - 2 * np.eye(4)) < 1e-10
-    assert ch.payload.scale == pytest.approx(2.0, abs=1e-12)
+    assert scale == pytest.approx(2.0, abs=1e-12)
     assert check_trace_preserving(ch) < 1e-12
-
-
-def test_cj_channel_flag_completion(e21):
-    ch = make_cj_channel(e21.payload.s0, completion="flag")
-    assert ch.out_dim == 5
-    assert check_trace_preserving(ch) < 1e-9
-    rho = random_density(4, np.random.default_rng(1))
-    out = apply_channel(ch, rho)
-    assert abs(np.trace(out).real - 1.0) < 1e-9
 
 
 def test_cj_channel_rejects_empty_and_multiparty():
@@ -251,21 +261,21 @@ def test_cj_channel_rejects_empty_and_multiparty():
 
 
 def test_choi_of_identity_channel():
-    from zecap.channels import KrausPayload, MultiUserChannel
-    ident = MultiUserChannel((2,), (2,), "kraus",
-                             KrausPayload([np.eye(2, dtype=complex)]))
+    from zecap.channels import MultiUserChannel
+    ident = MultiUserChannel((2,), (2,), [np.eye(2, dtype=complex)])
     choi = choi_matrix(ident)
     omega = basis_ket([2, 2], 0) + basis_ket([2, 2], 3)
     assert max_abs(choi - np.outer(omega, omega.conj())) < 1e-12
 
 
 def test_choi_of_subspace_channel_recovers_projector(e21):
-    ch = make_cj_channel(e21.payload.s0, completion="none")
+    ch = make_cj_channel(e21.payload.s0)
     choi = choi_matrix(ch)
+    scale = 1 / np.linalg.norm(to_kraus(ch)[0]) ** 2   # basis kets have unit norm
     # Choi factors are (output, input); the source projector lives on
     # (input, output), so swap before comparing
     swapped = permute_factors(choi, [4, 4], [1, 0])
-    assert max_abs(swapped - e21.payload.s0.projector / ch.payload.scale) < 1e-9
+    assert max_abs(swapped - e21.payload.s0.projector / scale) < 1e-9
 
 
 def test_choi_of_e21_trace_and_rank(e21):

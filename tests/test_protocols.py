@@ -135,12 +135,11 @@ def test_alpha_local_one_certificates(e21, em13):
 
 
 def test_alpha_local_fails_on_product_containing_span():
-    from zecap.channels import BinaryProjectivePayload, MultiUserChannel
-    from zecap.linalg import parity_phase
+    from zecap.channels import BinaryProjectivePayload, binary_projective_channel
     from zecap.subspaces import Subspace
     s0 = Subspace.from_span([2, 2], [basis_ket([2, 2], 0)])
-    payload = BinaryProjectivePayload(s0, s0.complement(), parity_phase(2), (0, 1))
-    ch = MultiUserChannel((2, 2), (2,), "binary-projective", payload, name="bad")
+    payload = BinaryProjectivePayload(s0, s0.complement(), (0, 1))
+    ch = binary_projective_channel((2, 2), payload, name="bad")
     cert = certify_alpha_local_one(ch, restarts=40, seed=0)
     assert not cert.alpha_local_one
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from zecap.channels import (
-    KrausPayload,
     MultiUserChannel,
     apply_channel_to_ket,
     make_cj_channel,
     tensor_power,
+    to_kraus,
 )
 from zecap.linalg import (
     basis_ket,
@@ -33,14 +33,13 @@ V34_TWO_USE_RANK = 15
 
 
 def identity_channel(d=2):
-    return MultiUserChannel((d,), (d,), "kraus",
-                            KrausPayload([np.eye(d, dtype=complex)]))
+    return MultiUserChannel((d,), (d,), [np.eye(d, dtype=complex)])
 
 
 def depolarizing_to_mixed(d=2):
     ops = [np.outer(basis_ket([d], i), basis_ket([d], j).conj()) / np.sqrt(d)
            for i in range(d) for j in range(d)]
-    return MultiUserChannel((d,), (d,), "kraus", KrausPayload(ops))
+    return MultiUserChannel((d,), (d,), ops)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def test_min_output_rank_zero_for_projective(e21):
 
 
 def test_estimate_is_reproducible_from_achiever(e21):
-    ch = make_cj_channel(e21.payload.s0, completion="none")
+    ch = make_cj_channel(e21.payload.s0)
     est = min_output_renyi(ch, 2, restarts=10, seed=1)
     rho = apply_channel_to_ket(ch, est.achiever)
     w = np.linalg.eigvalsh(rho)[::-1]
@@ -136,13 +135,13 @@ def test_estimate_is_reproducible_from_achiever(e21):
 
 
 def test_pure_inputs_beat_mixed_samples(e21):
-    ch = make_cj_channel(e21.payload.s0, completion="none")
+    ch = make_cj_channel(e21.payload.s0)
     rng = np.random.default_rng(3)
     for p in (0.5, 2):
         est = min_output_renyi(ch, p, restarts=10, seed=2)
         for _ in range(25):
             rho = random_density(4, rng)
-            out = sum(k @ rho @ k.conj().T for k in ch.payload.ops)
+            out = sum(k @ rho @ k.conj().T for k in to_kraus(ch))
             assert renyi_entropy(out, p) >= est.value - 1e-7
 
 
@@ -152,7 +151,7 @@ def test_pure_inputs_beat_mixed_samples(e21):
 
 def test_tail_objective_gradient_matches_finite_differences(e21):
     from zecap.renyi import _tail_objective
-    ch = make_cj_channel(e21.payload.s0, completion="none")
+    ch = make_cj_channel(e21.payload.s0)
     fun = _tail_objective(ch, 2)
     rng = np.random.default_rng(8)
     x = rng.normal(size=8)
@@ -167,18 +166,10 @@ def test_tail_objective_gradient_matches_finite_differences(e21):
 
 def test_rank_search_unitary_like_channel():
     sub = Subspace.from_span([2, 2], [max_entangled_ket(2)])
-    ch = make_cj_channel(sub, completion="none")
+    ch = make_cj_channel(sub)
     res = min_output_rank_search(ch, restarts=10, seed=0)
     assert res.best_rank == 1
     assert res.second_eigenvalue < 1e-9
-
-
-def test_rank_search_rejects_flag_completed_channel(e21):
-    ch = make_cj_channel(e21.payload.s0, completion="flag")
-    with pytest.raises(ValueError):
-        min_output_rank_search(ch, restarts=2, seed=0)
-    with pytest.raises(ValueError):
-        min_output_rank_search(tensor_power(ch, 2), restarts=2, seed=0)
 
 
 def test_rank_one_criterion_oracle_equivalence():
@@ -200,7 +191,7 @@ def test_rank_one_criterion_oracle_equivalence():
         comp = sub.complement()
         grid = grid_product_overlap(comp, resolution=30)
         has_product = grid > 1 - 1e-3
-        ch = make_cj_channel(sub, completion="none")
+        ch = make_cj_channel(sub)
         res = min_output_rank_search(ch, restarts=60, seed=trial)
         deficient = res.best_rank < 2
         assert deficient == has_product
@@ -211,7 +202,7 @@ def test_rank_one_criterion_oracle_equivalence():
 
 def test_single_use_full_rank(e21, variant34):
     for ch_src in (e21, variant34):
-        ch = make_cj_channel(ch_src.payload.s0, completion="none")
+        ch = make_cj_channel(ch_src.payload.s0)
         res = min_output_rank_search(ch, restarts=60, seed=0)
         assert res.best_rank == 4
         # walking down to rank 3 was attempted and failed with finite tail mass
@@ -219,7 +210,7 @@ def test_single_use_full_rank(e21, variant34):
 
 
 def test_structured_seed_is_rank_deficient(e21):
-    ch = make_cj_channel(e21.payload.s0, completion="none")
+    ch = make_cj_channel(e21.payload.s0)
     two = tensor_power(ch, 2)
     seeds = structured_rank_seeds(two)
     phi = max_entangled_ket(4)
@@ -234,7 +225,7 @@ def test_structured_seed_is_rank_deficient(e21):
 
 
 def test_two_use_rank_search(e21):
-    ch = make_cj_channel(e21.payload.s0, completion="none")
+    ch = make_cj_channel(e21.payload.s0)
     res = min_output_rank_search(tensor_power(ch, 2), restarts=100, seed=0)
     assert res.best_rank == E21_TWO_USE_RANK
     # reproducible from the stored witness
@@ -244,7 +235,7 @@ def test_two_use_rank_search(e21):
 
 
 def test_found_ranks_submultiplicative(e21):
-    ch = make_cj_channel(e21.payload.s0, completion="none")
+    ch = make_cj_channel(e21.payload.s0)
     single = min_output_rank_search(ch, restarts=40, seed=0)
     product_seed = np.kron(single.achiever, single.achiever)
     two = min_output_rank_search(tensor_power(ch, 2),

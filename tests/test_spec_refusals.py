@@ -1,0 +1,116 @@
+"""Malformed `zecap-channel/1` specs: one-line errors with exit code 3."""
+
+import copy
+import json
+import tempfile
+
+import pytest
+
+import zecap.specio
+from zecap.cli import main
+from zecap.specio import describe_channel, make_builtin
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+DESCRIBED = {name: describe_channel(make_builtin(name)) for name in ("e21", "e12")}
+SUITE = {"e21": "properties", "e12": "teleport"}
+
+
+def run_spec(doc, suite):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/spec.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return main(["verify", "--spec", path, "--suite", suite])
+
+
+def _set(doc, key, value):
+    doc[key] = value
+
+
+def _first_weight(doc, value):
+    doc["outputs"][1]["components"][0]["weight"] = value
+
+
+@pytest.mark.parametrize("name, edit, field", [
+    ("e21", lambda d: d.pop("sender_dims"), "sender_dims"),
+    ("e21", lambda d: d.pop("s0_basis"), "s0_basis"),
+    ("e12", lambda d: d.pop("outputs"), "outputs"),
+    ("e21", lambda d: _set(d, "sender_dims", "44"), "sender_dims"),
+    ("e21", lambda d: _set(d, "u_slots", [7]), "u_slots"),
+    ("e21", lambda d: _set(d, "receiver_dims", [3]), "receiver_dims"),
+    ("e12", lambda d: _set(d, "sender_dims", [3]), "outputs"),
+    ("e12", lambda d: _first_weight(d, [-1, 3]), "outputs"),
+    ("e12", lambda d: _first_weight(d, [0, 1]), "outputs"),
+    ("e12", lambda d: _set(d, "receiver_dims", [1000, 1000]), "receiver_dims"),
+])
+def test_malformed_field_is_named_in_one_line(name, edit, field, capsys):
+    doc = copy.deepcopy(DESCRIBED[name])
+    edit(doc)
+    assert run_spec(doc, SUITE[name]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1, err
+
+
+def test_oversized_cq_spec_is_refused_before_reading_outputs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an output ket was built for an oversized spec")
+
+    monkeypatch.setattr(zecap.specio, "ket_from_terms", refuse)
+    doc = copy.deepcopy(DESCRIBED["e12"])
+    doc["receiver_dims"] = [1000, 1000]
+    assert run_spec(doc, "teleport") == 3
+
+
+def _term_paths(doc):
+    if "s0_basis" in doc:
+        return doc["s0_basis"]
+    return [c["ket"] for entry in doc["outputs"] for c in entry["components"]]
+
+
+@st.composite
+def mutated_descriptions(draw):
+    """A described builtin with one malformed edit, and the suite to run."""
+    name = draw(st.sampled_from(sorted(DESCRIBED)))
+    doc = copy.deepcopy(DESCRIBED[name])
+    total = 16 if name == "e21" else 4          # dimension the term indices address
+    required = ["sender_dims", "receiver_dims", "s0_basis" if name == "e21" else "outputs"]
+    edits = ["drop", "sender_dims", "zero-denominator", "term-index"]
+    edits += ["u_slots", "receiver_dims"] if name == "e21" else ["inputs", "weight", "huge"]
+    edit = draw(st.sampled_from(edits))
+    if edit == "drop":
+        doc.pop(draw(st.sampled_from(required)))
+    elif edit == "sender_dims":
+        doc["sender_dims"] = draw(st.sampled_from(
+            ["44", 44, None, [], [0, 4], [4.0, 4], [4, "4"], [True, 4]]))
+    elif edit in ("zero-denominator", "term-index"):
+        terms = draw(st.sampled_from(_term_paths(doc)))
+        term = terms[draw(st.integers(0, len(terms) - 1))]
+        if edit == "term-index":
+            term["index"] = draw(st.integers(total, 10 ** 6) | st.integers(-10 ** 6, -1))
+        else:
+            part = term["coeff"].setdefault(draw(st.sampled_from(["re", "im"])), {})
+            part[draw(st.sampled_from(["r", "s"]))] = [draw(st.integers(-9, 9)), 0]
+    elif edit == "u_slots":
+        doc["u_slots"] = [draw(st.integers(2, 10 ** 6) | st.integers(-10 ** 6, -1))]
+    elif edit == "receiver_dims":
+        doc["receiver_dims"] = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)
+                                    .filter(lambda dims: dims != [2]))
+    elif edit == "inputs":
+        doc["sender_dims"] = [draw(st.integers(1, 64).filter(lambda d: d != 2))]
+    elif edit == "weight":
+        entry = draw(st.sampled_from(doc["outputs"]))
+        comp = draw(st.sampled_from(entry["components"]))
+        comp["weight"] = [draw(st.integers(-9, 0)), draw(st.integers(1, 9))]
+    else:
+        doc["receiver_dims"] = draw(st.lists(st.integers(9, 10 ** 6), min_size=2,
+                                             max_size=4))
+    return doc, SUITE[name]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(mutated_descriptions())
+def test_mutated_descriptions_exit_3_without_traceback(case):
+    doc, suite = case
+    assert run_spec(doc, suite) == 3
