@@ -19,10 +19,12 @@ import numpy as np
 from .exactnum import Coeff, exact_vector
 from .linalg import (
     assert_density,
+    contract_factors,
     dim_of,
     ket_from_terms,
     ket_to_matrix,
     max_abs,
+    paired,
     partial_trace,
 )
 from .subspaces import Subspace
@@ -111,23 +113,6 @@ def to_kraus(channel: MultiUserChannel) -> np.ndarray:
     return channel.kraus
 
 
-def _each_use(m: np.ndarray, x: np.ndarray, uses: int) -> np.ndarray:
-    """Apply the matrix m to the leading `uses` factors of x, one at a time.
-
-    Each step consumes the leading factor (of size m.shape[1]) and appends
-    m's row index at the end, so the result is laid out as (trailing
-    factors of x, row index for use 1, ..., row index for use k).
-    """
-    for _ in range(uses):
-        x = x.reshape(m.shape[1], -1).T @ m.T
-    return x
-
-
-def _paired(k: int) -> list[int]:
-    """Axis order taking (a1..ak, b1..bk) to (a1, b1, ..., ak, bk)."""
-    return [i for j in range(k) for i in (j, k + j)]
-
-
 def _unpaired(k: int) -> list[int]:
     """Axis order taking (a1, b1, ..., ak, bk) to (a1..ak, b1..bk)."""
     return [*range(0, 2 * k, 2), *range(1, 2 * k, 2)]
@@ -137,7 +122,7 @@ def kraus_images(ops: np.ndarray, uses: int, psi: np.ndarray) -> np.ndarray:
     """The (out^k, K^k) matrix whose columns are (K_a x ... x K_z) psi, one
     column per word of k one-use operators."""
     n, out, d = ops.shape
-    x = _each_use(ops.transpose(1, 0, 2).reshape(out * n, d), psi, uses)
+    x = contract_factors(psi, [ops.transpose(1, 0, 2).reshape(out * n, d)] * uses)
     return x.reshape((out, n) * uses).transpose(_unpaired(uses)).reshape(
         out ** uses, n ** uses)
 
@@ -146,9 +131,9 @@ def kraus_adjoint(ops: np.ndarray, uses: int, w: np.ndarray) -> np.ndarray:
     """Adjoint of `kraus_images`: the sum over words of (K_a x ... x K_z)^dag
     applied to that word's column of w."""
     n, out, d = ops.shape
-    x = w.reshape((out,) * uses + (n,) * uses).transpose(_paired(uses))
-    return _each_use(ops.transpose(1, 0, 2).reshape(out * n, d).conj().T,
-                     x, uses).reshape(-1)
+    x = w.reshape((out,) * uses + (n,) * uses).transpose(paired(uses))
+    m = ops.transpose(1, 0, 2).reshape(out * n, d).conj().T
+    return contract_factors(x, [m] * uses).reshape(-1)
 
 
 def apply_channel_to_ket(channel: MultiUserChannel, psi: np.ndarray) -> np.ndarray:
@@ -176,7 +161,7 @@ def apply_channel(channel: MultiUserChannel, rho: np.ndarray) -> np.ndarray:
     ops, k = channel.kraus, channel.uses
     n, out, d1 = ops.shape
     sup = np.einsum("kai,kbj->abij", ops, ops.conj()).reshape(out * out, d1 * d1)
-    x = _each_use(sup, rho.reshape((d1,) * (2 * k)).transpose(_paired(k)), k)
+    x = contract_factors(rho.reshape((d1,) * (2 * k)).transpose(paired(k)), [sup] * k)
     return x.reshape((out,) * (2 * k)).transpose(_unpaired(k)).reshape(
         channel.out_dim, channel.out_dim)
 

@@ -103,16 +103,6 @@ def gram_schmidt(vectors: Sequence[np.ndarray], tol: float = ORTHO_TOL) -> list[
     return out
 
 
-def projector_from_span(vectors: Sequence[np.ndarray], tol: float = ORTHO_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of the given (not necessarily orthonormal) vectors."""
-    basis = gram_schmidt(vectors, tol=tol)
-    if not basis:
-        dim = len(vectors[0]) if len(vectors) else 0
-        return np.zeros((dim, dim), dtype=complex)
-    b = np.stack(basis)
-    return b.T @ b.conj()
-
-
 def transpose_plain(m: np.ndarray) -> np.ndarray:
     """Entrywise transpose in the computational basis (no conjugation)."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -131,13 +121,23 @@ def embed_operator(m: np.ndarray, slot: int, dims: Sequence[int]) -> np.ndarray:
     return np.kron(np.kron(np.eye(left), m), np.eye(right)).astype(complex)
 
 
-def eigh_descending(m: np.ndarray, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-    if max_abs(m - dagger(m)) > herm_tol:
-        raise ValueError("eigh_descending expects a Hermitian operator")
-    w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+def contract_factors(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract the leading factor of x with each matrix in turn.
+
+    Each step views x as (m.shape[1], rest), so its leading factor is the
+    one m acts on, and returns the (rest, m.shape[0]) product: the factor is
+    consumed and m's row index is appended at the back. The result is laid
+    out as (factors of x left over, row index of mats[0], ..., row index of
+    mats[-1]).
+    """
+    for m in mats:
+        x = x.reshape(m.shape[1], -1).T @ m.T
+    return x
+
+
+def paired(k: int) -> list[int]:
+    """Axis order taking (a1..ak, b1..bk) to (a1, b1, ..., ak, bk)."""
+    return [i for j in range(k) for i in (j, k + j)]
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -185,11 +185,6 @@ def ket_to_matrix(psi: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     if psi.size != d_a * d_b:
         raise ValueError(f"ket of length {psi.size} does not split as {d_a}x{d_b}")
     return psi.reshape(d_a, d_b).T.copy()
-
-
-def matrix_to_ket(k: np.ndarray) -> np.ndarray:
-    """Inverse of ket_to_matrix."""
-    return k.T.reshape(-1).copy()
 
 
 def max_entangled_ket(d: int) -> np.ndarray:

@@ -19,17 +19,21 @@ import numpy as np
 from .exactnum import ExactMatrix, exact_all_zero, exact_matmul, exact_projector
 from .linalg import (
     ORTHO_TOL,
+    contract_factors,
     dim_of,
     embed_operator,
     gram_schmidt,
     haar_ket,
     max_abs,
+    paired,
     transpose_plain,
 )
 
 PRODUCT_FOUND_TOL = 1e-6     # overlap >= 1 - this counts as a product state
 DEFAULT_CE_GAP = 1e-3
 MIN_CERT_RESTARTS = 100
+GRID_MAX_EVALS = 200_000_000   # largest grid the oracle evaluates
+GRID_CHUNK_VALUES = 4_000_000  # overlaps held at once by the grid (about 61 MiB)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -284,24 +288,18 @@ def _grid_factors(dim: int, resolution: int) -> np.ndarray:
     return out
 
 
-def _absorb_leading_pair(cur: np.ndarray, vecs: np.ndarray, lead: int) -> np.ndarray:
-    """Contract the first un-absorbed (out, in) index pair with grid vectors.
-
-    cur has `lead` leading candidate axes followed by index pairs; the result
-    gains one trailing candidate axis which is moved behind the existing ones.
-    """
-    moved = np.moveaxis(cur, (lead, lead + 1), (-2, -1))
-    out = np.einsum("np,nq,...pq->...n", vecs.conj(), vecs, moved)
-    return np.moveaxis(out, -1, lead)
-
-
-def grid_product_overlap(subspace: Subspace, resolution: int,
-                         max_evals: int = 200_000_000) -> float:
+def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     """Exhaustive product-overlap maximum over the gauge-fixed grid.
 
     Accuracy improves like O(1/resolution) for gradient-bounded objectives;
     this is a practical bound, not a proven tight one. Raises when the grid
     would be astronomically large; the alternating search has no such limit.
+
+    With the projector's (out, in) index pairs interleaved party by party,
+    <g|P|g> for a product g is P contracted with conj(g_t) (x) g_t for each
+    party t in turn, so all grid points of a party are absorbed by one
+    matrix product. The first party's grid is taken in chunks of at most
+    GRID_CHUNK_VALUES results, and only one chunk is held at a time.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -310,31 +308,18 @@ def grid_product_overlap(subspace: Subspace, resolution: int,
     total = 1
     for s in sizes:
         total *= s
-    if total > max_evals:
+    if total > GRID_MAX_EVALS:
         raise ValueError(
-            f"grid of {total} product states exceeds the {max_evals} evaluation "
+            f"grid of {total} product states exceeds the {GRID_MAX_EVALS} evaluation "
             f"budget; use max_product_overlap (alternating search) instead")
-    n_par = len(dims)
-    tensor = subspace.projector.reshape(*dims, *dims)
-    # interleave to out0,in0,out1,in1,... so pairs can be absorbed in order
-    perm = []
-    for k in range(n_par):
-        perm += [k, n_par + k]
-    tensor = np.transpose(tensor, perm)
+    tensor = subspace.projector.reshape(*dims, *dims).transpose(paired(len(dims)))
     grids = [_grid_factors(d, resolution) for d in dims]
-
-    tail = 1
-    for s in sizes[1:]:
-        tail *= s
-    chunk = max(1, min(sizes[0], int(4_000_000 // max(tail, 1)) or 1, 4096))
-    best = -np.inf
-    first = grids[0]
-    for start in range(0, sizes[0], chunk):
-        cur = _absorb_leading_pair(tensor, first[start:start + chunk], 0)
-        for t in range(1, n_par):
-            cur = _absorb_leading_pair(cur, grids[t], t)
-        best = max(best, float(np.max(cur.real)))
-    return best
+    # row n of a party's matrix is conj(g_n) (x) g_n for its n-th grid ket g_n
+    mats = [(g.conj()[:, :, None] * g[:, None, :]).reshape(len(g), -1) for g in grids]
+    chunk = max(1, min(sizes[0], GRID_CHUNK_VALUES // (total // sizes[0]), 4096))
+    return max(float(np.max(contract_factors(tensor, [mats[0][start:start + chunk],
+                                                      *mats[1:]]).real))
+               for start in range(0, sizes[0], chunk))
 
 
 # ---------------------------------------------------------------------------

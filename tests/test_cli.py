@@ -199,9 +199,8 @@ def test_describe_roundtrip_through_file(tmp_path):
                    - original.payload.s0.projector) < 1e-12
 
 
-def test_locally_phased_spec_keeps_float_and_exact_verdicts_together(tmp_path):
-    # a phase i on every term whose A digit is 1 is a local unitary on A:
-    # the measurement stays complete and both subspaces stay product-free
+def write_locally_phased_e21(tmp_path):
+    """e21 with a phase i on every s0_basis term whose A digit is 1."""
     spec_path = tmp_path / "e21.json"
     assert run(["describe", "e21", "--out", str(spec_path)]) == 0
     spec = read_report(spec_path)
@@ -212,6 +211,13 @@ def test_locally_phased_spec_keeps_float_and_exact_verdicts_together(tmp_path):
                 term["coeff"] = {"re": {k: [-v[0], v[1]] for k, v in im.items()},
                                  "im": re}
     spec_path.write_text(json.dumps(spec))
+    return spec_path
+
+
+def test_locally_phased_spec_keeps_float_and_exact_verdicts_together(tmp_path):
+    # a phase i on every term whose A digit is 1 is a local unitary on A:
+    # the measurement stays complete and both subspaces stay product-free
+    spec_path = write_locally_phased_e21(tmp_path)
     out = tmp_path / "report.json"
     run(["verify", "--spec", str(spec_path), "--suite", "properties",
          "--out", str(out)])
@@ -228,6 +234,22 @@ def test_locally_phased_spec_keeps_float_and_exact_verdicts_together(tmp_path):
     assert code == 0
     checks = {c["name"]: c for c in read_report(out)["checks"]}
     assert checks["ce/S0"]["passed"] and checks["ce/S1"]["passed"]
+
+
+def test_default_suites_leave_out_renyi_for_a_complex_s0(tmp_path, capsys):
+    # the p = 0 rank floor needs a real S0, so `--suite all` runs the other
+    # suites and reports; the two-use code is fixed to the computational
+    # basis, which this local phase breaks, so the verdict is fail
+    spec_path = write_locally_phased_e21(tmp_path)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--spec", str(spec_path), "--suite", "all",
+                "--restarts", "100", "--out", str(out)]) == 1
+    doc = read_report(out)
+    assert "renyi" not in doc["extra"]["suites"].split(",")
+    assert not [c for c in doc["checks"] if c["name"].startswith("renyi/")]
+    capsys.readouterr()
+    assert run(["verify", "--spec", str(spec_path), "--suite", "renyi"]) == 3
+    assert "do not apply" in capsys.readouterr().err
 
 
 def test_linearly_dependent_s0_basis_is_usage_error(tmp_path, capsys):

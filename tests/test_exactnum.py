@@ -14,7 +14,8 @@ from zecap.exactnum import (
     exact_vector,
     vector_terms,
 )
-from zecap.linalg import ket_from_terms, max_abs, projector_from_span
+from zecap.linalg import ket_from_terms, max_abs
+from zecap.subspaces import Subspace
 
 
 def _matrix(entries) -> ExactMatrix:
@@ -113,7 +114,7 @@ def test_exact_projector_matches_float_backend():
     p_exact = exact_projector(vs).to_complex()
     float_span = [ket_from_terms([16], [(i, complex(c)) for i, c in t])
                   for t in terms]
-    p_float = projector_from_span(float_span)
+    p_float = Subspace.from_span([16], float_span).projector
     assert max_abs(p_exact - p_float) < 1e-12
 
 
@@ -132,4 +133,5 @@ def test_exact_projector_of_a_complex_span():
     for v in vs:                         # P fixes the span, not its conjugate
         assert exact_all_zero(exact_matmul(p, v) - v)
     float_span = [ket_from_terms([8], [(k, complex(c)) for k, c in t]) for t in terms]
-    assert max_abs(p.to_complex() - projector_from_span(float_span)) < 1e-12
+    p_float = Subspace.from_span([8], float_span).projector
+    assert max_abs(p.to_complex() - p_float) < 1e-12

@@ -4,20 +4,19 @@ import pytest
 from conftest import gram_rank
 from zecap import linalg
 from zecap.channels import e21_spanning_terms
+from zecap.subspaces import Subspace
 from zecap.linalg import (
     basis_ket,
-    eigh_descending,
+    contract_factors,
     embed_operator,
     gram_schmidt,
     ket_from_terms,
     ket_to_matrix,
-    matrix_to_ket,
     max_abs,
     max_entangled_ket,
     parity_phase,
     partial_trace,
     permute_factors,
-    projector_from_span,
     random_density,
     random_hermitian,
     tensor,
@@ -76,13 +75,13 @@ def test_gram_schmidt_rank_matches_oracle_on_construction_span():
 
 
 def test_projector_from_single_vector():
-    p = projector_from_span([basis_ket([2], 0)])
+    p = Subspace.from_span([2], [basis_ket([2], 0)]).projector
     assert max_abs(p - np.diag([1.0, 0.0])) < 1e-15
 
 
 def test_projector_idempotent_hermitian_trace():
     vs = e21_span_vectors()
-    p = projector_from_span(vs)
+    p = Subspace.from_span([16], vs).projector
     assert max_abs(p - p.conj().T) < 1e-12
     assert max_abs(p @ p - p) < 1e-10
     assert abs(np.trace(p).real - 8) < 1e-9
@@ -90,10 +89,10 @@ def test_projector_idempotent_hermitian_trace():
 
 def test_projector_complement_completeness():
     vs = e21_span_vectors()
-    p0 = projector_from_span(vs)
+    p0 = Subspace.from_span([16], vs).projector
     w, v = np.linalg.eigh(p0)
     kernel = [v[:, i] for i in range(16) if w[i] < 0.5]
-    p1 = projector_from_span(kernel)
+    p1 = Subspace.from_span([16], kernel).projector
     assert max_abs(p0 + p1 - np.eye(16)) < 1e-10
 
 
@@ -109,7 +108,7 @@ def test_transpose_plain_requires_square():
 
 
 def test_transpose_fixes_construction_projector():
-    p = projector_from_span(e21_span_vectors())
+    p = Subspace.from_span([16], e21_span_vectors()).projector
     assert max_abs(p - transpose_plain(p)) < 1e-12
 
 
@@ -126,30 +125,17 @@ def test_embed_operator_errors():
         embed_operator(np.eye(3), 0, [2, 2])
 
 
-def test_eigh_descending_projector():
-    w, _ = eigh_descending(np.diag([1.0, 0.0]).astype(complex))
-    assert np.allclose(w, [1.0, 0.0])
-
-
-def test_eigh_descending_rho1_spectrum():
-    alpha = max_entangled_ket(2)
-    rho1 = (np.eye(4) - np.outer(alpha, alpha.conj())) / 3.0
-    w, v = eigh_descending(rho1)
-    assert np.allclose(w, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-12)
-    for i in range(4):
-        assert np.linalg.norm(rho1 @ v[:, i] - w[i] * v[:, i]) < 1e-9
-
-
-def test_eigh_descending_projector_multiplicity():
-    p = projector_from_span(e21_span_vectors())
-    w, _ = eigh_descending(p)
-    assert int(np.sum(w > 0.5)) == 8
-    assert int(np.sum(w < 0.5)) == 8
-
-
-def test_eigh_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eigh_descending(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_contract_factors_matches_kronecker_product():
+    # factors of sizes 2, 3 and 4; matrices of different shapes take the
+    # first two, and the third is left over in front of their row indices
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=24) + 1j * rng.normal(size=24)
+    m0 = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    m1 = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    want = (np.kron(np.kron(m0, m1), np.eye(4)) @ x).reshape(5, 2, 4)
+    got = contract_factors(x, [m0, m1])
+    assert got.shape == (20, 2)
+    assert max_abs(got.reshape(4, 5, 2) - want.transpose(2, 0, 1)) < 1e-12
 
 
 def test_partial_trace_entangled_marginal():
@@ -214,7 +200,7 @@ def test_ket_to_matrix_roundtrip_and_rank_one_on_products():
             psi = tensor(basis_ket([3], a), basis_ket([4], b))
             k = ket_to_matrix(psi, 3, 4)
             assert np.linalg.matrix_rank(k) == 1
-            assert max_abs(matrix_to_ket(k) - psi) == 0
+            assert max_abs(k.T.reshape(-1) - psi) == 0
 
 
 def test_ket_to_matrix_length_mismatch():

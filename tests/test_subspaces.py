@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from zecap.linalg import (
 )
 from zecap.subspaces import (
     Subspace,
+    _grid_factors,
     certify_completely_entangled,
     exact_symmetry_checks,
     grid_product_overlap,
@@ -247,6 +250,29 @@ def test_grid_oracle_budget_error():
     sub = Subspace.from_span([4, 4], [max_entangled_ket(4)])
     with pytest.raises(ValueError):
         grid_product_overlap(sub, resolution=40)
+
+
+def test_grid_oracle_on_unequal_party_dimensions(variant34):
+    # channel uses all share one matrix, the grid's parties do not: its 3-dim
+    # party has 144 grid kets and its 4-dim party 1,728
+    s0 = variant34.payload.s0
+    g_a, g_b = (_grid_factors(d, 3) for d in s0.dims)
+    kets = (g_a[:, None, :, None] * g_b[None, :, None, :]).reshape(-1, 12)
+    assert len(kets) == 248_832
+    direct = float(np.max(np.sum(np.abs(kets @ s0.basis.conj().T) ** 2, axis=1)))
+    assert abs(grid_product_overlap(s0, resolution=3) - direct) < 1e-12
+
+
+def test_grid_oracle_holds_one_chunk_at_a_time(em14):
+    # one chunk of em1:4 S0 at resolution 8 is about 57 MiB of overlaps; a
+    # loop that kept the previous chunk alive peaked at 117 MiB
+    tracemalloc.start()
+    try:
+        grid_product_overlap(em14.payload.s0, resolution=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2 ** 20
 
 
 def test_grid_never_beats_seesaw():
