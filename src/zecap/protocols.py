@@ -228,7 +228,9 @@ def certify_alpha_local_one(channel: MultiUserChannel,
     perfectly distinguishable outputs must be the two flag states, which
     requires one input supported inside each measured subspace. Locally
     preparable inputs may be taken to be product pure states, so certifying
-    both subspaces completely entangled rules out any such pair.
+    both subspaces completely entangled rules out any such pair. Both are
+    searched at `seed`, as `certify_completely_entangled` does given the
+    same arguments and the label "<channel name>/S0" or "/S1".
 
     Trivial-party extensions inherit the base channel's certificate: added
     senders are ignored and added receivers get a fixed state, so output
@@ -241,7 +243,7 @@ def certify_alpha_local_one(channel: MultiUserChannel,
     c0 = certify_completely_entangled(pl.s0, restarts=restarts, gap=gap,
                                       seed=seed, label=f"{channel.name}/S0")
     c1 = certify_completely_entangled(pl.s1, restarts=restarts, gap=gap,
-                                      seed=seed + 1, label=f"{channel.name}/S1")
+                                      seed=seed, label=f"{channel.name}/S1")
     ok = c0.certified and c1.certified
     notes = ("orthogonal flag outputs require product inputs inside each "
              "measured subspace; both subspaces are certified free of product states;"

@@ -6,12 +6,16 @@ maximization of <a x b x ...|P|a x b x ...> over normalized product states
 (fast, local, many restarts), and an exhaustive grid over a gauge-fixed
 parameterization of the product manifold (slow, global, coarse). Both return
 lower bounds on the true maximum product overlap.
+
+Both read the projector with its (out, in) index pairs interleaved, where a
+factor f enters as the row conj(f) (x) f: the grid takes all of a party's
+grid kets at once, the search one row per restart against a shared matrix.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -126,19 +130,9 @@ def default_restarts(dims: Sequence[int]) -> int:
     return 1000 if len(dims) == 2 else 200
 
 
-def _slot_contraction_plan(dims: tuple[int, ...], slot: int):
-    """Batched einsum subscripts for <fixed factors| P |fixed factors>."""
-    letters = string.ascii_lowercase
-    n_par = len(dims)
-    out_sub = letters[:n_par]
-    in_sub = letters[n_par:2 * n_par]
-    lhs = [out_sub + in_sub]
-    for t in range(n_par):
-        if t == slot:
-            continue
-        lhs.append("z" + out_sub[t])
-        lhs.append("z" + in_sub[t])
-    return ",".join(lhs) + "->z" + out_sub[slot] + in_sub[slot]
+def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product: row n is a[n] (x) b[n]."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
 def max_product_overlap(subspace: Subspace, restarts: int | None = None,
@@ -150,9 +144,11 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     from (seed, restart index), so results do not depend on evaluation order)
     and alternates over the parties: with all factors but one fixed, the
     optimal remaining factor is the top eigenvector of the contracted
-    operator. The objective never decreases within a restart. Restarts are
-    independent and run in lockstep; the best is merged by (overlap, lowest
-    restart index), so the result does not depend on the schedule.
+    operator, the restart's row conj(f_t) (x) f_t over the other parties t
+    times the slot's shared matrix. The objective never decreases within a
+    restart. Restarts are independent, bit for bit, and run in lockstep; the
+    best is merged by (overlap, lowest restart index), so the result does
+    not depend on the schedule.
 
     A restart stops when a sweep gains less than `tol`, or at `max_sweeps`.
     After each sweep the leader is the restart with the highest overlap so
@@ -172,15 +168,17 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
         raise ValueError("restarts must be >= 1")
     dims = subspace.dims
     n_par = len(dims)
-    tensor = subspace.projector.reshape(*dims, *dims)
+    tensor = subspace.projector.reshape(*dims, *dims).transpose(paired(n_par))
+    # slot s's matrix, shared by all restarts: rows run over the (out, in)
+    # pairs of the other parties in party order, columns over slot s's pair
+    mats = [np.moveaxis(tensor, (2 * s, 2 * s + 1), (-2, -1)).reshape(-1, d * d)
+            for s, d in enumerate(dims)]
     # each restart draws its factors from a private stream keyed by its index
     factors = [np.empty((restarts, d), dtype=complex) for d in dims]
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         for t, d in enumerate(dims):
             factors[t][r] = haar_ket(d, rng)
-    equations = [_slot_contraction_plan(dims, slot) for slot in range(n_par)]
-    paths = [None] * n_par
     obj = np.zeros(restarts)
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
@@ -190,18 +188,13 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
         prev_sweep = obj[alive].copy()
         cur = obj[alive]
         for slot in range(n_par):
-            operands = []
-            for t in range(n_par):
-                if t == slot:
-                    continue
-                block = factors[t][alive]
-                operands.append(block.conj())
-                operands.append(block)
-            if paths[slot] is None:
-                paths[slot], _ = np.einsum_path(equations[slot], tensor,
-                                                *operands, optimize="greedy")
-            m = np.einsum(equations[slot], tensor, *operands,
-                          optimize=paths[slot])
+            # row z is conj(f_t) (x) f_t over the other parties t of restart z
+            others = [f[alive] for t, f in enumerate(factors) if t != slot]
+            rows = reduce(_row_kron, [_row_kron(f.conj(), f) for f in others])
+            # a two-operand einsum without `optimize` sums each row on its own
+            # (a BLAS `rows @ mat` does not), so a restart's digits do not
+            # depend on which other restarts are still alive
+            m = np.einsum("zi,ij->zj", rows, mats[slot]).reshape(-1, dims[slot], dims[slot])
             m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
             w, v = np.linalg.eigh(m)
             factors[slot][alive] = v[..., -1]
@@ -315,7 +308,7 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     tensor = subspace.projector.reshape(*dims, *dims).transpose(paired(len(dims)))
     grids = [_grid_factors(d, resolution) for d in dims]
     # row n of a party's matrix is conj(g_n) (x) g_n for its n-th grid ket g_n
-    mats = [(g.conj()[:, :, None] * g[:, None, :]).reshape(len(g), -1) for g in grids]
+    mats = [_row_kron(g.conj(), g) for g in grids]
     chunk = max(1, min(sizes[0], GRID_CHUNK_VALUES // (total // sizes[0]), 4096))
     return max(float(np.max(contract_factors(tensor, [mats[0][start:start + chunk],
                                                       *mats[1:]]).real))

@@ -1,4 +1,8 @@
-"""Malformed `zecap-channel/1` specs: one-line errors with exit code 3."""
+"""`zecap-channel/1` specs from `describe`, edited.
+
+Malformed specs get a one-line error and exit code 3; a well-formed edit
+that leaves the channel unchanged verifies as the original does.
+"""
 
 import copy
 import json
@@ -114,3 +118,40 @@ def mutated_descriptions(draw):
 def test_mutated_descriptions_exit_3_without_traceback(case):
     doc, suite = case
     assert run_spec(doc, suite) == 3
+
+
+WELL_FORMED_SUITE = "properties,two-use,privacy"
+E21_EXIT = run_spec(DESCRIBED["e21"], WELL_FORMED_SUITE)
+
+
+def _negated(part):
+    return {key: [-num, den] for key, (num, den) in part.items()}
+
+
+def _times_unit(coeff, unit):
+    """An exact coefficient (re + i im) times -1, i or -i."""
+    re, im = coeff["re"], coeff["im"]
+    return {"-1": {"re": _negated(re), "im": _negated(im)},
+            "i": {"re": _negated(im), "im": re},
+            "-i": {"re": im, "im": _negated(re)}}[unit]
+
+
+@st.composite
+def relabelled_e21(draw):
+    """e21 described with S0 unchanged: its basis vectors reordered, the terms
+    of each vector reordered, and one vector times an exact unit."""
+    doc = copy.deepcopy(DESCRIBED["e21"])
+    basis = [draw(st.permutations(vector))
+             for vector in draw(st.permutations(doc["s0_basis"]))]
+    k = draw(st.integers(0, len(basis) - 1))
+    unit = draw(st.sampled_from(["-1", "i", "-i"]))
+    basis[k] = [{"index": term["index"], "coeff": _times_unit(term["coeff"], unit)}
+                for term in basis[k]]
+    doc["s0_basis"] = basis
+    return doc
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(relabelled_e21())
+def test_relabelled_description_verifies_as_the_original(doc):
+    assert run_spec(doc, WELL_FORMED_SUITE) == E21_EXIT

@@ -226,6 +226,32 @@ def test_em1_m4_search_keeps_its_winner_while_retiring_stragglers():
     assert (cert.converged, cert.retired) == (False, cand.retired)
 
 
+def test_a_restart_does_not_depend_on_the_batch_it_runs_in(em14):
+    # restart 0 wins at this seed and its seven rivals are retired on the way,
+    # so it runs in batches of 8 down to 1; it must match, to the last bit,
+    # the search that held it alone from the first sweep
+    sub = em14.payload.s0
+    batched = max_product_overlap(sub, restarts=8, seed=5)
+    alone = max_product_overlap(sub, restarts=1, seed=5)
+    assert batched.restart_index == 0 and batched.retired > 0
+    assert (batched.overlap, batched.sweeps) == (alone.overlap, alone.sweeps)
+    for a, b in zip(batched.factors, alone.factors):
+        assert np.array_equal(a, b)
+
+
+def test_search_on_unequal_party_dimensions():
+    # each slot's shared matrix takes that party's (out, in) pair from among
+    # parties of dimension 2, 3 and 2
+    rng = np.random.default_rng(4)
+    span = [rng.normal(size=12) + 1j * rng.normal(size=12) for _ in range(3)]
+    sub = Subspace.from_span([2, 3, 2], span)
+    cand = max_product_overlap(sub, restarts=40, seed=0)
+    assert [f.shape for f in cand.factors] == [(2,), (3,), (2,)]
+    x = cand.ket()
+    assert abs(np.vdot(x, sub.projector @ x).real - cand.overlap) < 1e-12
+    assert cand.overlap >= grid_product_overlap(sub, resolution=5) - 1e-9
+
+
 def test_converged_search_reports_convergence(s0_e21):
     cert = certify_completely_entangled(s0_e21, restarts=150, seed=0)
     assert cert.converged
