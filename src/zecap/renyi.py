@@ -290,6 +290,8 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
     strictly below the square of that certified floor, which only ever
     understates the true gap.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if len(subspace.dims) != 2:
         raise ValueError("the additivity gap check needs a bipartite subspace")
     if not subspace.is_real():

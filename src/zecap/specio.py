@@ -270,7 +270,7 @@ class CheckRecord:
     claim: str
     value: float | str | bool
     tolerance: float | None
-    passed: bool
+    passed: bool | None        # None: its suite could not decide; written as false
     informational: bool = False
 
 
@@ -284,15 +284,19 @@ class Report:
     extra: dict = field(default_factory=dict)
 
     def add(self, name: str, claim: str, value, tolerance=None,
-            passed: bool = True, informational: bool = False) -> None:
+            passed: bool | None = True, informational: bool = False) -> None:
         self.checks.append(CheckRecord(name, claim, value, tolerance, passed,
                                        informational))
 
     def finalize(self) -> None:
-        if self.verdict == "inconclusive":
-            return
-        gating = [c for c in self.checks if not c.informational]
-        self.verdict = "pass" if all(c.passed for c in gating) else "fail"
+        """fail if a gating row failed, else inconclusive if one is undecided."""
+        gating = [c.passed for c in self.checks if not c.informational]
+        if any(p is not None and not p for p in gating):
+            self.verdict = "fail"
+        elif any(p is None for p in gating):
+            self.verdict = "inconclusive"
+        else:
+            self.verdict = "pass"
 
 
 def _format_value(v):

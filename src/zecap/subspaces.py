@@ -7,9 +7,10 @@ maximization of <a x b x ...|P|a x b x ...> over normalized product states
 parameterization of the product manifold (slow, global, coarse). Both return
 lower bounds on the true maximum product overlap.
 
-Both read the projector with its (out, in) index pairs interleaved, where a
-factor f enters as the row conj(f) (x) f: the grid takes all of a party's
-grid kets at once, the search one row per restart against a shared matrix.
+Both read the projector with its (out, in) index pairs interleaved. The
+search takes one complex row conj(f) (x) f per restart against a shared
+matrix; the grid takes all of a party's grid kets g at once, as the real
+rows conj(g) (x) g in real Hermitian coordinates (`_hermitian_coordinates`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ PRODUCT_FOUND_TOL = 1e-6     # overlap >= 1 - this counts as a product state
 DEFAULT_CE_GAP = 1e-3
 MIN_CERT_RESTARTS = 100
 GRID_MAX_EVALS = 200_000_000   # largest grid the oracle evaluates
-GRID_CHUNK_VALUES = 4_000_000  # overlaps held at once by the grid (about 61 MiB)
+GRID_CHUNK_VALUES = 4_000_000  # real overlaps held at once by the grid (about 31 MiB)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -268,7 +269,7 @@ def _grid_factors(dim: int, resolution: int) -> np.ndarray:
     grids = [thetas] * (dim - 1) + [phis] * (dim - 1)
     mesh = np.meshgrid(*grids, indexing="ij")
     flat = [m.reshape(-1) for m in mesh]
-    n = flat[0].size
+    n = (resolution + 1) ** (dim - 1) * resolution ** (dim - 1)
     mags = np.zeros((n, dim))
     running = np.ones(n)
     for k in range(dim - 1):
@@ -281,6 +282,20 @@ def _grid_factors(dim: int, resolution: int) -> np.ndarray:
     return out
 
 
+def _hermitian_coordinates(d: int) -> np.ndarray:
+    """Unitary U_d on C^(d*d) taking a Hermitian d x d matrix M, flattened
+    row-major, to real coordinates: the d diagonal entries, then sqrt(2) Re
+    and sqrt(2) Im of each entry above the diagonal."""
+    u = np.zeros((d * d, d * d), dtype=complex)
+    u[np.arange(d), np.arange(d) * (d + 1)] = 1.0
+    a, b = np.triu_indices(d, 1)
+    re = d + 2 * np.arange(len(a))
+    upper, lower = a * d + b, b * d + a
+    u[re, upper] = u[re, lower] = np.sqrt(0.5)
+    u[re + 1, upper], u[re + 1, lower] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
+    return u
+
+
 def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     """Exhaustive product-overlap maximum over the gauge-fixed grid.
 
@@ -291,8 +306,10 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     With the projector's (out, in) index pairs interleaved party by party,
     <g|P|g> for a product g is P contracted with conj(g_t) (x) g_t for each
     party t in turn, so all grid points of a party are absorbed by one
-    matrix product. The first party's grid is taken in chunks of at most
-    GRID_CHUNK_VALUES results, and only one chunk is held at a time.
+    matrix product. Both sides are taken in each party's real Hermitian
+    coordinates (see `_hermitian_coordinates`), where they are real, so the
+    products are real too. The first party's grid is taken in chunks of at
+    most GRID_CHUNK_VALUES results, and only one chunk is held at a time.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -306,12 +323,17 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
             f"grid of {total} product states exceeds the {GRID_MAX_EVALS} evaluation "
             f"budget; use max_product_overlap (alternating search) instead")
     tensor = subspace.projector.reshape(*dims, *dims).transpose(paired(len(dims)))
-    grids = [_grid_factors(d, resolution) for d in dims]
-    # row n of a party's matrix is conj(g_n) (x) g_n for its n-th grid ket g_n
-    mats = [_row_kron(g.conj(), g) for g in grids]
+    units = [_hermitian_coordinates(d) for d in dims]
+    # P's coefficients on the Hermitian basis the rows of the U_d name, real
+    # because P is Hermitian
+    coeffs = contract_factors(tensor, [u.conj() for u in units]).real
+    # row n of a party's matrix is U_d (conj(g_n) (x) g_n) for its n-th grid
+    # ket g_n, real because conj(g_n) (x) g_n is a Hermitian matrix
+    mats = [(_row_kron(g.conj(), g) @ u.T).real
+            for g, u in zip((_grid_factors(d, resolution) for d in dims), units)]
     chunk = max(1, min(sizes[0], GRID_CHUNK_VALUES // (total // sizes[0]), 4096))
-    return max(float(np.max(contract_factors(tensor, [mats[0][start:start + chunk],
-                                                      *mats[1:]]).real))
+    return max(float(np.max(contract_factors(coeffs, [mats[0][start:start + chunk],
+                                                      *mats[1:]])))
                for start in range(0, sizes[0], chunk))
 
 

@@ -2,12 +2,14 @@ import importlib
 import json
 import os
 
+import pytest
+
 import zecap.channels
 import zecap.specio
 import zecap.subspaces
 from zecap.cli import main
 from zecap.linalg import max_abs
-from zecap.specio import channel_from_spec, make_builtin
+from zecap.specio import channel_from_spec, describe_channel, make_builtin
 
 
 def run(args):
@@ -130,6 +132,42 @@ def test_verify_reports_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_a_failed_row_outranks_an_undecided_suite(tmp_path):
+    # e21 with |01> added to S0: S0 now holds a product state (ce/S0 fails)
+    # while the gap run cannot certify its rank floor (renyi is undecided)
+    spec = describe_channel(make_builtin("e21"))
+    one = {"r": [1, 1], "s": [0, 1]}
+    spec["s0_basis"].append([{"index": 1, "coeff": {"re": one}}])
+    spec["subspace_dims"] = [9, 7]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    code = run(["verify", "--spec", str(path), "--suite", "ce,renyi", "--seed", "0",
+                "--restarts", "100", "--budget", "200", "--out", str(out)])
+    doc = read_report(out)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["ce/S0"]["value"] >= 1 - 1e-6 and not checks["ce/S0"]["passed"]
+    assert checks["renyi/verdict"]["value"] == "inconclusive"
+    assert (code, doc["verdict"]) == (1, "fail")
+
+
+def test_ce_grid_on_a_one_dimensional_sender(tmp_path):
+    # C^1 (x) C^3 holds only product states; the grid oracle runs (4 product
+    # parameters) and must give the 1-dim party its one grid ket
+    one = {"r": [1, 1], "s": [0, 1]}
+    spec = {"format": "zecap-channel/1", "name": "one-by-three",
+            "kind": "binary-projective", "sender_dims": [1, 3], "receiver_dims": [2],
+            "u_slots": [1], "s0_basis": [[{"index": 0, "coeff": {"re": one}},
+                                          {"index": 1, "coeff": {"im": one}}]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    assert run(["verify", "--spec", str(path), "--suite", "ce", "--restarts", "100",
+                "--out", str(out)]) == 1
+    checks = {c["name"]: c["value"] for c in read_report(out)["checks"]}
+    assert checks["ce/S0"] >= 1 - 1e-6 and checks["ce/S0/grid"] >= 1 - 0.05
+
+
 def test_renyi_gap_e21(tmp_path):
     out = tmp_path / "gap.json"
     code = run(["renyi-gap", "--builtin", "e21", "--budget", "300",
@@ -140,6 +178,19 @@ def test_renyi_gap_e21(tmp_path):
     assert doc["extra"]["single_use_floor"] == 4
     assert doc["extra"]["two_use_rank"] == 15
     assert len(doc["extra"]["witness"]) == 16
+
+
+@pytest.mark.parametrize("args", [
+    ["renyi-gap", "--budget", "-3"],
+    ["renyi-gap", "--budget", "0"],
+    ["verify", "--suite", "renyi", "--budget", "0"],
+])
+def test_budget_below_one_is_a_usage_error(args, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(args + ["--builtin", "e21", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_renyi_gap_needs_two_senders(tmp_path):

@@ -1,21 +1,25 @@
 """`zecap-channel/1` specs from `describe`, edited.
 
 Malformed specs get a one-line error and exit code 3; a well-formed edit
-that leaves the channel unchanged verifies as the original does.
+that leaves the channel unchanged verifies as the original does, and one
+that changes the channel still gets a verdict: exit code 0, 1 or 2.
 """
 
 import copy
 import json
 import tempfile
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import zecap.specio
 from zecap.cli import main
+from zecap.linalg import dim_of, ket_from_terms
 from zecap.specio import describe_channel, make_builtin
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 DESCRIBED = {name: describe_channel(make_builtin(name)) for name in ("e21", "e12")}
 SUITE = {"e21": "properties", "e12": "teleport"}
@@ -155,3 +159,60 @@ def relabelled_e21(draw):
 @given(relabelled_e21())
 def test_relabelled_description_verifies_as_the_original(doc):
     assert run_spec(doc, WELL_FORMED_SUITE) == E21_EXIT
+
+
+EDITABLE = {name: describe_channel(make_builtin(name)) for name in ("e21", "em1:3")}
+
+
+def _amplitude(coeff):
+    """Float value of an exact coefficient (r + s sqrt(2) per part)."""
+    def part(p):
+        return (float(Fraction(*p.get("r", [0, 1])))
+                + float(Fraction(*p.get("s", [0, 1]))) * 2 ** 0.5)
+    return complex(part(coeff.get("re", {})), part(coeff.get("im", {})))
+
+
+def _scaled(coeff, factor):
+    return {part: {key: [num * factor.numerator, den * factor.denominator]
+                   for key, (num, den) in pairs.items()}
+            for part, pairs in coeff.items()}
+
+
+def _terms(total):
+    pair = st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(list)
+    coeff = st.fixed_dictionaries({part: st.fixed_dictionaries({"r": pair, "s": pair})
+                                   for part in ("re", "im")})
+    return st.fixed_dictionaries({"index": st.integers(0, total - 1), "coeff": coeff})
+
+
+@st.composite
+def channel_changing_edits(draw):
+    """e21 or em1:3 described, with S0 changed by one well-formed edit: a
+    vector appended, dropped, rescaled by a rational, or given another term.
+    The vectors stay independent and subspace_dims follows them."""
+    doc = copy.deepcopy(EDITABLE[draw(st.sampled_from(sorted(EDITABLE)))])
+    basis = doc["s0_basis"]
+    total = dim_of(doc["sender_dims"])
+    edit = draw(st.sampled_from(["append", "drop", "rescale", "add-term"]))
+    if edit == "append":
+        basis.append(draw(st.lists(_terms(total), min_size=1, max_size=3)))
+    elif edit == "drop":
+        basis.pop(draw(st.integers(0, len(basis) - 1)))
+    elif edit == "rescale":
+        factor = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 4)))
+        vector = draw(st.sampled_from(basis))
+        for term in vector:
+            term["coeff"] = _scaled(term["coeff"], factor)
+    else:
+        draw(st.sampled_from(basis)).append(draw(_terms(total)))
+    kets = [ket_from_terms([total], [(t["index"], _amplitude(t["coeff"])) for t in v])
+            for v in basis]
+    assume(np.linalg.matrix_rank(np.stack(kets)) == len(basis))
+    doc["subspace_dims"] = [len(basis), total - len(basis)]
+    return doc
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(channel_changing_edits())
+def test_channel_changing_edit_gets_a_verdict(doc):
+    assert run_spec(doc, WELL_FORMED_SUITE) in (0, 1, 2)

@@ -289,16 +289,33 @@ def test_grid_oracle_on_unequal_party_dimensions(variant34):
     assert abs(grid_product_overlap(s0, resolution=3) - direct) < 1e-12
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 3)])
+def test_grid_oracle_on_a_complex_span(dims):
+    # a real span's projector has a zero coefficient on every Im coordinate,
+    # so only a complex span shows a slip in those coordinates
+    rng = np.random.default_rng(sum(dims) * len(dims))
+    total = int(np.prod(dims))
+    sub = Subspace.from_span(dims, [rng.normal(size=total) + 1j * rng.normal(size=total)
+                                    for _ in range(2)])
+    kets = np.ones((1, 1), dtype=complex)
+    for d in dims:
+        g = _grid_factors(d, 4)
+        kets = (kets[:, None, :, None] * g[None, :, None, :]).reshape(-1, kets.shape[1] * d)
+    direct = float(np.max(np.sum(np.abs(kets @ sub.basis.conj().T) ** 2, axis=1)))
+    assert abs(grid_product_overlap(sub, resolution=4) - direct) < 1e-12
+
+
 def test_grid_oracle_holds_one_chunk_at_a_time(em14):
-    # one chunk of em1:4 S0 at resolution 8 is about 57 MiB of overlaps; a
-    # loop that kept the previous chunk alive peaked at 117 MiB
+    # one chunk of em1:4 S0 at resolution 8 is about 31 MiB of real overlaps;
+    # complex overlaps peak at about 60 MiB, and a loop that kept the previous
+    # chunk alive at twice the chunk, so either breaks the bound
     tracemalloc.start()
     try:
         grid_product_overlap(em14.payload.s0, resolution=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2 ** 20
+    assert peak < 45 * 2 ** 20
 
 
 def test_grid_never_beats_seesaw():
