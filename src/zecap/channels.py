@@ -147,23 +147,32 @@ def apply_channel_to_ket(channel: MultiUserChannel, psi: np.ndarray) -> np.ndarr
     return w @ w.conj().T
 
 
-def apply_channel(channel: MultiUserChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to a density operator, validated as one.
+def apply_channel_to_stack(channel: MultiUserChannel, rhos: np.ndarray) -> np.ndarray:
+    """Channel outputs (z, out, out) of a stack of input operators (z, in, in),
+    not validated.
 
     Each use's (row, column) factor pair is contracted with the one-use
-    superoperator sum_K K (x) conj(K) in turn.
+    superoperator sum_K K (x) conj(K) in turn, for each operator on its own,
+    so an output's digits do not depend on the rest of the stack.
     """
+    ops, k = channel.kraus, channel.uses
+    n, out, d1 = ops.shape
+    z = len(rhos)
+    sup = np.einsum("kai,kbj->abij", ops, ops.conj()).reshape(out * out, d1 * d1)
+    x = rhos.reshape((z,) + (d1,) * (2 * k)).transpose([0, *(1 + a for a in paired(k))])
+    x = contract_factors(x, [sup] * k, stack=z)
+    return x.reshape((z,) + (out,) * (2 * k)).transpose(
+        [0, *(1 + a for a in _unpaired(k))]).reshape(z, channel.out_dim, channel.out_dim)
+
+
+def apply_channel(channel: MultiUserChannel, rho: np.ndarray) -> np.ndarray:
+    """Apply the channel to a density operator, validated as one."""
     rho = np.asarray(rho, dtype=complex)
     d = channel.in_dim
     if rho.shape != (d, d):
         raise ValueError(f"input shape {rho.shape} does not match input dimension {d}")
     assert_density(rho)
-    ops, k = channel.kraus, channel.uses
-    n, out, d1 = ops.shape
-    sup = np.einsum("kai,kbj->abij", ops, ops.conj()).reshape(out * out, d1 * d1)
-    x = contract_factors(rho.reshape((d1,) * (2 * k)).transpose(paired(k)), [sup] * k)
-    return x.reshape((out,) * (2 * k)).transpose(_unpaired(k)).reshape(
-        channel.out_dim, channel.out_dim)
+    return apply_channel_to_stack(channel, rho[None])[0]
 
 
 def check_trace_preserving(channel: MultiUserChannel) -> float:

@@ -122,11 +122,14 @@ def _suite_properties(channel, report: Report, slots: list[int] | None) -> None:
                        ok, None, ok)
 
 
-def _suite_ce(channel, report: Report, seed: int, restarts: int | None) -> None:
+def _suite_ce(channel, report: Report, seed: int, restarts: int | None,
+              shared: dict) -> None:
     pl = channel.payload
     # the one-shot certificate searches S0 and S1 with this seed, restarts,
     # gap and label, so its two certificates are the ce/S0 and ce/S1 rows
-    alpha = certify_alpha_local_one(channel, restarts=restarts, seed=seed)
+    alpha = certify_alpha_local_one(channel, restarts=restarts, seed=seed,
+                                    s1_certificate=shared.get("S1"))
+    shared["S1"] = alpha.s1_certificate
     for label, sub, cert in (("S0", pl.s0, alpha.s0_certificate),
                              ("S1", pl.s1, alpha.s1_certificate)):
         report.add(f"ce/{label}", "no product state found in the subspace",
@@ -213,9 +216,11 @@ def _suite_privacy(channel, report: Report) -> None:
 
 
 def _suite_renyi(channel, report: Report, seed: int, budget: int,
-                 ce_restarts: int | None = None) -> None:
+                 ce_restarts: int | None, shared: dict) -> None:
     gap = additivity_gap_at_zero(channel.payload.s0, budget=budget, seed=seed,
-                                 ce_restarts=ce_restarts)
+                                 ce_restarts=ce_restarts,
+                                 complement_certificate=shared.get("S1"))
+    shared["S1"] = gap.complement_certificate
     report.extra["renyi_gap"] = gap.verdict
 
     def outcome(ok: bool) -> bool | None:
@@ -248,9 +253,14 @@ def cmd_verify(args) -> int:
             return _usage_error(
                 f"suite(s) {', '.join(not_applicable)} do not apply to "
                 f"{channel.name or 'this channel'}")
+    if args.budget < 1:
+        return _usage_error(f"budget must be >= 1, got {args.budget}")
     slots = None
     if args.slots:
         slots = [slot_index(channel, s) for s in args.slots.split(",")]
+    # "S1": the ce suite's S1 certificate, which is the renyi suite's
+    # certificate for the complement of S0; whichever suite runs first searches
+    shared: dict = {}
     report = Report(command="verify", channel=channel.name or "custom", seed=seed)
     report.extra["suites"] = ",".join(suites)
     tp = check_trace_preserving(channel)
@@ -261,7 +271,7 @@ def cmd_verify(args) -> int:
             _suite_properties(channel, report, [s % len(channel.sender_dims)
                                                 for s in slots] if slots else None)
         elif suite == "ce":
-            _suite_ce(channel, report, seed, args.restarts)
+            _suite_ce(channel, report, seed, args.restarts, shared)
         elif suite == "two-use":
             _suite_two_use(channel, report, slots)
         elif suite == "teleport":
@@ -269,7 +279,7 @@ def cmd_verify(args) -> int:
         elif suite == "privacy":
             _suite_privacy(channel, report)
         elif suite == "renyi":
-            _suite_renyi(channel, report, seed, args.budget, args.restarts)
+            _suite_renyi(channel, report, seed, args.budget, args.restarts, shared)
     report.finalize()
     text = report_to_json(report)
     if args.out:

@@ -121,18 +121,24 @@ def embed_operator(m: np.ndarray, slot: int, dims: Sequence[int]) -> np.ndarray:
     return np.kron(np.kron(np.eye(left), m), np.eye(right)).astype(complex)
 
 
-def contract_factors(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+def contract_factors(x: np.ndarray, mats: Sequence[np.ndarray],
+                     stack: int = 1) -> np.ndarray:
     """Contract the leading factor of x with each matrix in turn.
 
     Each step views x as (m.shape[1], rest), so its leading factor is the
     one m acts on, and returns the (rest, m.shape[0]) product: the factor is
     consumed and m's row index is appended at the back. The result is laid
     out as (factors of x left over, row index of mats[0], ..., row index of
-    mats[-1]).
+    mats[-1]), as a matrix whose columns are the row index of mats[-1].
+
+    With `stack` > 1, x holds that many tensors along a leading axis, which
+    stays in front. Each tensor gets its own matrix product per step, so its
+    digits do not depend on which other tensors share the stack (one BLAS
+    product over the whole stack sums a row differently by its position).
     """
     for m in mats:
-        x = x.reshape(m.shape[1], -1).T @ m.T
-    return x
+        x = x.reshape(stack, m.shape[1], -1).swapaxes(1, 2) @ m.T
+    return x.reshape(-1, x.shape[-1])
 
 
 def paired(k: int) -> list[int]:

@@ -21,7 +21,7 @@ from .linalg import (
     permute_factors,
     tensor,
 )
-from .subspaces import CECertificate, certify_completely_entangled
+from .subspaces import CECertificate, certify_completely_entangled, check_certificate
 
 ORTHO_OVERLAP_TOL = 1e-9
 
@@ -221,6 +221,7 @@ def _receiver_count(channel: MultiUserChannel) -> int:
 def certify_alpha_local_one(channel: MultiUserChannel,
                             restarts: int | None = None,
                             gap: float = 1e-3, seed: int = 0,
+                            s1_certificate: CECertificate | None = None,
                             ) -> AlphaLocalCertificate:
     """One-shot no-transmission certificate for flag-output channels.
 
@@ -230,7 +231,8 @@ def certify_alpha_local_one(channel: MultiUserChannel,
     preparable inputs may be taken to be product pure states, so certifying
     both subspaces completely entangled rules out any such pair. Both are
     searched at `seed`, as `certify_completely_entangled` does given the
-    same arguments and the label "<channel name>/S0" or "/S1".
+    same arguments and the label "<channel name>/S0" or "/S1". An S1
+    certificate already searched so may be passed as `s1_certificate`.
 
     Trivial-party extensions inherit the base channel's certificate: added
     senders are ignored and added receivers get a fixed state, so output
@@ -242,8 +244,12 @@ def certify_alpha_local_one(channel: MultiUserChannel,
                          "binary projective channel")
     c0 = certify_completely_entangled(pl.s0, restarts=restarts, gap=gap,
                                       seed=seed, label=f"{channel.name}/S0")
-    c1 = certify_completely_entangled(pl.s1, restarts=restarts, gap=gap,
-                                      seed=seed, label=f"{channel.name}/S1")
+    if s1_certificate is None:
+        c1 = certify_completely_entangled(pl.s1, restarts=restarts, gap=gap,
+                                          seed=seed, label=f"{channel.name}/S1")
+    else:
+        c1 = check_certificate(s1_certificate, pl.s1, restarts=restarts, gap=gap,
+                               seed=seed)
     ok = c0.certified and c1.certified
     notes = ("orthogonal flag outputs require product inputs inside each "
              "measured subspace; both subspaces are certified free of product states;"

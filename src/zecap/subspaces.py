@@ -253,6 +253,20 @@ def certify_completely_entangled(subspace: Subspace, restarts: int | None = None
                          verdict, gap, seed, retired=cand.retired)
 
 
+def check_certificate(cert: CECertificate, subspace: Subspace,
+                      restarts: int | None = None, gap: float = DEFAULT_CE_GAP,
+                      seed: int = 0) -> CECertificate:
+    """Return `cert` if `certify_completely_entangled(subspace, restarts, gap,
+    seed)` would search with its restart count, gap and seed, else raise
+    ValueError. A certificate does not record its subspace: the caller vouches."""
+    want = (default_restarts(subspace.dims) if restarts is None else restarts, gap, seed)
+    got = (cert.restarts, cert.gap, cert.seed)
+    if got != want:
+        raise ValueError(f"certificate searched with (restarts, gap, seed) = {got}, "
+                         f"not the {want} asked for")
+    return cert
+
+
 # ---------------------------------------------------------------------------
 # grid oracle
 # ---------------------------------------------------------------------------

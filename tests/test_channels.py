@@ -24,6 +24,7 @@ from zecap.linalg import (
     tensor,
     transpose_plain,
 )
+from zecap.specio import channel_from_spec, describe_channel, make_builtin
 from zecap.subspaces import Subspace
 
 
@@ -282,3 +283,15 @@ def test_choi_of_e21_trace_and_rank(e21):
     choi = choi_matrix(e21)
     assert abs(np.trace(choi).real - 16) < 1e-9      # = input dimension for TP maps
     assert np.linalg.matrix_rank(choi, tol=1e-9) == 16
+
+
+@pytest.mark.parametrize("name", ["e21", "variant34", "em1:2", "em1:3"])
+def test_s1_is_the_complement_of_s0_to_the_bit(name):
+    # `verify` reuses the ce suite's S1 certificate as the renyi suite's
+    # certificate for s0.complement(), which needs the two to be one subspace
+    builtin = make_builtin(name)
+    for ch in (builtin, channel_from_spec(describe_channel(builtin))):
+        pl = ch.payload
+        comp = pl.s0.complement()
+        assert np.array_equal(pl.s1.basis, comp.basis)
+        assert np.array_equal(pl.s1.projector, comp.projector)

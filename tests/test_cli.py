@@ -45,15 +45,21 @@ def test_verify_em1_suites(tmp_path):
     assert read_report(out)["verdict"] == "pass"
 
 
-def test_verify_ce_searches_s0_once(tmp_path, monkeypatch):
-    searched = []
+@pytest.fixture
+def searched(monkeypatch):
+    """The seed of every product-state search the test runs, in order."""
+    seeds = []
     search = zecap.subspaces.max_product_overlap
 
     def counting(subspace, **kwargs):
-        searched.append(kwargs["seed"])
+        seeds.append(kwargs["seed"])
         return search(subspace, **kwargs)
 
     monkeypatch.setattr(zecap.subspaces, "max_product_overlap", counting)
+    return seeds
+
+
+def test_verify_ce_searches_s0_once(tmp_path, searched):
     out = tmp_path / "report.json"
     code = run(["verify", "--builtin", "em1:4", "--suite", "ce", "--seed", "4",
                 "--restarts", "100", "--out", str(out)])
@@ -184,13 +190,43 @@ def test_renyi_gap_e21(tmp_path):
     ["renyi-gap", "--budget", "-3"],
     ["renyi-gap", "--budget", "0"],
     ["verify", "--suite", "renyi", "--budget", "0"],
+    ["verify", "--suite", "all", "--budget", "0"],
 ])
-def test_budget_below_one_is_a_usage_error(args, tmp_path, capsys):
+def test_budget_below_one_is_a_usage_error(args, tmp_path, capsys, searched):
     out = tmp_path / "report.json"
     assert run(args + ["--builtin", "e21", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: budget") and err.count("\n") == 1, err
     assert not out.exists()
+    # refused before any suite runs
+    assert searched == []
+
+
+def _checks(path):
+    return {c["name"]: c for c in read_report(path)["checks"]}
+
+
+@pytest.mark.parametrize("suite, searches", [
+    ("all", 2),
+    ("renyi", 1),
+    ("renyi,ce", 2),
+    ("ce,renyi", 2),
+])
+def test_verify_searches_s1_once_for_ce_and_renyi(suite, searches, tmp_path, searched):
+    # S0's complement is S1: the renyi suite's complement certificate and the
+    # ce suite's S1 certificate are one search, whichever suite runs first
+    out = tmp_path / "report.json"
+    args = ["--builtin", "e21", "--seed", "5", "--restarts", "200", "--budget", "200"]
+    assert run(["verify", "--suite", suite, *args, "--out", str(out)]) == 0
+    assert searched == [5] * searches
+    rows = _checks(out)
+    for alone in suite.split(","):
+        if alone == "all":
+            continue
+        path = tmp_path / f"{alone}.json"
+        assert run(["verify", "--suite", alone, *args, "--out", str(path)]) == 0
+        for name, row in _checks(path).items():
+            assert rows[name] == row
 
 
 def test_renyi_gap_needs_two_senders(tmp_path):

@@ -138,6 +138,18 @@ def test_contract_factors_matches_kronecker_product():
     assert max_abs(got.reshape(4, 5, 2) - want.transpose(2, 0, 1)) < 1e-12
 
 
+def test_contract_factors_contracts_each_tensor_of_a_stack_on_its_own():
+    rng = np.random.default_rng(6)
+    xs = rng.normal(size=(5, 3, 4)) + 1j * rng.normal(size=(5, 3, 4))
+    m0 = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    m1 = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    got = contract_factors(xs, [m0, m1], stack=5).reshape(5, 2, 6)
+    for x, g in zip(xs, got):
+        assert max_abs(g - m0 @ x @ m1.T) < 1e-12
+        # the same digits as a stack of one: no tensor sees its neighbours
+        assert np.array_equal(g, contract_factors(x, [m0, m1]).reshape(2, 6))
+
+
 def test_partial_trace_entangled_marginal():
     alpha = max_entangled_ket(2)
     marg = partial_trace(np.outer(alpha, alpha.conj()), [2, 2], keep=[0])

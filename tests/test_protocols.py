@@ -26,6 +26,7 @@ from zecap.protocols import (
     teleportation_decode,
     verify_orthogonal_outputs,
 )
+from zecap.subspaces import certify_completely_entangled
 
 EXPECTED_SAME = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
 EXPECTED_FLIP = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
@@ -132,6 +133,19 @@ def test_alpha_local_one_certificates(e21, em13):
         assert cert.alpha_local_one
         assert cert.s0_certificate.verdict == "certified-CE"
         assert cert.s1_certificate.verdict == "certified-CE"
+
+
+def test_alpha_local_one_reuses_a_matching_s1_certificate(e21):
+    fresh = certify_alpha_local_one(e21, restarts=120, seed=2)
+    s1 = certify_completely_entangled(e21.payload.s1, restarts=120, seed=2)
+    reused = certify_alpha_local_one(e21, restarts=120, seed=2, s1_certificate=s1)
+    assert reused.s1_certificate is s1
+    assert reused.s1_certificate.max_overlap_found == fresh.s1_certificate.max_overlap_found
+    assert reused.alpha_local_one == fresh.alpha_local_one
+    for other in ({"seed": 3}, {"restarts": 121}, {"gap": 1e-2}):
+        with pytest.raises(ValueError, match="certificate searched with"):
+            certify_alpha_local_one(e21, **{"restarts": 120, "seed": 2, **other},
+                                    s1_certificate=s1)
 
 
 def test_alpha_local_fails_on_product_containing_span():

@@ -17,6 +17,9 @@ from zecap.linalg import (
     tensor,
 )
 from zecap.renyi import (
+    SPECTRUM_CHUNK,
+    _output_spectra,
+    _output_spectrum,
     additivity_gap_at_zero,
     min_output_rank_search,
     min_output_renyi,
@@ -24,7 +27,7 @@ from zecap.renyi import (
     spectrum_rank,
     structured_rank_seeds,
 )
-from zecap.subspaces import Subspace, grid_product_overlap
+from zecap.subspaces import Subspace, certify_completely_entangled, grid_product_overlap
 
 # frozen from development runs: the two-use search lands on rank 15 (reached
 # already by the maximally entangled seed) and cannot be pushed lower
@@ -234,6 +237,36 @@ def test_two_use_rank_search(e21):
     assert spectrum_rank(w) == E21_TWO_USE_RANK
 
 
+@pytest.mark.parametrize("uses", [1, 2])
+def test_a_ket_scores_the_same_alone_and_in_a_pool(e21, variant34, uses):
+    for src in (e21, variant34):
+        ch = tensor_power(make_cj_channel(src.payload.s0), uses)
+        rng = np.random.default_rng(uses)
+        pool = np.array([haar_ket(ch.in_dim, rng) for _ in range(SPECTRUM_CHUNK + 40)])
+        scored = _output_spectra(ch, pool)
+        for i in (0, 1, SPECTRUM_CHUNK - 1, SPECTRUM_CHUNK, len(pool) - 1):
+            # bit for bit, on both sides of the chunk boundary
+            assert np.array_equal(_output_spectrum(ch, pool[i]), scored[i])
+            rho = apply_channel_to_ket(ch, pool[i])
+            want = np.linalg.eigvalsh(rho)[::-1] / np.trace(rho).real
+            assert max_abs(scored[i] - want) < 1e-14
+
+
+def test_e21_two_use_search_keeps_the_entangled_seed(e21):
+    two = tensor_power(make_cj_channel(e21.payload.s0), 2)
+    # three structured seeds tie at rank 15 with the same tail mass, to the
+    # last bit; the pool index then picks the maximally entangled one
+    seeds = np.array([s / np.linalg.norm(s) for s in structured_rank_seeds(two)])
+    spectra = _output_spectra(two, seeds)
+    assert list(spectrum_rank(spectra)) == [16, 15, 15, 15]
+    tails = [float(np.sum(w[14:])) for w in spectra[1:]]
+    assert tails[0] == tails[1] == tails[2]
+    assert abs(tails[0] - 1 / 32) < 1e-15
+    res = min_output_rank_search(two, restarts=2000, seed=1, refine_per_rank=8)
+    assert res.best_rank == E21_TWO_USE_RANK
+    assert max_abs(res.achiever - max_entangled_ket(4)) < 1e-15
+
+
 def test_found_ranks_submultiplicative(e21):
     ch = make_cj_channel(e21.payload.s0)
     single = min_output_rank_search(ch, restarts=40, seed=0)
@@ -262,6 +295,27 @@ def test_gap_found_for_variant_subspace(variant34):
     assert report.verdict == "gap-found"
     assert report.single_use_floor == 4
     assert report.two_use_rank == V34_TWO_USE_RANK
+
+
+def test_gap_reuses_a_matching_complement_certificate(e21):
+    s0 = e21.payload.s0
+    fresh = additivity_gap_at_zero(s0, budget=200, seed=3)
+    cert = certify_completely_entangled(e21.payload.s1, seed=3, label="e21/S1")
+    reused = additivity_gap_at_zero(s0, budget=200, seed=3, complement_certificate=cert)
+    assert reused.complement_certificate is cert
+    assert cert.max_overlap_found == fresh.complement_certificate.max_overlap_found
+    for name in ("verdict", "single_use_rank", "single_use_floor", "two_use_rank",
+                 "single_use_bits", "two_use_bits", "notes"):
+        assert getattr(reused, name) == getattr(fresh, name)
+    assert np.array_equal(reused.two_use_result.achiever, fresh.two_use_result.achiever)
+
+
+@pytest.mark.parametrize("asked", [{"seed": 4}, {"ce_restarts": 999}, {"gap": 1e-2}])
+def test_gap_refuses_a_certificate_searched_otherwise(e21, asked):
+    cert = certify_completely_entangled(e21.payload.s1, seed=3)
+    with pytest.raises(ValueError, match="certificate searched with"):
+        additivity_gap_at_zero(e21.payload.s0, budget=10,
+                               **{"seed": 3, **asked}, complement_certificate=cert)
 
 
 def test_no_gap_for_full_space():
