@@ -73,8 +73,18 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("ZECAP_SEED", "0"))
+def _search_seed(args) -> int:
+    """The seed, once --budget, --restarts, --seed and ZECAP_SEED can drive a search."""
+    if args.budget < 1:
+        raise ValueError(f"budget must be >= 1, got {args.budget}")
+    if args.restarts is not None and args.restarts < 1:
+        raise ValueError(f"--restarts must be >= 1, got {args.restarts}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    raw = os.environ.get("ZECAP_SEED", "0")
+    if args.seed is None and not (raw.isascii() and raw.strip().isdigit()):
+        raise ValueError(f"ZECAP_SEED must be a non-negative integer, got {raw!r}")
+    return int(raw) if args.seed is None else args.seed
 
 
 def _slot_labels(channel: MultiUserChannel) -> list[str]:
@@ -239,7 +249,7 @@ def _suite_renyi(channel, report: Report, seed: int, budget: int,
 
 def cmd_verify(args) -> int:
     channel = _load_channel(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _search_seed(args)
     applicable = _applicable_suites(channel)
     if args.suite == "all":
         suites = applicable
@@ -253,8 +263,6 @@ def cmd_verify(args) -> int:
             return _usage_error(
                 f"suite(s) {', '.join(not_applicable)} do not apply to "
                 f"{channel.name or 'this channel'}")
-    if args.budget < 1:
-        return _usage_error(f"budget must be >= 1, got {args.budget}")
     slots = None
     if args.slots:
         slots = [slot_index(channel, s) for s in args.slots.split(",")]
@@ -294,16 +302,12 @@ def cmd_verify(args) -> int:
 
 def cmd_renyi_gap(args) -> int:
     channel = _load_channel(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _search_seed(args)
     if channel.payload is None or len(channel.sender_dims) != 2:
         return _usage_error("the gap check needs a two-sender projective channel")
     report = Report(command="renyi-gap", channel=channel.name or "custom", seed=seed)
-    try:
-        gap = additivity_gap_at_zero(channel.payload.s0, budget=args.budget,
-                                     seed=seed, ce_restarts=args.restarts)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    gap = additivity_gap_at_zero(channel.payload.s0, budget=args.budget,
+                                 seed=seed, ce_restarts=args.restarts)
     report.extra.update({
         "single_use_rank": gap.single_use_rank,
         "single_use_floor": gap.single_use_floor,

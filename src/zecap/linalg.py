@@ -9,9 +9,11 @@ reshape convention.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 ORTHO_TOL = 1e-10       # rank / orthogonality decisions
 DENSITY_TOL = 1e-9      # trace-one check for density operators
@@ -208,6 +210,31 @@ def parity_phase(dim: int) -> np.ndarray:
 def haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def keyed_haar_kets(dims: Sequence[int], count: int,
+                    key: Sequence[int]) -> list[np.ndarray]:
+    """Haar-random kets for `count` restarts, one (count, d) array per party:
+    row r is bit for bit haar_ket party by party on default_rng([*key, r])."""
+    words = []      # the little-endian uint32 words SeedSequence makes of each int
+    for k in map(operator.index, key):
+        if k < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {k}")
+        words += [(k >> s) & 0xFFFFFFFF for s in range(0, max(k.bit_length(), 1), 32)]
+    keys = np.array([words + [r] for r in range(count)], dtype=np.uint32)
+    # one draw per stream holds each party's real then imaginary parts
+    z = np.empty((count, 2 * sum(dims)))
+    for key_r, z_r in zip(keys, z):
+        Generator(PCG64(SeedSequence(key_r))).standard_normal(out=z_r)
+    kets, at = [], 0
+    for d in dims:
+        v = z[:, at:at + d] + 1j * z[:, at + d:at + 2 * d]
+        at += 2 * d
+        # dot products over the strided .real/.imag views, as np.linalg.norm takes them
+        norm2 = v.real[:, None] @ v.real[..., None] + v.imag[:, None] @ v.imag[..., None]
+        v /= np.sqrt(norm2[:, 0])
+        kets.append(v)
+    return kets
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -28,7 +28,7 @@ from .channels import (
     tensor_power,
     to_kraus,
 )
-from .linalg import dagger, haar_ket, max_entangled_ket
+from .linalg import dagger, haar_ket, keyed_haar_kets, max_entangled_ket
 from .subspaces import CECertificate, Subspace, certify_completely_entangled, check_certificate
 
 RANK_THRESHOLD_RATIO = 1e-7   # eigenvalues below this fraction of the top count as zero
@@ -140,9 +140,8 @@ def min_output_renyi(channel: MultiUserChannel, p: float, restarts: int = 40,
     best_val = inf
     best_x = None
     converged = False
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        x0 = np.concatenate([haar_ket(d, rng).real, haar_ket(d, rng).imag])
+    first, second = keyed_haar_kets([d, d], restarts, [seed])
+    for x0 in np.concatenate([first.real, second.imag], axis=1):
         res = minimize(objective, x0, method="L-BFGS-B",
                        options={"maxiter": maxiter})
         if res.fun < best_val:
@@ -233,8 +232,7 @@ def min_output_rank_search(channel: MultiUserChannel,
     rng = np.random.default_rng([seed, 0x5eed])
     pool: list[np.ndarray] = [s / np.linalg.norm(s) for s in
                               (structured_rank_seeds(channel) if seeds is None else list(seeds))]
-    pool += [haar_ket(d, np.random.default_rng([seed, 1, r]))
-             for r in range(max(restarts, 1))]
+    pool += list(keyed_haar_kets([d], max(restarts, 1), [seed, 1])[0])
 
     spectra = _output_spectra(channel, np.array(pool))
     ranks = spectrum_rank(spectra, threshold_ratio)
@@ -285,13 +283,13 @@ def min_output_rank_search(channel: MultiUserChannel,
 @dataclass
 class AdditivityGapReport:
     verdict: str                       # gap-found | no-gap | inconclusive
-    single_use_rank: int               # best rank found for one use
+    single_use_rank: int               # d_B if the complement is certified, else best found
     single_use_floor: int              # certified lower bound
     two_use_rank: int
     single_use_bits: float
     two_use_bits: float
     complement_certificate: CECertificate | None
-    single_result: RankSearchResult | None
+    single_result: RankSearchResult | None  # None when single_use_rank is certified
     two_use_result: RankSearchResult | None
     notes: str = ""
 
@@ -307,9 +305,10 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
     The single-use floor: for a real-coefficient subspace S, an output of rank
     at most out_dim - 1 at input x requires a product state x (x) eta in the
     complement of S, so a completely-entangled complement forces every output
-    to full rank. The verdict gap-found means the best two-use rank found is
-    strictly below the square of that certified floor, which only ever
-    understates the true gap.
+    to full rank: the single-use rank is then d_B (floor <= rank <= out_dim),
+    and only without that certificate is it searched for. The verdict
+    gap-found means the best two-use rank found is strictly below the square
+    of that certified floor, which only ever understates the true gap.
 
     The complement is certified at `seed` with `ce_restarts` and `gap`. A
     certificate already searched so (a flag-output channel's S1 certificate,
@@ -342,28 +341,20 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
         cert = check_certificate(complement_certificate, complement,
                                  restarts=ce_restarts, gap=gap, seed=seed)
     channel = make_cj_channel(subspace)
-    two_use = tensor_power(channel, 2)
-
-    single = min_output_rank_search(channel, restarts=min(budget, 200),
-                                    seed=seed)
-    two = min_output_rank_search(two_use, restarts=min(budget, 2000),
-                                 seed=seed + 1,
-                                 refine_per_rank=max(8, budget // 200))
-
     if cert.verdict == "certified-CE":
-        floor = db
+        single, single_rank, floor = None, db, db
         notes = ("complement certified completely entangled: every single-use "
                  "output has full rank; ")
-    elif cert.verdict == "product-state-found":
-        floor = 1
-        notes = "complement contains a product state; no rank floor; "
     else:
-        floor = 1
-        notes = "complement certification inconclusive; "
+        single = min_output_rank_search(channel, restarts=min(budget, 200), seed=seed)
+        single_rank, floor = single.best_rank, 1
+        notes = ("complement contains a product state; no rank floor; "
+                 if cert.verdict == "product-state-found"
+                 else "complement certification inconclusive; ")
+    two = min_output_rank_search(tensor_power(channel, 2), restarts=min(budget, 2000),
+                                 seed=seed + 1, refine_per_rank=max(8, budget // 200))
 
-    s_bits = log2(single.best_rank)
-    t_bits = log2(two.best_rank)
-    if single.best_rank == 1:
+    if single_rank == 1:
         verdict = "no-gap"
         notes += "single-use rank 1 makes a gap impossible"
     elif cert.verdict == "certified-CE" and two.best_rank < floor * floor:
@@ -376,5 +367,5 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
     else:
         verdict = "inconclusive"
         notes += "no two-use input with deficient output found within budget"
-    return AdditivityGapReport(verdict, single.best_rank, floor, two.best_rank,
-                               s_bits, t_bits, cert, single, two, notes)
+    return AdditivityGapReport(verdict, single_rank, floor, two.best_rank, log2(single_rank),
+                               log2(two.best_rank), cert, single, two, notes)

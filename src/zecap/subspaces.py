@@ -28,7 +28,7 @@ from .linalg import (
     dim_of,
     embed_operator,
     gram_schmidt,
-    haar_ket,
+    keyed_haar_kets,
     max_abs,
     paired,
     transpose_plain,
@@ -175,11 +175,7 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     mats = [np.moveaxis(tensor, (2 * s, 2 * s + 1), (-2, -1)).reshape(-1, d * d)
             for s, d in enumerate(dims)]
     # each restart draws its factors from a private stream keyed by its index
-    factors = [np.empty((restarts, d), dtype=complex) for d in dims]
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        for t, d in enumerate(dims):
-            factors[t][r] = haar_ket(d, rng)
+    factors = keyed_haar_kets(dims, restarts, [seed])
     obj = np.zeros(restarts)
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)

@@ -202,6 +202,32 @@ def test_budget_below_one_is_a_usage_error(args, tmp_path, capsys, searched):
     assert searched == []
 
 
+@pytest.mark.parametrize("command", [["verify", "--suite", "all"], ["renyi-gap"]])
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--restarts", "0"),
+                                         ("--restarts", "-4")])
+def test_bad_seed_or_restarts_is_refused_before_any_suite(command, flag, value,
+                                                          tmp_path, capsys, searched):
+    out = tmp_path / "report.json"
+    assert run(command + ["--builtin", "e21", flag, value, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1, err
+    assert not out.exists()
+    assert searched == []
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "all"], ["renyi-gap"]])
+@pytest.mark.parametrize("value", ["abc", "-2", "1.5", ""])
+def test_malformed_seed_env_is_a_usage_error(command, value, tmp_path, capsys,
+                                             monkeypatch, searched):
+    monkeypatch.setenv("ZECAP_SEED", value)
+    out = tmp_path / "report.json"
+    assert run(command + ["--builtin", "e21", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ZECAP_SEED must be") and err.count("\n") == 1, err
+    assert not out.exists()
+    assert searched == []
+
+
 def _checks(path):
     return {c["name"]: c for c in read_report(path)["checks"]}
 

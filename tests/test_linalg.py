@@ -10,7 +10,9 @@ from zecap.linalg import (
     contract_factors,
     embed_operator,
     gram_schmidt,
+    haar_ket,
     ket_from_terms,
+    keyed_haar_kets,
     ket_to_matrix,
     max_abs,
     max_entangled_ket,
@@ -248,3 +250,22 @@ def test_two_use_state_factor_grouping():
     # sender cut: pure maximally entangled marginal
     sender_marg = partial_trace(rho, [4, 4, 4, 4], keep=[0, 2])
     assert max_abs(sender_marg - np.outer(phi4, phi4.conj())) < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(1,), (2, 2), (3, 4), (4, 4), (2,) * 5, (16,)])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
+def test_keyed_haar_kets_are_haar_ket_on_each_restart_stream(dims, seed):
+    for key in ([seed], [seed, 1]):
+        kets = keyed_haar_kets(dims, 30, key)
+        for r in range(30):
+            rng = np.random.default_rng([*key, r])
+            for t, d in enumerate(dims):
+                assert kets[t][r].tobytes() == haar_ket(d, rng).tobytes()
+        # row r is its stream's, not the batch's
+        for t, few in enumerate(keyed_haar_kets(dims, 3, key)):
+            assert few.tobytes() == kets[t][:3].tobytes()
+
+
+def test_keyed_haar_kets_refuse_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        keyed_haar_kets([2, 2], 4, [-1])

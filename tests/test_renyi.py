@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import zecap.renyi
 from zecap.channels import (
     MultiUserChannel,
     apply_channel_to_ket,
@@ -336,6 +337,62 @@ def test_inconclusive_when_certification_starved(e21):
     report = additivity_gap_at_zero(e21.payload.s0, budget=50, seed=0,
                                     ce_restarts=2)
     assert report.verdict == "inconclusive"
+
+
+@pytest.fixture
+def rank_searches(monkeypatch):
+    """The input dimension of every rank search the test runs, in order."""
+    dims = []
+    search = zecap.renyi.min_output_rank_search
+
+    def counting(channel, **kwargs):
+        dims.append(channel.in_dim)
+        return search(channel, **kwargs)
+
+    monkeypatch.setattr(zecap.renyi, "min_output_rank_search", counting)
+    return dims
+
+
+def test_certified_complement_fixes_the_single_use_rank(e21, rank_searches):
+    report = additivity_gap_at_zero(e21.payload.s0, budget=400, seed=0)
+    assert report.complement_certificate.verdict == "certified-CE"
+    # the floor d_B is the output dimension: only the two-use search runs
+    assert rank_searches == [16]
+    assert report.single_result is None
+    assert report.single_use_rank == 4
+
+
+def test_single_use_search_runs_without_a_certified_complement(e21, rank_searches):
+    sub = Subspace.from_span([2, 2], [max_entangled_ket(2),
+                                      basis_ket([2, 2], 1)])
+    assert additivity_gap_at_zero(sub, budget=100, seed=0).single_use_rank == 1
+    assert rank_searches == [2, 4]
+    starved = additivity_gap_at_zero(e21.payload.s0, budget=50, seed=0,
+                                     ce_restarts=2)
+    assert starved.single_result.best_rank == starved.single_use_rank
+    assert rank_searches == [2, 4, 4, 16]
+
+
+def test_renyi_search_starts_from_each_restart_stream(monkeypatch):
+    starts = []
+    minimize = zecap.renyi.minimize
+
+    def recording(fun, x0, **kwargs):
+        starts.append(np.array(x0))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(zecap.renyi, "minimize", recording)
+    min_output_renyi(identity_channel(3), 2.0, restarts=4, seed=5)
+    assert len(starts) == 4
+    for r, x0 in enumerate(starts):
+        rng = np.random.default_rng([5, r])
+        first, second = haar_ket(3, rng), haar_ket(3, rng)
+        assert x0.tobytes() == np.concatenate([first.real, second.imag]).tobytes()
+
+
+def test_rank_search_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        min_output_rank_search(identity_channel(), restarts=3, seed=-1)
 
 
 def test_gap_rejects_complex_basis():

@@ -144,6 +144,11 @@ def test_restart_zero_rejected(s0_e21):
         max_product_overlap(s0_e21, restarts=0)
 
 
+def test_negative_seed_rejected(s0_e21):
+    with pytest.raises(ValueError, match="non-negative"):
+        max_product_overlap(s0_e21, restarts=3, seed=-1)
+
+
 def test_seesaw_deterministic_given_seed(s0_e21):
     a = max_product_overlap(s0_e21, restarts=25, seed=9)
     b = max_product_overlap(s0_e21, restarts=25, seed=9)
