@@ -51,6 +51,12 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
+# largest --restarts and --budget accepted: each search's work grows with them
+# and nothing else bounds it (at --budget 100000 the gap runs 500 L-BFGS
+# starts per rank target)
+MAX_RESTARTS = 5000
+MAX_BUDGET = 100_000
+
 ALL_SUITES = ("properties", "ce", "two-use", "teleport", "privacy", "renyi")
 
 # grid-oracle resolutions for the product-parameter counts that stay gridable
@@ -75,10 +81,11 @@ def _usage_error(message: str) -> int:
 
 def _search_seed(args) -> int:
     """The seed, once --budget, --restarts, --seed and ZECAP_SEED can drive a search."""
-    if args.budget < 1:
-        raise ValueError(f"budget must be >= 1, got {args.budget}")
-    if args.restarts is not None and args.restarts < 1:
-        raise ValueError(f"--restarts must be >= 1, got {args.restarts}")
+    if not 1 <= args.budget <= MAX_BUDGET:
+        raise ValueError(f"budget must be between 1 and {MAX_BUDGET}, got {args.budget}")
+    if args.restarts is not None and not 1 <= args.restarts <= MAX_RESTARTS:
+        raise ValueError(f"--restarts must be between 1 and {MAX_RESTARTS}, "
+                         f"got {args.restarts}")
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     raw = os.environ.get("ZECAP_SEED", "0")

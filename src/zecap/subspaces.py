@@ -7,10 +7,11 @@ maximization of <a x b x ...|P|a x b x ...> over normalized product states
 parameterization of the product manifold (slow, global, coarse). Both return
 lower bounds on the true maximum product overlap.
 
-Both read the projector with its (out, in) index pairs interleaved. The
-search takes one complex row conj(f) (x) f per restart against a shared
-matrix; the grid takes all of a party's grid kets g at once, as the real
-rows conj(g) (x) g in real Hermitian coordinates (`_hermitian_coordinates`).
+Both read the projector as one real tensor, its coefficients in each
+party's real Hermitian coordinates (`_coefficient_tensor`), and a party's
+factor f as the real row U_d (conj(f) (x) f). The search holds one such row
+per restart and party and updates it in place of f (in closed form on a
+qubit); the grid takes all of a party's grid kets at once.
 """
 
 from __future__ import annotations
@@ -136,6 +137,91 @@ def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
+def _hermitian_coordinates(d: int) -> np.ndarray:
+    """Unitary U_d on C^(d*d) taking a Hermitian d x d matrix M, flattened
+    row-major, to real coordinates: the d diagonal entries, then sqrt(2) Re
+    and sqrt(2) Im of each entry above the diagonal."""
+    u = np.zeros((d * d, d * d), dtype=complex)
+    u[np.arange(d), np.arange(d) * (d + 1)] = 1.0
+    a, b = np.triu_indices(d, 1)
+    re = d + 2 * np.arange(len(a))
+    upper, lower = a * d + b, b * d + a
+    u[re, upper] = u[re, lower] = np.sqrt(0.5)
+    u[re + 1, upper], u[re + 1, lower] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
+    return u
+
+
+def _coefficient_tensor(subspace: Subspace) -> tuple[np.ndarray, list[np.ndarray]]:
+    """P's coefficients on the parties' Hermitian bases, one axis of d*d per
+    party, and the U_d whose rows name those bases.
+
+    With P's (out, in) index pairs interleaved party by party, <f|P|f> for a
+    product f is P contracted with conj(f_t) (x) f_t for each party t in
+    turn. In each party's real Hermitian coordinates both sides are real, so
+    <f|P|f> is this real tensor contracted with the rows U_d (conj(f_t) (x) f_t).
+    """
+    dims = subspace.dims
+    tensor = subspace.projector.reshape(*dims, *dims).transpose(paired(len(dims)))
+    units = [_hermitian_coordinates(d) for d in dims]
+    coeffs = contract_factors(tensor, [u.conj() for u in units]).real
+    return coeffs.reshape([d * d for d in dims]), units
+
+
+def _ket_coordinates(f: np.ndarray) -> np.ndarray:
+    """Row z is U_d (conj(f[z]) (x) f[z]), entry by entry: |f_a|^2, then
+    sqrt(2) Re and sqrt(2) Im of conj(f_a) f_b for each a < b. Each row is
+    computed on its own, so its digits do not depend on the stack it is in."""
+    n, d = f.shape
+    a, b = np.triu_indices(d, 1)
+    off = np.sqrt(2) * f[:, a].conj() * f[:, b]
+    x = np.empty((n, d * d))
+    x[:, :d] = f.real ** 2 + f.imag ** 2
+    x[:, d::2], x[:, d + 1::2] = off.real, off.imag
+    return x
+
+
+def _slot_step(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue of each slot operator, given by its real coordinates h
+    (one row per restart), and the coordinates of a projector onto a top
+    eigenvector, both computed row by row.
+
+    A qubit slot is closed form: with a = (h0 - h1)/2 and R the length of
+    (a, h2/sqrt(2), h3/sqrt(2)), the top eigenvalue is (h0 + h1)/2 + R and
+    the projector is (1/2 + a/(2R), 1/2 - a/(2R), h2/(2R), h3/(2R)). Where
+    R = 0 the operator is a multiple of the identity, and |0><0| is taken.
+    Larger slots rebuild the d x d operator h @ U_d (read row-major) entry by
+    entry, h_a on the diagonal and (h_re - i h_im)/sqrt(2) above it, for `eigh`.
+    """
+    if d == 2:
+        a = 0.5 * (h[:, 0] - h[:, 1])
+        # hypot, not a root of squares, so that tiny entries do not underflow
+        r = np.hypot(a, np.sqrt(0.5) * np.hypot(h[:, 2], h[:, 3]))
+        flat = r == 0
+        s = 0.5 / np.where(flat, 1.0, r)
+        x = h * s[:, None]
+        # the diagonal from a, not from h_k - (h0 + h1)/2: |a| <= R keeps it
+        # in [0, 1] with unit trace even when R is at the rounding scale
+        x[:, 0] = 0.5 + a * s
+        x[:, 1] = 0.5 - a * s
+        x[flat] = (1.0, 0.0, 0.0, 0.0)
+        return 0.5 * (h[:, 0] + h[:, 1]) + r, x
+    a, b = np.triu_indices(d, 1)
+    m = np.zeros((len(h), d, d), dtype=complex)
+    m[:, np.arange(d), np.arange(d)] = h[:, :d]
+    m[:, a, b] = np.sqrt(0.5) * (h[:, d::2] - 1j * h[:, d + 1::2])
+    m[:, b, a] = m[:, a, b].conj()
+    w, v = np.linalg.eigh(m)
+    return w[:, -1], _ket_coordinates(v[..., -1])
+
+
+def _ket_from_coordinates(x: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:
+    """A unit ket f with U_d (conj(f) (x) f) = x, for the coordinates x of a
+    rank-one projector: x @ U_d is f f^dagger, whose column k is f conj(f_k)."""
+    ff = (x @ u).reshape(d, d)
+    k = int(np.argmax(ff.diagonal().real))
+    return ff[:, k] / np.linalg.norm(ff[:, k])
+
+
 def max_product_overlap(subspace: Subspace, restarts: int | None = None,
                         seed: int = 0, tol: float = 1e-12,
                         max_sweeps: int = 500) -> ProductCandidate:
@@ -145,11 +231,17 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     from (seed, restart index), so results do not depend on evaluation order)
     and alternates over the parties: with all factors but one fixed, the
     optimal remaining factor is the top eigenvector of the contracted
-    operator, the restart's row conj(f_t) (x) f_t over the other parties t
-    times the slot's shared matrix. The objective never decreases within a
-    restart. Restarts are independent, bit for bit, and run in lockstep; the
-    best is merged by (overlap, lowest restart index), so the result does
-    not depend on the schedule.
+    operator. A restart holds each factor f as the real Hermitian
+    coordinates U_d (conj(f) (x) f) of its projector, and each slot has one
+    real matrix shared by all restarts, P's coefficient tensor
+    (`_coefficient_tensor`) with that slot's axis last. A slot step is the
+    Kronecker product of the restart's rows for the other parties times that
+    matrix, which gives the slot operator's coordinates, and then
+    `_slot_step`, closed form on a qubit slot. The objective never decreases
+    within a restart. Restarts are independent, bit for bit, and run in
+    lockstep; the best is merged by (overlap, lowest restart index), so the
+    result does not depend on the schedule. The winner's factor kets are
+    read back from its coordinates once, at the end.
 
     A restart stops when a sweep gains less than `tol`, or at `max_sweeps`.
     After each sweep the leader is the restart with the highest overlap so
@@ -168,34 +260,27 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     dims = subspace.dims
-    n_par = len(dims)
-    tensor = subspace.projector.reshape(*dims, *dims).transpose(paired(n_par))
-    # slot s's matrix, shared by all restarts: rows run over the (out, in)
-    # pairs of the other parties in party order, columns over slot s's pair
-    mats = [np.moveaxis(tensor, (2 * s, 2 * s + 1), (-2, -1)).reshape(-1, d * d)
-            for s, d in enumerate(dims)]
+    coeffs, units = _coefficient_tensor(subspace)
+    # slot s's matrix, shared by all restarts: rows run over the other
+    # parties' coordinates in party order, columns over slot s's
+    mats = [np.moveaxis(coeffs, s, -1).reshape(-1, d * d) for s, d in enumerate(dims)]
     # each restart draws its factors from a private stream keyed by its index
-    factors = keyed_haar_kets(dims, restarts, [seed])
+    coords = [_ket_coordinates(f) for f in keyed_haar_kets(dims, restarts, [seed])]
+    live = list(coords)     # the rows of the restarts in `alive`, compacted as they stop
     obj = np.zeros(restarts)
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     retired = 0
     alive = np.arange(restarts)
     for sweep in range(1, max_sweeps + 1):
-        prev_sweep = obj[alive].copy()
-        cur = obj[alive]
-        for slot in range(n_par):
-            # row z is conj(f_t) (x) f_t over the other parties t of restart z
-            others = [f[alive] for t, f in enumerate(factors) if t != slot]
-            rows = reduce(_row_kron, [_row_kron(f.conj(), f) for f in others])
+        prev_sweep = obj[alive]
+        cur = prev_sweep
+        for slot, (d, mat) in enumerate(zip(dims, mats)):
+            rows = reduce(_row_kron, [x for t, x in enumerate(live) if t != slot])
             # a two-operand einsum without `optimize` sums each row on its own
             # (a BLAS `rows @ mat` does not), so a restart's digits do not
             # depend on which other restarts are still alive
-            m = np.einsum("zi,ij->zj", rows, mats[slot]).reshape(-1, dims[slot], dims[slot])
-            m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-            w, v = np.linalg.eigh(m)
-            factors[slot][alive] = v[..., -1]
-            new = w[..., -1].real
+            new, live[slot] = _slot_step(np.einsum("zi,ij->zj", rows, mat), d)
             if float(np.min(new - cur)) < -1e-9:
                 raise RuntimeError("alternating maximization decreased")
             cur = new
@@ -210,12 +295,16 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
             (cur + gain * (max_sweeps - sweep) < best)
             | (best - cur <= PRODUCT_FOUND_TOL))
         retired += int(np.count_nonzero(retire))
-        alive = alive[running & ~retire]
+        keep = running & ~retire
+        for x, y in zip(coords, live):
+            x[alive] = y
+        live = [y[keep] for y in live]
+        alive = alive[keep]
         if alive.size == 0:
             break
     best_idx = int(np.argmax(obj))      # ties resolve to the lowest index
-    best_factors = [np.ascontiguousarray(factors[t][best_idx])
-                    for t in range(n_par)]
+    best_factors = [_ket_from_coordinates(x[best_idx], d, u)
+                    for x, d, u in zip(coords, dims, units)]
     return ProductCandidate(best_factors, float(obj[best_idx]),
                             restart_index=best_idx, sweeps=int(sweeps[best_idx]),
                             converged=bool(converged[best_idx]), retired=retired)
@@ -292,20 +381,6 @@ def _grid_factors(dim: int, resolution: int) -> np.ndarray:
     return out
 
 
-def _hermitian_coordinates(d: int) -> np.ndarray:
-    """Unitary U_d on C^(d*d) taking a Hermitian d x d matrix M, flattened
-    row-major, to real coordinates: the d diagonal entries, then sqrt(2) Re
-    and sqrt(2) Im of each entry above the diagonal."""
-    u = np.zeros((d * d, d * d), dtype=complex)
-    u[np.arange(d), np.arange(d) * (d + 1)] = 1.0
-    a, b = np.triu_indices(d, 1)
-    re = d + 2 * np.arange(len(a))
-    upper, lower = a * d + b, b * d + a
-    u[re, upper] = u[re, lower] = np.sqrt(0.5)
-    u[re + 1, upper], u[re + 1, lower] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
-    return u
-
-
 def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     """Exhaustive product-overlap maximum over the gauge-fixed grid.
 
@@ -313,12 +388,10 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     this is a practical bound, not a proven tight one. Raises when the grid
     would be astronomically large; the alternating search has no such limit.
 
-    With the projector's (out, in) index pairs interleaved party by party,
-    <g|P|g> for a product g is P contracted with conj(g_t) (x) g_t for each
-    party t in turn, so all grid points of a party are absorbed by one
-    matrix product. Both sides are taken in each party's real Hermitian
-    coordinates (see `_hermitian_coordinates`), where they are real, so the
-    products are real too. The first party's grid is taken in chunks of at
+    <g|P|g> for a product g is P's real coefficient tensor
+    (`_coefficient_tensor`) contracted with each party's row
+    U_d (conj(g_t) (x) g_t), so all grid points of a party are absorbed by
+    one real matrix product. The first party's grid is taken in chunks of at
     most GRID_CHUNK_VALUES results, and only one chunk is held at a time.
     """
     if resolution < 2:
@@ -332,11 +405,7 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
         raise ValueError(
             f"grid of {total} product states exceeds the {GRID_MAX_EVALS} evaluation "
             f"budget; use max_product_overlap (alternating search) instead")
-    tensor = subspace.projector.reshape(*dims, *dims).transpose(paired(len(dims)))
-    units = [_hermitian_coordinates(d) for d in dims]
-    # P's coefficients on the Hermitian basis the rows of the U_d name, real
-    # because P is Hermitian
-    coeffs = contract_factors(tensor, [u.conj() for u in units]).real
+    coeffs, units = _coefficient_tensor(subspace)
     # row n of a party's matrix is U_d (conj(g_n) (x) g_n) for its n-th grid
     # ket g_n, real because conj(g_n) (x) g_n is a Hermitian matrix
     mats = [(_row_kron(g.conj(), g) @ u.T).real

@@ -191,6 +191,9 @@ def test_renyi_gap_e21(tmp_path):
     ["renyi-gap", "--budget", "0"],
     ["verify", "--suite", "renyi", "--budget", "0"],
     ["verify", "--suite", "all", "--budget", "0"],
+    ["renyi-gap", "--budget", "100001"],
+    ["renyi-gap", "--budget", "100000000"],
+    ["verify", "--suite", "renyi", "--budget", "100001"],
 ])
 def test_budget_below_one_is_a_usage_error(args, tmp_path, capsys, searched):
     out = tmp_path / "report.json"
@@ -204,7 +207,8 @@ def test_budget_below_one_is_a_usage_error(args, tmp_path, capsys, searched):
 
 @pytest.mark.parametrize("command", [["verify", "--suite", "all"], ["renyi-gap"]])
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--restarts", "0"),
-                                         ("--restarts", "-4")])
+                                         ("--restarts", "-4"), ("--restarts", "5001"),
+                                         ("--restarts", "5000000")])
 def test_bad_seed_or_restarts_is_refused_before_any_suite(command, flag, value,
                                                           tmp_path, capsys, searched):
     out = tmp_path / "report.json"

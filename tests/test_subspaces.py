@@ -20,6 +20,9 @@ from zecap.linalg import (
 from zecap.subspaces import (
     Subspace,
     _grid_factors,
+    _hermitian_coordinates,
+    _ket_coordinates,
+    _slot_step,
     certify_completely_entangled,
     exact_symmetry_checks,
     grid_product_overlap,
@@ -221,11 +224,14 @@ def test_em1_m4_search_keeps_its_winner_while_retiring_stragglers():
     # retirement, which ran all 100 restarts for all 500 sweeps
     sub = subspace_from_terms([2] * 4, em1_spanning_terms(4))
     cand = max_product_overlap(sub, restarts=100, seed=0)
-    assert cand.overlap == 0.8749999764783223
+    assert cand.overlap == 0.8749999764783232
     assert cand.restart_index == 51
     assert cand.sweeps == 500
     assert not cand.converged
     assert cand.retired > 0
+    # the qubit factors are read back from their projector coordinates
+    x = cand.ket()
+    assert abs(np.vdot(x, sub.projector @ x).real - cand.overlap) < 1e-12
     cert = certify_completely_entangled(sub, restarts=100, seed=0)
     assert cert.verdict == "certified-CE"
     assert (cert.converged, cert.retired) == (False, cand.retired)
@@ -255,6 +261,49 @@ def test_search_on_unequal_party_dimensions():
     x = cand.ket()
     assert abs(np.vdot(x, sub.projector @ x).real - cand.overlap) < 1e-12
     assert cand.overlap >= grid_product_overlap(sub, resolution=5) - 1e-9
+
+
+def _qubit_coordinates(m):
+    # the real coordinates h of a stack of 2 x 2 Hermitian m with h @ U_2 = m
+    return np.einsum("ij,zj->zi", _hermitian_coordinates(2).conj(), m.reshape(-1, 4)).real
+
+
+def test_qubit_step_matches_eigh():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+    m = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    lam, x = _slot_step(_qubit_coordinates(m), 2)
+    w, v = np.linalg.eigh(m)
+    assert np.max(np.abs(lam - w[:, -1])) < 1e-14
+    assert np.max(np.abs(x - _ket_coordinates(v[..., -1]))) < 1e-12
+
+
+@pytest.mark.parametrize("h", [
+    (0.3, 0.3, 0.0, 0.0),               # m = c I: every unit ket is a top eigenvector
+    (1.0, 1.0, 1e-160, 0.0),            # off-diagonal entry whose square underflows
+    (1.0, 1.0 - 2e-16, 0.0, 3e-17),     # degenerate up to rounding
+    (1.0, np.nextafter(1.0, 0.0), 0.0, 0.0),    # (h0 + h1)/2 rounds to h0
+    (2.0, 1.0, 1e-300, -1e-300),        # diagonal up to a subnormal-scale entry
+])
+def test_qubit_step_gives_a_unit_projector_near_degeneracy(h):
+    h = np.array([h])
+    lam, x = _slot_step(h, 2)
+    assert np.all(np.isfinite(x)) and np.isfinite(lam[0])
+    assert abs(x[0, 0] + x[0, 1] - 1) < 1e-12            # unit trace
+    assert abs(np.sum(x[0] ** 2) - 1) < 1e-12            # tr P^2 = 1: rank one
+    assert abs(x[0] @ h[0] - lam[0]) < 1e-12             # tr(P m) is the eigenvalue
+    assert lam[0] >= max(h[0, 0], h[0, 1]) - 1e-15
+
+
+def test_qubit_search_runs_no_eigh(em14, monkeypatch):
+    sub = em14.payload.s0
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    cand = max_product_overlap(sub, restarts=20, seed=3)
+    assert calls == []
+    x = cand.ket()
+    assert abs(np.vdot(x, sub.projector @ x).real - cand.overlap) < 1e-12
 
 
 def test_converged_search_reports_convergence(s0_e21):
