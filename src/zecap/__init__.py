@@ -31,10 +31,8 @@ from .protocols import (
 from .renyi import (
     AdditivityGapReport,
     RankSearchResult,
-    RenyiEstimate,
     additivity_gap_at_zero,
     min_output_rank_search,
-    min_output_renyi,
     renyi_entropy,
 )
 from .subspaces import (

@@ -388,13 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--restarts", type=int, default=None,
                           help="restart budget for product-state searches")
     p_verify.add_argument("--budget", type=int, default=800,
-                          help="optimizer budget for the p=0 gap suite")
+                          help="cap on the p=0 gap suite's two-use rank search, "
+                               "which stops once the gap is decided")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gap = sub.add_parser("renyi-gap", parents=[common],
                            help="p=0 additivity gap for the channel's subspace")
     p_gap.add_argument("--budget", type=int, default=5000,
-                       help="optimizer restart budget for the two-use search")
+                       help="cap on the two-use rank search, which stops once "
+                            "the gap is decided")
     p_gap.add_argument("--restarts", type=int, default=None,
                        help="restart budget for the complement certification")
     p_gap.set_defaults(func=cmd_renyi_gap)

@@ -276,7 +276,9 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
         prev_sweep = obj[alive]
         cur = prev_sweep
         for slot, (d, mat) in enumerate(zip(dims, mats)):
-            rows = reduce(_row_kron, [x for t, x in enumerate(live) if t != slot])
+            others = [x for t, x in enumerate(live) if t != slot]
+            # one party has no others: its row product is a column of ones
+            rows = reduce(_row_kron, others) if others else np.ones((len(alive), 1))
             # a two-operand einsum without `optimize` sums each row on its own
             # (a BLAS `rows @ mat` does not), so a restart's digits do not
             # depend on which other restarts are still alive

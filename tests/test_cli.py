@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -172,6 +173,49 @@ def test_ce_grid_on_a_one_dimensional_sender(tmp_path):
                 "--out", str(out)]) == 1
     checks = {c["name"]: c["value"] for c in read_report(out)["checks"]}
     assert checks["ce/S0"] >= 1 - 1e-6 and checks["ce/S0/grid"] >= 1 - 0.05
+
+
+def test_one_sender_spec_reports_its_product_states(tmp_path):
+    # every state of a single party is a product state: the ce rows fail with
+    # overlap 1 in a report, not in a traceback
+    unit = {"r": [1, 1], "s": [0, 1]}
+    spec = {"format": "zecap-channel/1", "name": "one-sender",
+            "kind": "binary-projective", "sender_dims": [2], "receiver_dims": [2],
+            "u_slots": [0], "s0_basis": [[{"index": 0, "coeff": {"re": unit}}]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for suite in ("all", "ce"):
+        out = tmp_path / f"{suite}.json"
+        assert run(["verify", "--spec", str(path), "--suite", suite, "--seed", "0",
+                    "--out", str(out)]) == 1
+        doc = read_report(out)
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert doc["verdict"] == "fail"
+        for label in ("S0", "S1"):
+            assert checks[f"ce/{label}"]["value"] == 1.0
+            assert checks[f"ce/{label}"]["passed"] is False
+        assert checks["ce/alpha-local-one"]["value"] is False
+
+
+# sha256 of two whole reports, pinned when the gap search began to stop at
+# its verdict; any later change to their bytes is a behaviour change to argue
+GOLDEN_DIGESTS = {
+    "renyi-gap e21": "881e3f283b7eac18681fe7d85014fea7ba70b8194050ef16519fa245f84c73fe",
+    "verify --spec e21": "b2b53b062509f107151386d0fbe7a620051e75e7344583e0c88574498978b3d8",
+}
+
+
+def test_golden_report_digests(tmp_path, capsys):
+    spec = tmp_path / "e21.json"
+    assert run(["describe", "e21", "--out", str(spec)]) == 0
+    digests = {}
+    for label, argv in (
+            ("renyi-gap e21", ["renyi-gap", "--builtin", "e21", "--budget", "5000"]),
+            ("verify --spec e21", ["verify", "--spec", str(spec), "--suite", "all"])):
+        capsys.readouterr()
+        assert run(argv + ["--seed", "0"]) == 0
+        digests[label] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == GOLDEN_DIGESTS
 
 
 def test_renyi_gap_e21(tmp_path):

@@ -23,7 +23,6 @@ from zecap.renyi import (
     _output_spectrum,
     additivity_gap_at_zero,
     min_output_rank_search,
-    min_output_renyi,
     renyi_entropy,
     spectrum_rank,
     structured_rank_seeds,
@@ -105,48 +104,46 @@ def test_renyi_p_one_is_a_limit():
 
 
 # ---------------------------------------------------------------------------
-# minimum output entropy
+# minimum output rank
 # ---------------------------------------------------------------------------
 
 def test_min_output_identity_channel():
-    for p in (0, 1, 2, np.inf):
-        est = min_output_renyi(identity_channel(), p, restarts=4, seed=0)
-        assert est.value < 1e-7
+    res = min_output_rank_search(identity_channel(), restarts=4, seed=0)
+    assert res.best_rank == 1
+    assert renyi_entropy(apply_channel_to_ket(identity_channel(), res.achiever), 0) == 0.0
 
 
 def test_min_output_depolarizing():
     ch = depolarizing_to_mixed()
-    for p in (0, 1, 2):
-        est = min_output_renyi(ch, p, restarts=4, seed=0)
-        assert abs(est.value - 1.0) < 1e-9
+    res = min_output_rank_search(ch, restarts=4, seed=0)
+    assert res.best_rank == 2
+    assert max_abs(res.output_spectrum - 0.5) < 1e-12
 
 
 def test_min_output_rank_zero_for_projective(e21):
     # states inside the measured subspace give a pure flag output
-    est = min_output_renyi(e21, 0, restarts=20, seed=0)
-    assert est.value == 0.0
+    assert min_output_rank_search(e21, restarts=20, seed=0).best_rank == 1
 
 
 def test_estimate_is_reproducible_from_achiever(e21):
     ch = make_cj_channel(e21.payload.s0)
-    est = min_output_renyi(ch, 2, restarts=10, seed=1)
-    rho = apply_channel_to_ket(ch, est.achiever)
+    res = min_output_rank_search(ch, restarts=10, seed=1)
+    rho = apply_channel_to_ket(ch, res.achiever)
     w = np.linalg.eigvalsh(rho)[::-1]
     w = np.clip(w, 0, None)
     w /= w.sum()
-    assert max_abs(w - est.output_spectrum) < 1e-9
-    assert abs(renyi_entropy(rho, 2) - est.value) < 1e-9
+    assert max_abs(w - res.output_spectrum) < 1e-9
+    assert renyi_entropy(rho, 0) == np.log2(res.best_rank)
 
 
 def test_pure_inputs_beat_mixed_samples(e21):
     ch = make_cj_channel(e21.payload.s0)
     rng = np.random.default_rng(3)
-    for p in (0.5, 2):
-        est = min_output_renyi(ch, p, restarts=10, seed=2)
-        for _ in range(25):
-            rho = random_density(4, rng)
-            out = sum(k @ rho @ k.conj().T for k in to_kraus(ch))
-            assert renyi_entropy(out, p) >= est.value - 1e-7
+    best = min_output_rank_search(ch, restarts=10, seed=2).best_rank
+    for _ in range(25):
+        rho = random_density(4, rng)
+        out = sum(k @ rho @ k.conj().T for k in to_kraus(ch))
+        assert renyi_entropy(out, 0) >= np.log2(best)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +171,8 @@ def test_rank_search_unitary_like_channel():
     res = min_output_rank_search(ch, restarts=10, seed=0)
     assert res.best_rank == 1
     assert res.second_eigenvalue < 1e-9
+    # with no seeds the random restarts alone make the pool
+    assert min_output_rank_search(ch, seeds=[], restarts=10, seed=0).best_rank == 1
 
 
 def test_rank_one_criterion_oracle_equivalence():
@@ -373,21 +372,67 @@ def test_single_use_search_runs_without_a_certified_complement(e21, rank_searche
     assert rank_searches == [2, 4, 4, 16]
 
 
-def test_renyi_search_starts_from_each_restart_stream(monkeypatch):
-    starts = []
-    minimize = zecap.renyi.minimize
+@pytest.fixture
+def calls(monkeypatch):
+    """The functions the rank search called, by name, in order: the random
+    pool's draw and each L-BFGS run."""
+    seen = []
+    for name in ("keyed_haar_kets", "minimize"):
+        original = getattr(zecap.renyi, name)
 
-    def recording(fun, x0, **kwargs):
-        starts.append(np.array(x0))
-        return minimize(fun, x0, **kwargs)
+        def recording(*args, _name=name, _original=original, **kwargs):
+            seen.append((_name, args[0] if _name == "keyed_haar_kets" else None))
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(zecap.renyi, "minimize", recording)
-    min_output_renyi(identity_channel(3), 2.0, restarts=4, seed=5)
-    assert len(starts) == 4
-    for r, x0 in enumerate(starts):
-        rng = np.random.default_rng([5, r])
-        first, second = haar_ket(3, rng), haar_ket(3, rng)
-        assert x0.tobytes() == np.concatenate([first.real, second.imag]).tobytes()
+        monkeypatch.setattr(zecap.renyi, name, recording)
+    return seen
+
+
+def test_decided_gap_draws_no_pool_and_runs_no_walk(e21, calls):
+    report = additivity_gap_at_zero(e21.payload.s0, budget=5000, seed=0)
+    assert calls == []
+    assert report.verdict == "gap-found"
+    assert report.two_use_rank == E21_TWO_USE_RANK
+    assert report.two_use_result.tried_ranks == {}
+    assert report.two_use_result.achiever.tobytes() == max_entangled_ket(4).tobytes()
+
+
+@pytest.mark.parametrize("name", ["e21", "variant34"])
+def test_stopping_at_the_floor_keeps_the_two_use_result(name, request):
+    two = tensor_power(make_cj_channel(request.getfixturevalue(name).payload.s0), 2)
+    full = min_output_rank_search(two, restarts=2000, seed=1, refine_per_rank=25)
+    stopped = min_output_rank_search(two, restarts=2000, seed=1, refine_per_rank=25,
+                                     stop_below=16)
+    assert full.best_rank == stopped.best_rank == 15
+    assert 14 in full.tried_ranks and stopped.tried_ranks == {}
+    assert full.achiever.tobytes() == stopped.achiever.tobytes()
+    assert full.output_spectrum.tobytes() == stopped.output_spectrum.tobytes()
+    assert full.second_eigenvalue == stopped.second_eigenvalue
+
+
+def test_rank_search_stops_at_the_first_stage_below_the_threshold(calls):
+    # two uses of a channel that reaches rank 1: every seed has rank 4, the
+    # random pool reaches 3, and the walk goes down to 2 and then 1
+    sub = Subspace.from_span([2, 2], [max_entangled_ket(2), basis_ket([2, 2], 1)])
+    two = tensor_power(make_cj_channel(sub), 2)
+    full = min_output_rank_search(two, restarts=20, seed=0)
+    assert (full.best_rank, sorted(full.tried_ranks)) == (1, [1, 2])
+    by_pool = min_output_rank_search(two, restarts=20, seed=0, stop_below=4)
+    assert (by_pool.best_rank, by_pool.tried_ranks) == (3, {})
+    by_walk = min_output_rank_search(two, restarts=20, seed=0, stop_below=3)
+    assert by_walk.best_rank == 2
+    assert by_walk.tried_ranks == {2: full.tried_ranks[2]}
+    # no seed decides either search, so each draws its pool once
+    assert [a for name, a in calls if name == "keyed_haar_kets"] == [[4]] * 3
+
+
+def test_an_uncertified_complement_runs_the_pool_and_the_walk(e21, calls):
+    report = additivity_gap_at_zero(e21.payload.s0, budget=50, seed=0, ce_restarts=2)
+    assert report.complement_certificate.verdict != "certified-CE"
+    assert report.verdict == "inconclusive"
+    assert ("keyed_haar_kets", [16]) in calls
+    assert 14 in report.two_use_result.tried_ranks
+    assert report.two_use_result.best_rank == E21_TWO_USE_RANK
 
 
 def test_rank_search_refuses_a_negative_seed():

@@ -127,6 +127,17 @@ def test_full_space_gives_overlap_one():
     assert cand.overlap > 1 - 1e-9
 
 
+def test_one_party_subspace_is_all_product_states():
+    # a single party has no others to contract with: every state of the
+    # span is a product state, found with overlap 1 in the first sweep
+    sub = Subspace.from_span([4], [basis_ket([4], 0), basis_ket([4], 1)])
+    cand = max_product_overlap(sub, restarts=5, seed=0)
+    assert abs(cand.overlap - 1.0) < 1e-12
+    assert cand.converged and cand.sweeps == 2
+    assert abs(np.vdot(cand.ket(), sub.projector @ cand.ket()).real - 1.0) < 1e-12
+    assert certify_completely_entangled(sub, seed=0).verdict == "product-state-found"
+
+
 def test_single_entangled_state_overlap_half():
     sub = Subspace.from_span([2, 2], [max_entangled_ket(2)])
     cand = max_product_overlap(sub, restarts=50, seed=0)
