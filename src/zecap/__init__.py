@@ -5,7 +5,6 @@ from .channels import (
     apply_channel,
     apply_channel_to_ket,
     check_trace_preserving,
-    choi_matrix,
     extend_trivial_parties,
     make_cj_channel,
     make_e12,

@@ -4,7 +4,8 @@ A channel is its sender/receiver factor structure, one stack of one-use
 Kraus operators of shape (K, out, in), and a number of parallel uses. k uses
 share the one-use stack: they are applied by contracting it into each use's
 input factors in turn, so no Kronecker expansion over k uses is ever built.
-Flag-output channels also carry their measured subspaces as `payload`.
+Each channel kind has one constructor, which keeps the exact data it was
+built from: `payload` for flag-output channels, `cq_outputs` for cq ones.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class BinaryProjectivePayload:
     s0: Subspace
     s1: Subspace
     u_slots: tuple[int, ...]           # slots where the conjugation identity holds
-    exact_s0: list | None = None       # exact column vectors spanning S0, unnormalized
+    exact_s0: list                     # exact column vectors spanning S0, unnormalized
 
     @property
     def p0(self) -> np.ndarray:
@@ -74,8 +75,9 @@ class MultiUserChannel:
     partition metadata.
 
     `kraus` is the write-protected one-use stack (K, out, in); the dims list
-    the factors of every use, use-major. `payload` holds the measured
-    subspaces of one use of a flag-output channel and is None for every
+    the factors of every use, use-major. `payload` (a flag-output channel's
+    subspaces) and `cq_outputs` (a cq channel's exact outputs, per input a
+    list of (weight, ket terms)) describe one use; both are None for every
     other channel, tensor powers included.
     """
 
@@ -85,6 +87,7 @@ class MultiUserChannel:
     uses: int = 1
     name: str = ""
     payload: BinaryProjectivePayload | None = None
+    cq_outputs: list[list[tuple[Fraction, list[tuple[int, Coeff]]]]] | None = None
 
     def __post_init__(self) -> None:
         ops = np.asarray(self.kraus, dtype=complex)
@@ -218,15 +221,6 @@ def extend_trivial_parties(channel: MultiUserChannel,
     )
 
 
-def choi_matrix(channel: MultiUserChannel) -> np.ndarray:
-    """(channel x id) on the unnormalized maximally entangled operator, for
-    one use. Index order is (output factor, input factor)."""
-    if channel.uses != 1:
-        raise ValueError("choi_matrix takes one use of a channel")
-    vecs = channel.kraus.reshape(len(channel.kraus), -1)
-    return vecs.T @ vecs.conj()
-
-
 # ---------------------------------------------------------------------------
 # concrete constructors
 # ---------------------------------------------------------------------------
@@ -235,6 +229,7 @@ _M1 = Coeff(Fraction(-1))
 _P1 = Coeff(Fraction(1))
 _PRT2 = Coeff(b=Fraction(1))      # +sqrt(2)
 _MRT2 = Coeff(b=Fraction(-1))     # -sqrt(2)
+_HRT2 = Coeff(b=Fraction(1, 2))   # 1/sqrt(2)
 
 
 def _pair_index(a: int, b: int, db: int = 4) -> int:
@@ -281,64 +276,76 @@ def em1_spanning_terms(m: int) -> list[list[tuple[int, Coeff]]]:
     return vectors
 
 
-def _terms_to_float(terms: list[tuple[int, Coeff]], total: int) -> np.ndarray:
+def _float_ket(total: int, terms: list[tuple[int, Coeff]]) -> np.ndarray:
     return ket_from_terms([total], [(i, complex(c)) for i, c in terms])
 
 
 def binary_projective_channel(sender_dims: Sequence[int],
-                              payload: BinaryProjectivePayload,
+                              spanning_terms: list[list[tuple[int, Coeff]]],
+                              u_slots: Sequence[int],
                               name: str = "") -> MultiUserChannel:
-    """Measure {P0, P1} and emit the outcome as a flag qubit: one Kraus
-    operator |l><e| per orthonormal basis vector e of S_l."""
+    """Measure {P0, P1}, with S0 the span of the given exact vectors and S1
+    its complement, and emit the outcome as a flag qubit: one Kraus operator
+    |l><e| per orthonormal basis vector e of S_l."""
+    total = dim_of(sender_dims)
+    s0 = Subspace.from_span(sender_dims, [_float_ket(total, t) for t in spanning_terms])
+    if not spanning_terms or s0.dim < len(spanning_terms):
+        raise ValueError(f"s0_basis: {len(spanning_terms)} vectors span {s0.dim} "
+                         "dimensions; give one or more linearly independent vectors")
+    payload = BinaryProjectivePayload(
+        s0=s0, s1=s0.complement(), u_slots=tuple(u_slots),
+        exact_s0=[exact_vector(total, t) for t in spanning_terms])
     b0, b1 = payload.s0.basis, payload.s1.basis
-    ops = np.zeros((len(b0) + len(b1), 2, dim_of(sender_dims)), dtype=complex)
+    ops = np.zeros((len(b0) + len(b1), 2, total), dtype=complex)
     ops[:len(b0), 0] = b0.conj()
     ops[len(b0):, 1] = b1.conj()
     return MultiUserChannel(tuple(sender_dims), (2,), ops, name=name,
                             payload=payload)
 
 
-def _binary_projective(sender_dims: Sequence[int],
-                       spanning_terms: list[list[tuple[int, Coeff]]],
-                       u_slots: Sequence[int], name: str) -> MultiUserChannel:
-    total = dim_of(sender_dims)
-    span = [_terms_to_float(t, total) for t in spanning_terms]
-    s0 = Subspace.from_span(sender_dims, span)
-    payload = BinaryProjectivePayload(
-        s0=s0, s1=s0.complement(), u_slots=tuple(u_slots),
-        exact_s0=[exact_vector(total, t) for t in spanning_terms])
-    return binary_projective_channel(sender_dims, payload, name)
+def cq_channel(sender_dims: Sequence[int], receiver_dims: Sequence[int],
+               outputs: list[list[tuple[Fraction, list[tuple[int, Coeff]]]]],
+               name: str = "") -> MultiUserChannel:
+    """Classical-quantum channel: basis input k goes to the mixture of the
+    (weight w, exact ket) components in outputs[k], one Kraus operator
+    sqrt(w)|ket><k| per component."""
+    n_in, n_out = dim_of(sender_dims), dim_of(receiver_dims)
+    ops = np.zeros((sum(map(len, outputs)), n_out, n_in), dtype=complex)
+    components = ((k, w, t) for k, comps in enumerate(outputs) for w, t in comps)
+    for op, (k, weight, terms) in zip(ops, components):
+        op[:, k] = np.sqrt(float(weight)) * _float_ket(n_out, terms)
+    return MultiUserChannel(tuple(sender_dims), tuple(receiver_dims), ops,
+                            name=name, cq_outputs=outputs)
 
 
 def make_e21() -> MultiUserChannel:
     """Two senders with 4-dimensional inputs, one qubit receiver."""
-    return _binary_projective([4, 4], e21_spanning_terms(), (0, 1), "e21")
+    return binary_projective_channel([4, 4], e21_spanning_terms(), (0, 1), "e21")
 
 
 def make_variant34() -> MultiUserChannel:
     """Input reduced to 3x4; the conjugation identity holds on the 4-dim slot only."""
-    return _binary_projective([3, 4], variant34_spanning_terms(), (1,), "variant34")
+    return binary_projective_channel([3, 4], variant34_spanning_terms(), (1,),
+                                     "variant34")
 
 
 def make_em1(m: int) -> MultiUserChannel:
     """m qubit senders, one qubit receiver; conjugation identity on every slot."""
-    if m < 2:
-        raise ValueError("the m-qubit family needs m >= 2")
     check_input_dim(itertools.repeat(2, m))
-    return _binary_projective([2] * m, em1_spanning_terms(m), tuple(range(m)),
-                              f"em1:{m}")
+    return binary_projective_channel([2] * m, em1_spanning_terms(m), tuple(range(m)),
+                                     f"em1:{m}")
 
 
 def make_e12() -> MultiUserChannel:
     """One qubit sender, two qubit receivers: |0> -> the maximally entangled
     pair (|00> + |11>)/sqrt(2); |1> -> the normalized complement state, an even
     mixture of |01>, |10> and (|00> - |11>)/sqrt(2)."""
-    r, t = 2 ** -0.5, 3 ** -0.5
-    ops = np.zeros((4, 4, 2), dtype=complex)
-    ops[0, [0, 3], 0] = r
-    ops[1, 1, 1] = ops[2, 2, 1] = t
-    ops[3, [0, 3], 1] = r * t, -r * t
-    return MultiUserChannel((2,), (2, 2), ops, name="e12")
+    third = Fraction(1, 3)
+    return cq_channel((2,), (2, 2), [
+        [(Fraction(1), [(0, _HRT2), (3, _HRT2)])],
+        [(third, [(1, _P1)]), (third, [(2, _P1)]),
+         (third, [(0, _HRT2), (3, Coeff(b=Fraction(-1, 2)))])],
+    ], "e12")
 
 
 def make_cj_channel(subspace: Subspace) -> MultiUserChannel:

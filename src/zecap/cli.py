@@ -79,6 +79,23 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file `out`, or to stdout when none is given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit_report(report: Report, out: str | None) -> int:
+    """Write the report and return the exit code of its verdict."""
+    _emit(report_to_json(report), out)
+    if report.verdict == "inconclusive":
+        return EXIT_INCONCLUSIVE
+    return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
+
+
 def _search_seed(args) -> int:
     """The seed, once --budget, --restarts, --seed and ZECAP_SEED can drive a search."""
     if not 1 <= args.budget <= MAX_BUDGET:
@@ -104,7 +121,9 @@ def _product_param_count(dims) -> int:
 
 def _applicable_suites(channel: MultiUserChannel) -> list[str]:
     if channel.payload is None:
-        return ["teleport"]
+        # the teleport suite drives two uses of a channel shaped like e12
+        shaped = (channel.sender_dims, channel.receiver_dims) == ((2,), (2, 2))
+        return ["teleport"] if shaped else []
     suites = ["properties", "ce", "two-use"]
     if len(channel.sender_dims) >= 2 and len(set(channel.sender_dims)) == 1 \
             and len(channel.payload.u_slots) == len(channel.sender_dims):
@@ -131,12 +150,11 @@ def _suite_properties(channel, report: Report, slots: list[int] | None) -> None:
             report.add(f"properties/{check.name}{tag}",
                        "projector symmetry residual (float)",
                        check.residual, check.tolerance, check.passed)
-    if pl.exact_s0 is not None:
-        exact = exact_symmetry_checks(channel.sender_dims, pl.exact_s0, use_slots)
-        for name, ok in exact.items():
-            report.add(f"properties/exact/{name}",
-                       "projector symmetry identity (exact field arithmetic)",
-                       ok, None, ok)
+    exact = exact_symmetry_checks(channel.sender_dims, pl.exact_s0, use_slots)
+    for name, ok in exact.items():
+        report.add(f"properties/exact/{name}",
+                   "projector symmetry identity (exact field arithmetic)",
+                   ok, None, ok)
 
 
 def _suite_ce(channel, report: Report, seed: int, restarts: int | None,
@@ -259,6 +277,8 @@ def cmd_verify(args) -> int:
     seed = _search_seed(args)
     applicable = _applicable_suites(channel)
     if args.suite == "all":
+        if not applicable:
+            return _usage_error(f"no suite applies to {channel.name or 'this channel'}")
         suites = applicable
     else:
         suites = [s.strip() for s in args.suite.split(",") if s.strip()]
@@ -296,15 +316,7 @@ def cmd_verify(args) -> int:
         elif suite == "renyi":
             _suite_renyi(channel, report, seed, args.budget, args.restarts, shared)
     report.finalize()
-    text = report_to_json(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if report.verdict == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
+    return _emit_report(report, args.out)
 
 
 def cmd_renyi_gap(args) -> int:
@@ -337,29 +349,12 @@ def cmd_renyi_gap(args) -> int:
                gap.verdict, None, gap.verdict in ("gap-found", "no-gap"))
     report.verdict = {"gap-found": "pass", "no-gap": "pass"}.get(gap.verdict,
                                                                  "inconclusive")
-    text = report_to_json(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if report.verdict == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
+    return _emit_report(report, args.out)
 
 
 def cmd_describe(args) -> int:
-    try:
-        channel = make_builtin(args.name)
-        doc = describe_channel(channel)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    doc = describe_channel(make_builtin(args.name))
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_PASS
 
 

@@ -1,8 +1,10 @@
 """JSON channel descriptions and deterministic verification reports.
 
 Channel files carry exact coefficients in the form r + s*sqrt(2) per real and
-imaginary part, with r and s as [numerator, denominator] pairs, so a
-description written by one run re-ingests bit-exactly in another.
+imaginary part, with r and s as [numerator, denominator] pairs. Reading a
+file parses and validates it and hands the exact data to the channel kind's
+constructor in `channels`; describing a channel writes back the exact data
+that constructor kept, so a description re-ingests bit-exactly.
 """
 
 from __future__ import annotations
@@ -15,18 +17,17 @@ from typing import Any
 import numpy as np
 
 from .channels import (
-    BinaryProjectivePayload,
     MultiUserChannel,
     binary_projective_channel,
     check_input_dim,
+    cq_channel,
     make_e12,
     make_e21,
     make_em1,
     make_variant34,
 )
-from .exactnum import Coeff, exact_vector, vector_terms
-from .linalg import dim_of, ket_from_terms
-from .subspaces import Subspace
+from .exactnum import Coeff, vector_terms
+from .linalg import dim_of
 
 SPEC_FORMAT = "zecap-channel/1"
 REPORT_FORMAT = "zecap-report/1"
@@ -124,10 +125,13 @@ def _dims_field(spec: dict, key: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def describe_channel(channel: MultiUserChannel) -> dict:
-    """A JSON-ready description that `channel_from_spec` re-ingests exactly."""
-    pl = channel.payload
-    if channel.uses != 1 or (pl is not None and len(channel.sender_dims) > len(pl.s0.dims)):
-        raise ValueError("cannot describe tensor powers or trivial-party extensions")
+    """The exact data the channel was built from, as a JSON-ready spec that
+    `channel_from_spec` re-ingests exactly."""
+    pl, outputs = channel.payload, channel.cq_outputs
+    if channel.uses != 1 or (pl is None and outputs is None) \
+            or (pl is not None and len(channel.sender_dims) > len(pl.s0.dims)):
+        raise ValueError("only channels built from exact data can be described, "
+                         "not tensor powers or trivial-party extensions")
     base: dict[str, Any] = {
         "format": SPEC_FORMAT,
         "name": channel.name,
@@ -136,61 +140,17 @@ def describe_channel(channel: MultiUserChannel) -> dict:
         "receiver_dims": list(channel.receiver_dims),
     }
     if pl is not None:
-        if pl.exact_s0 is None:
-            raise ValueError("channel carries no exact spanning data to describe")
         base["subspace_dims"] = [pl.s0.dim, pl.s1.dim]
         base["u_slots"] = list(pl.u_slots)
         base["s0_basis"] = [_terms_to_json(vector_terms(v))
                             for v in pl.exact_s0]
         return base
-    # a cq channel: every Kraus operator sqrt(w)|ket><k| reads one input k
-    inputs = [np.flatnonzero(np.any(op, axis=0)) for op in channel.kraus]
-    if any(len(cols) != 1 for cols in inputs):
-        raise ValueError("only binary projective and classical-quantum "
-                         "channels can be described")
     base["outputs"] = [
-        {"input": k, "components": [_cq_component_to_json(op[:, k])
-                                    for op, cols in zip(channel.kraus, inputs)
-                                    if cols[0] == k]}
-        for k in range(channel.in_dim)]
+        {"input": k, "components": [{"weight": _frac_to_json(w),
+                                     "ket": _terms_to_json(terms)}
+                                    for w, terms in comps]}
+        for k, comps in enumerate(outputs)]
     return base
-
-
-def _cq_component_to_json(col: np.ndarray) -> dict:
-    """Rational weight w and exact ket of one output component sqrt(w)|ket>.
-
-    Supports the shipped constructions, whose weights are rational and whose
-    amplitudes are in Q(sqrt(2)).
-    """
-    w = float(np.vdot(col, col).real)
-    weight = Fraction(w).limit_denominator(10 ** 6)
-    if abs(float(weight) - w) > 1e-10:
-        raise ValueError(f"output weight {w} is not rational")
-    ket = col / np.sqrt(w)
-    # gauge: first significant amplitude real positive
-    lead = next(j for j in range(len(ket)) if abs(ket[j]) > 1e-9)
-    ket = ket * (abs(ket[lead]) / ket[lead])
-    terms = [(j, _float_to_exact(complex(ket[j])))
-             for j in range(len(ket)) if abs(ket[j]) >= 1e-12]
-    return {"weight": _frac_to_json(weight), "ket": _terms_to_json(terms)}
-
-
-def _float_to_exact(z: complex, max_den: int = 4096) -> Coeff:
-    """Recognize a rational or a rational multiple of sqrt(2) in each part.
-
-    Small denominators are preferred so that, e.g., 1/sqrt(2) resolves to
-    (1/2)*sqrt(2) rather than a high Pell convergent. Covers the amplitudes
-    occurring in the shipped constructions.
-    """
-    def part(x: float) -> tuple[Fraction, Fraction]:
-        a = Fraction(x).limit_denominator(max_den)
-        if abs(float(a) - x) < 1e-11:
-            return a, Fraction(0)
-        b = Fraction(x / 2 ** 0.5).limit_denominator(max_den)
-        if abs(float(b) * 2 ** 0.5 - x) < 1e-11:
-            return Fraction(0), b
-        raise ValueError(f"{x} is not recognizably in Q(sqrt(2))")
-    return Coeff(*part(z.real), *part(z.imag))
 
 
 def channel_from_spec(spec: dict) -> MultiUserChannel:
@@ -222,16 +182,7 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
         vectors = _list_field(_field(spec, "s0_basis"), "s0_basis")
         term_lists = [_terms_from_json(v, total, f"s0_basis[{i}]")
                       for i, v in enumerate(vectors)]
-        span = [ket_from_terms([total], [(i, complex(c)) for i, c in t])
-                for t in term_lists]
-        s0 = Subspace.from_span(sender_dims, span)
-        if not span or s0.dim < len(span):
-            raise ValueError(f"s0_basis: {len(span)} vectors span {s0.dim} dimensions; "
-                             "give one or more linearly independent vectors")
-        payload = BinaryProjectivePayload(
-            s0=s0, s1=s0.complement(), u_slots=tuple(u_slots),
-            exact_s0=[exact_vector(total, t) for t in term_lists])
-        return binary_projective_channel(sender_dims, payload, name)
+        return binary_projective_channel(sender_dims, term_lists, u_slots, name)
     if kind == "cq":
         check_input_dim(sender_dims)
         check_input_dim(receiver_dims, "receiver_dims")
@@ -241,22 +192,20 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
         if not all(type(k) is int for k in inputs) or sorted(inputs) != list(range(n_in)):
             raise ValueError(f"outputs: inputs {inputs!r} are not exactly 0..{n_in - 1}, "
                              "one per basis state of sender_dims")
-        ops = []
+        outputs = []
         for k, entry in sorted(zip(inputs, entries), key=lambda pair: pair[0]):
             where = f"outputs[input {k}].components"
+            outputs.append([])
             for comp in _list_field(_field(entry, "components", f"outputs[input {k}]"),
                                     where):
                 weight = _frac_from_json(_field(comp, "weight", where), where)
                 if weight <= 0:
                     raise ValueError(f"{where}: weight {weight} is not positive")
-                terms = _terms_from_json(_field(comp, "ket", where), n_out, where)
-                op = np.zeros((n_out, n_in), dtype=complex)
-                op[:, k] = np.sqrt(float(weight)) * ket_from_terms(
-                    [n_out], [(i, complex(c)) for i, c in terms])
-                ops.append(op)
-        if not ops:
+                outputs[-1].append(
+                    (weight, _terms_from_json(_field(comp, "ket", where), n_out, where)))
+        if not any(outputs):
             raise ValueError("outputs: no output components given")
-        return MultiUserChannel(sender_dims, receiver_dims, np.stack(ops), name=name)
+        return cq_channel(sender_dims, receiver_dims, outputs, name)
     raise ValueError(f"unsupported channel kind {kind!r} in spec")
 
 

@@ -407,11 +407,9 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
         raise ValueError(
             f"grid of {total} product states exceeds the {GRID_MAX_EVALS} evaluation "
             f"budget; use max_product_overlap (alternating search) instead")
-    coeffs, units = _coefficient_tensor(subspace)
-    # row n of a party's matrix is U_d (conj(g_n) (x) g_n) for its n-th grid
-    # ket g_n, real because conj(g_n) (x) g_n is a Hermitian matrix
-    mats = [(_row_kron(g.conj(), g) @ u.T).real
-            for g, u in zip((_grid_factors(d, resolution) for d in dims), units)]
+    coeffs, _ = _coefficient_tensor(subspace)
+    # row n of a party's matrix is U_d (conj(g_n) (x) g_n) for its n-th grid ket
+    mats = [_ket_coordinates(_grid_factors(d, resolution)) for d in dims]
     chunk = max(1, min(sizes[0], GRID_CHUNK_VALUES // (total // sizes[0]), 4096))
     return max(float(np.max(contract_factors(coeffs, [mats[0][start:start + chunk],
                                                       *mats[1:]])))

@@ -5,7 +5,6 @@ from zecap.channels import (
     apply_channel,
     apply_channel_to_ket,
     check_trace_preserving,
-    choi_matrix,
     extend_trivial_parties,
     make_cj_channel,
     make_em1,
@@ -261,28 +260,16 @@ def test_cj_channel_rejects_empty_and_multiparty():
         make_cj_channel(Subspace.from_span([2, 2, 2], [basis_ket([2, 2, 2], 0)]))
 
 
-def test_choi_of_identity_channel():
-    from zecap.channels import MultiUserChannel
-    ident = MultiUserChannel((2,), (2,), [np.eye(2, dtype=complex)])
-    choi = choi_matrix(ident)
-    omega = basis_ket([2, 2], 0) + basis_ket([2, 2], 3)
-    assert max_abs(choi - np.outer(omega, omega.conj())) < 1e-12
-
-
 def test_choi_of_subspace_channel_recovers_projector(e21):
     ch = make_cj_channel(e21.payload.s0)
-    choi = choi_matrix(ch)
+    # the Choi matrix sum_K vec(K) vec(K)^dag, with K flattened row-major
+    vecs = ch.kraus.reshape(len(ch.kraus), -1)
+    choi = vecs.T @ vecs.conj()
     scale = 1 / np.linalg.norm(to_kraus(ch)[0]) ** 2   # basis kets have unit norm
     # Choi factors are (output, input); the source projector lives on
     # (input, output), so swap before comparing
     swapped = permute_factors(choi, [4, 4], [1, 0])
     assert max_abs(swapped - e21.payload.s0.projector / scale) < 1e-9
-
-
-def test_choi_of_e21_trace_and_rank(e21):
-    choi = choi_matrix(e21)
-    assert abs(np.trace(choi).real - 16) < 1e-9      # = input dimension for TP maps
-    assert np.linalg.matrix_rank(choi, tol=1e-9) == 16
 
 
 @pytest.mark.parametrize("name", ["e21", "variant34", "em1:2", "em1:3"])
@@ -295,3 +282,43 @@ def test_s1_is_the_complement_of_s0_to_the_bit(name):
         comp = pl.s0.complement()
         assert np.array_equal(pl.s1.basis, comp.basis)
         assert np.array_equal(pl.s1.projector, comp.projector)
+
+
+def _amp(r=(0, 1), s=(0, 1)):
+    """The real amplitude r + s*sqrt(2) in spec form, every part written out."""
+    zero = {"r": [0, 1], "s": [0, 1]}
+    return {"re": {"r": list(r), "s": list(s)}, "im": zero}
+
+
+def _cq_spec(ket0):
+    return {"format": "zecap-channel/1", "name": "cq", "kind": "cq",
+            "sender_dims": [2], "receiver_dims": [4],
+            "outputs": [
+                {"input": 0, "components": [{"weight": [1, 1], "ket": ket0}]},
+                {"input": 1, "components": [
+                    {"weight": [1, 1], "ket": [{"index": 3, "coeff": _amp((1, 1))}]}]}]}
+
+
+@pytest.mark.parametrize("ket0", [
+    # ((2 + sqrt2)/4, (2 - sqrt2)/4, 1/2): a rational and a sqrt(2) part at once
+    [{"index": 0, "coeff": _amp((1, 2), (1, 4))},
+     {"index": 1, "coeff": _amp((1, 2), (-1, 4))},
+     {"index": 2, "coeff": _amp((1, 2))}],
+    # a negative leading amplitude keeps its sign
+    [{"index": 0, "coeff": _amp(s=(-1, 2))}, {"index": 2, "coeff": _amp(s=(1, 2))}],
+])
+def test_describe_returns_the_cq_outputs_it_was_built_from(ket0):
+    spec = _cq_spec(ket0)
+    ch = channel_from_spec(spec)
+    assert check_trace_preserving(ch) < 1e-12
+    described = describe_channel(ch)
+    assert described["outputs"] == spec["outputs"]
+    assert np.array_equal(channel_from_spec(described).kraus, ch.kraus)
+
+
+def test_describe_refuses_channels_without_exact_data(e12, e21):
+    from zecap.channels import MultiUserChannel
+    for ch in (MultiUserChannel((2,), (2,), [np.eye(2, dtype=complex)]),
+               tensor_power(e12, 2), extend_trivial_parties(e21, [2])):
+        with pytest.raises(ValueError, match="can be described"):
+            describe_channel(ch)

@@ -78,7 +78,7 @@ def test_oversized_input_is_usage_error_before_allocation(tmp_path, monkeypatch)
         raise AssertionError("spanning vectors built for an oversized channel")
 
     monkeypatch.setattr(zecap.channels, "em1_spanning_terms", refuse)
-    monkeypatch.setattr(zecap.specio, "ket_from_terms", refuse)
+    monkeypatch.setattr(zecap.channels, "ket_from_terms", refuse)
     assert run(["verify", "--builtin", "em1:40", "--suite", "ce"]) == 3
     assert run(["describe", "em1:40"]) == 3
     spec = {"format": "zecap-channel/1", "kind": "binary-projective",
@@ -200,21 +200,29 @@ def test_one_sender_spec_reports_its_product_states(tmp_path):
 # sha256 of two whole reports, pinned when the gap search began to stop at
 # its verdict; any later change to their bytes is a behaviour change to argue
 GOLDEN_DIGESTS = {
+    "describe e12": "f78ba61dc79caf997559707f8b0554815065fd76fc94a151020749652cf9b4d1",
+    "describe e21": "d6e18f20e93ced93be7fc9bd0d9d2fe570fbcab3d5916073a9d7827f65c13310",
     "renyi-gap e21": "881e3f283b7eac18681fe7d85014fea7ba70b8194050ef16519fa245f84c73fe",
+    "verify --builtin e12": "52c605632a8d96490b7de3af3ff87e585579c356b2c31fa91bdb225111cf59dc",
     "verify --spec e21": "b2b53b062509f107151386d0fbe7a620051e75e7344583e0c88574498978b3d8",
 }
 
 
 def test_golden_report_digests(tmp_path, capsys):
     spec = tmp_path / "e21.json"
-    assert run(["describe", "e21", "--out", str(spec)]) == 0
     digests = {}
     for label, argv in (
-            ("renyi-gap e21", ["renyi-gap", "--builtin", "e21", "--budget", "5000"]),
-            ("verify --spec e21", ["verify", "--spec", str(spec), "--suite", "all"])):
+            ("describe e12", ["describe", "e12"]),
+            ("describe e21", ["describe", "e21", "--out", str(spec)]),
+            ("renyi-gap e21", ["renyi-gap", "--builtin", "e21", "--budget", "5000",
+                               "--seed", "0"]),
+            ("verify --builtin e12", ["verify", "--builtin", "e12", "--seed", "0"]),
+            ("verify --spec e21", ["verify", "--spec", str(spec), "--suite", "all",
+                                   "--seed", "0"])):
         capsys.readouterr()
-        assert run(argv + ["--seed", "0"]) == 0
-        digests[label] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert run(argv) == 0
+        text = spec.read_text() if "--out" in argv else capsys.readouterr().out
+        digests[label] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == GOLDEN_DIGESTS
 
 
@@ -452,3 +460,24 @@ def test_seed_env_default(tmp_path, monkeypatch):
     assert run(["verify", "--builtin", "em1:3", "--suite", "two-use",
                 "--out", str(out)]) == 0
     assert read_report(out)["seed"] == 123
+
+
+@pytest.mark.parametrize("suite, message", [
+    ("teleport", "do not apply"), ("all", "no suite applies")])
+def test_teleport_is_offered_only_to_channels_shaped_like_e12(tmp_path, capsys,
+                                                              suite, message):
+    # a trace-preserving cq channel from a qutrit to a qubit
+    one = {"re": {"r": [1, 1]}}
+    spec = {"format": "zecap-channel/1", "kind": "cq", "name": "qutrit",
+            "sender_dims": [3], "receiver_dims": [2],
+            "outputs": [{"input": k, "components": [
+                {"weight": [1, 1], "ket": [{"index": k % 2, "coeff": one}]}]}
+                for k in range(3)]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["verify", "--spec", str(path), "--suite", suite, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1, err
+    assert not out.exists()

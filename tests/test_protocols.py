@@ -149,11 +149,10 @@ def test_alpha_local_one_reuses_a_matching_s1_certificate(e21):
 
 
 def test_alpha_local_fails_on_product_containing_span():
-    from zecap.channels import BinaryProjectivePayload, binary_projective_channel
-    from zecap.subspaces import Subspace
-    s0 = Subspace.from_span([2, 2], [basis_ket([2, 2], 0)])
-    payload = BinaryProjectivePayload(s0, s0.complement(), (0, 1))
-    ch = binary_projective_channel((2, 2), payload, name="bad")
+    from fractions import Fraction
+    from zecap.channels import binary_projective_channel
+    from zecap.exactnum import Coeff
+    ch = binary_projective_channel((2, 2), [[(0, Coeff(Fraction(1)))]], (0, 1), name="bad")
     cert = certify_alpha_local_one(ch, restarts=40, seed=0)
     assert not cert.alpha_local_one
 

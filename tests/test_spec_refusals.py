@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import zecap.specio
+import zecap.channels
 from zecap.cli import main
 from zecap.linalg import dim_of, ket_from_terms
 from zecap.specio import describe_channel, make_builtin
@@ -65,7 +65,7 @@ def test_oversized_cq_spec_is_refused_before_reading_outputs(monkeypatch):
     def refuse(*args):
         raise AssertionError("an output ket was built for an oversized spec")
 
-    monkeypatch.setattr(zecap.specio, "ket_from_terms", refuse)
+    monkeypatch.setattr(zecap.channels, "ket_from_terms", refuse)
     doc = copy.deepcopy(DESCRIBED["e12"])
     doc["receiver_dims"] = [1000, 1000]
     assert run_spec(doc, "teleport") == 3
