@@ -23,20 +23,6 @@ def dim_of(dims: Sequence[int]) -> int:
     return int(np.prod(dims)) if len(dims) else 1
 
 
-def basis_ket(dims: Sequence[int], indices: Sequence[int] | int) -> np.ndarray:
-    """Computational basis ket |i0 i1 ...> (or flat index) as a dense vector."""
-    n = dim_of(dims)
-    if isinstance(indices, (int, np.integer)):
-        flat = int(indices)
-    else:
-        if len(indices) != len(dims):
-            raise ValueError(f"expected {len(dims)} indices, got {len(indices)}")
-        flat = int(np.ravel_multi_index(tuple(indices), tuple(dims)))
-    v = np.zeros(n, dtype=complex)
-    v[flat] = 1.0
-    return v
-
-
 def ket_from_terms(dims: Sequence[int], terms: Iterable[tuple[int, complex]],
                    normalize: bool = False) -> np.ndarray:
     """Build a ket from (flat index, amplitude) terms."""

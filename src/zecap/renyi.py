@@ -7,6 +7,8 @@ the output support at input x is {K x : K in span}, and a dimension-counting
 duality identifies rank deficiency at x with product states x (x) eta in the
 orthogonal complement of S. A completely-entangled complement therefore pins
 the single-use minimum output rank at the full output dimension.
+
+scipy is imported only by the rank search's L-BFGS walk, on its first run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from math import inf, log2
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import (
     MultiUserChannel,
@@ -153,6 +154,13 @@ def _tail_objective(channel: MultiUserChannel, target_rank: int) -> Callable:
         return value, grad
 
     return fun
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on the first call: scipy.optimize is
+    most of a cold `import zecap`, and only the rank search's walk uses it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def min_output_rank_search(channel: MultiUserChannel,

@@ -358,8 +358,10 @@ def check_certificate(cert: CECertificate, subspace: Subspace,
 # grid oracle
 # ---------------------------------------------------------------------------
 
-def _grid_factors(dim: int, resolution: int) -> np.ndarray:
-    """Gauge-fixed grid over normalized states of one factor.
+def _grid_factors(dim: int, resolution: int, start: int = 0,
+                  stop: int | None = None) -> np.ndarray:
+    """Kets [start:stop] of a gauge-fixed grid over normalized states of one
+    factor, in C order over its angles; stop is clipped to the grid's size.
 
     Magnitudes come from hyperspherical angles in [0, pi/2]; every amplitude
     after the first carries a phase in [0, 2*pi). The first amplitude is real
@@ -368,11 +370,12 @@ def _grid_factors(dim: int, resolution: int) -> np.ndarray:
     thetas = np.linspace(0.0, np.pi / 2, resolution + 1)
     phis = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
     grids = [thetas] * (dim - 1) + [phis] * (dim - 1)
-    mesh = np.meshgrid(*grids, indexing="ij")
-    flat = [m.reshape(-1) for m in mesh]
-    n = (resolution + 1) ** (dim - 1) * resolution ** (dim - 1)
-    mags = np.zeros((n, dim))
-    running = np.ones(n)
+    shape = tuple(len(g) for g in grids)
+    size = int(np.prod(shape))
+    rows = np.arange(start, size if stop is None else min(stop, size))
+    flat = [g[i] for g, i in zip(grids, np.unravel_index(rows, shape) if shape else ())]
+    mags = np.zeros((len(rows), dim))
+    running = np.ones(len(rows))
     for k in range(dim - 1):
         mags[:, k] = running * np.cos(flat[k])
         running = running * np.sin(flat[k])
@@ -393,7 +396,7 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     <g|P|g> for a product g is P's real coefficient tensor
     (`_coefficient_tensor`) contracted with each party's row
     U_d (conj(g_t) (x) g_t), so all grid points of a party are absorbed by
-    one real matrix product. The first party's grid is taken in chunks of at
+    one real matrix product. The first party's grid is built in chunks of at
     most GRID_CHUNK_VALUES results, and only one chunk is held at a time.
     """
     if resolution < 2:
@@ -409,10 +412,10 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
             f"budget; use max_product_overlap (alternating search) instead")
     coeffs, _ = _coefficient_tensor(subspace)
     # row n of a party's matrix is U_d (conj(g_n) (x) g_n) for its n-th grid ket
-    mats = [_ket_coordinates(_grid_factors(d, resolution)) for d in dims]
+    rest = [_ket_coordinates(_grid_factors(d, resolution)) for d in dims[1:]]
     chunk = max(1, min(sizes[0], GRID_CHUNK_VALUES // (total // sizes[0]), 4096))
-    return max(float(np.max(contract_factors(coeffs, [mats[0][start:start + chunk],
-                                                      *mats[1:]])))
+    return max(float(np.max(contract_factors(coeffs, [_ket_coordinates(
+        _grid_factors(dims[0], resolution, start, start + chunk)), *rest])))
                for start in range(0, sizes[0], chunk))
 
 

@@ -39,3 +39,10 @@ def gram_rank(vectors, tol=1e-10):
     eigs = np.linalg.eigvalsh(gram)
     top = max(float(eigs[-1]), 1.0)
     return int(np.sum(eigs > tol * top))
+
+
+def basis_ket(dims, index):
+    """Computational basis ket number `index` (flat) of the product space `dims`."""
+    v = np.zeros(int(np.prod(dims)), dtype=complex)
+    v[index] = 1.0
+    return v

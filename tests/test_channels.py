@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import basis_ket
 from zecap.channels import (
     apply_channel,
     apply_channel_to_ket,
@@ -12,7 +13,6 @@ from zecap.channels import (
     to_kraus,
 )
 from zecap.linalg import (
-    basis_ket,
     haar_ket,
     ket_from_terms,
     max_abs,

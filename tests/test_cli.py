@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,9 @@ import zecap.subspaces
 from zecap.cli import main
 from zecap.linalg import max_abs
 from zecap.specio import channel_from_spec, describe_channel, make_builtin
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GAP_E21 = ["renyi-gap", "--builtin", "e21", "--budget", "5000"]
 
 
 def run(args):
@@ -433,11 +438,50 @@ def test_linearly_dependent_s0_basis_is_usage_error(tmp_path, capsys):
         assert err.startswith("error: s0_basis") and err.count("\n") == 1
 
 
+def run_python(*args):
+    """Run a fresh interpreter on the checkout's sources."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                          timeout=300)
+
+
+# after the import, after a renyi-gap run and after em1:2's rank search
+# (whose L-BFGS walk runs): the exit code and the scipy modules loaded
+_SCIPY_PROBE = f"""
+import contextlib, io, json, sys
+import zecap, zecap.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy.optimize" or m.startswith("scipy.linalg"))
+
+seen = [loaded()]
+for argv in ({GAP_E21!r}, ["verify", "--builtin", "em1:2", "--suite", "renyi"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([zecap.cli.main(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_is_imported_only_when_the_walk_runs():
+    proc = run_python("-c", _SCIPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    imported, gap, walk = json.loads(proc.stdout)
+    assert imported == []
+    assert gap == [0, []]
+    assert walk[0] == 1 and "scipy.optimize" in walk[1]
+
+
+def test_python_dash_m_zecap_prints_the_cli_report(capsys):
+    proc = run_python("-m", "zecap", *GAP_E21)
+    assert proc.returncode == 0, proc.stderr
+    assert run(GAP_E21) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
 def test_tracer_binds_every_traced_function(monkeypatch):
     # the benchmark's tracer patches functions by the names zecap modules
     # import them under; a rename or a new import must fail here
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "bench")
+    bench = os.path.join(ROOT, "bench")
     monkeypatch.syspath_prepend(bench)
     importlib.import_module("tracer").check_targets()
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import gram_rank
+from conftest import basis_ket, gram_rank
 from zecap import linalg
 from zecap.channels import e21_spanning_terms
 from zecap.subspaces import Subspace
 from zecap.linalg import (
-    basis_ket,
     contract_factors,
     embed_operator,
     gram_schmidt,

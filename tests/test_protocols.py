@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import basis_ket
 from zecap.channels import (
     apply_channel,
     apply_channel_to_ket,
@@ -8,7 +9,6 @@ from zecap.channels import (
     tensor_power,
 )
 from zecap.linalg import (
-    basis_ket,
     max_abs,
     max_entangled_ket,
     random_density,

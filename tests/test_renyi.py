@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import basis_ket
 import zecap.renyi
 from zecap.channels import (
     MultiUserChannel,
@@ -10,7 +11,6 @@ from zecap.channels import (
     to_kraus,
 )
 from zecap.linalg import (
-    basis_ket,
     haar_ket,
     max_abs,
     max_entangled_ket,
@@ -163,6 +163,21 @@ def test_tail_objective_gradient_matches_finite_differences(e21):
         step[i] = eps
         numeric = (fun(x + step)[0] - fun(x - step)[0]) / (2 * eps)
         assert abs(numeric - grad[i]) < 1e-5
+
+
+def test_the_walk_gets_scipys_minimize_result_unchanged(e21):
+    # renyi.minimize imports scipy.optimize on its first call and must
+    # return exactly what scipy does, so every walk keeps its digits
+    from scipy.optimize import minimize as scipy_minimize
+    from zecap.renyi import _tail_objective
+    fun = _tail_objective(make_cj_channel(e21.payload.s0), 2)
+    x0 = np.random.default_rng(8).normal(size=8)
+    kwargs = {"jac": True, "method": "L-BFGS-B", "options": {"maxiter": 400}}
+    ours = zecap.renyi.minimize(fun, x0, **kwargs)
+    theirs = scipy_minimize(fun, x0, **kwargs)
+    assert ours.x.tobytes() == theirs.x.tobytes()
+    assert np.float64(ours.fun).tobytes() == np.float64(theirs.fun).tobytes()
+    assert ours.nfev == theirs.nfev > 1
 
 
 def test_rank_search_unitary_like_channel():

@@ -3,14 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import gram_rank
+from conftest import basis_ket, gram_rank
 from zecap.channels import (
     e21_spanning_terms,
     em1_spanning_terms,
     variant34_spanning_terms,
 )
 from zecap.linalg import (
-    basis_ket,
     ket_from_terms,
     max_abs,
     max_entangled_ket,
@@ -381,6 +380,22 @@ def test_grid_oracle_holds_one_chunk_at_a_time(em14):
     finally:
         tracemalloc.stop()
     assert peak < 45 * 2 ** 20
+
+
+def test_grid_oracle_builds_the_first_party_one_chunk_at_a_time():
+    # a one-party [4] grid at resolution 8 has 373,248 kets; built whole, the
+    # kets and their real rows peak at about 125 MiB, in 4,096-ket chunks at 2
+    sub = Subspace.from_span([4], [np.array([1, 1j, 0, 1]) / np.sqrt(3)])
+    tracemalloc.start()
+    try:
+        grid_product_overlap(sub, resolution=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    # a chunk is the same rows, bit for bit, as the slice of the whole grid
+    for d in (2, 3, 4):
+        assert _grid_factors(d, 3, 3, 11).tobytes() == _grid_factors(d, 3)[3:11].tobytes()
 
 
 def test_grid_never_beats_seesaw():
