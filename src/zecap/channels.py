@@ -232,8 +232,9 @@ _MRT2 = Coeff(b=Fraction(-1))     # -sqrt(2)
 _HRT2 = Coeff(b=Fraction(1, 2))   # 1/sqrt(2)
 
 
-def _pair_index(a: int, b: int, db: int = 4) -> int:
-    return a * db + b
+def _pair_index(a: int, b: int) -> int:
+    """Flat index of |a>|b> when the second factor is 4-dimensional."""
+    return a * 4 + b
 
 
 def e21_spanning_terms() -> list[list[tuple[int, Coeff]]]:

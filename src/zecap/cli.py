@@ -39,12 +39,14 @@ from .specio import (
     report_to_json,
 )
 from .subspaces import (
+    DEFAULT_CE_GAP,
+    SYMMETRY_TOL,
     certify_completely_entangled,  # no caller here; bench/tracer.py wraps this binding
     exact_symmetry_checks,
     grid_product_overlap,
     symmetry_checks,
 )
-from .linalg import parity_phase, random_density, trace_distance
+from .linalg import random_density, trace_distance
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -141,15 +143,13 @@ def _suite_properties(channel, report: Report, slots: list[int] | None) -> None:
     pl = channel.payload
     use_slots = slots if slots is not None else list(pl.u_slots)
     for pos, slot in enumerate(use_slots):
-        u = parity_phase(channel.sender_dims[slot])
-        float_report = symmetry_checks(pl.s0, pl.s1, u, slots=[slot])
-        for check in float_report.checks:
+        for check in symmetry_checks(pl.s0, pl.s1, [slot]).checks:
             if pos > 0 and check.slot is None:
                 continue        # transpose/orthogonality are slot independent
             tag = f"@{check.slot}" if check.slot is not None else ""
             report.add(f"properties/{check.name}{tag}",
                        "projector symmetry residual (float)",
-                       check.residual, check.tolerance, check.passed)
+                       check.residual, SYMMETRY_TOL, check.passed)
     exact = exact_symmetry_checks(channel.sender_dims, pl.exact_s0, use_slots)
     for name, ok in exact.items():
         report.add(f"properties/exact/{name}",
@@ -160,15 +160,15 @@ def _suite_properties(channel, report: Report, slots: list[int] | None) -> None:
 def _suite_ce(channel, report: Report, seed: int, restarts: int | None,
               shared: dict) -> None:
     pl = channel.payload
-    # the one-shot certificate searches S0 and S1 with this seed, restarts,
-    # gap and label, so its two certificates are the ce/S0 and ce/S1 rows
+    # the one-shot certificate searches S0 and S1 with this seed, restarts
+    # and label, so its two certificates are the ce/S0 and ce/S1 rows
     alpha = certify_alpha_local_one(channel, restarts=restarts, seed=seed,
                                     s1_certificate=shared.get("S1"))
     shared["S1"] = alpha.s1_certificate
     for label, sub, cert in (("S0", pl.s0, alpha.s0_certificate),
                              ("S1", pl.s1, alpha.s1_certificate)):
         report.add(f"ce/{label}", "no product state found in the subspace",
-                   cert.max_overlap_found, 1.0 - cert.gap,
+                   cert.max_overlap_found, 1.0 - DEFAULT_CE_GAP,
                    cert.verdict == "certified-CE")
         params = _product_param_count(channel.sender_dims)
         if params in _GRID_RESOLUTIONS:
@@ -281,18 +281,24 @@ def cmd_verify(args) -> int:
             return _usage_error(f"no suite applies to {channel.name or 'this channel'}")
         suites = applicable
     else:
-        suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+        suites = [s.strip() for s in args.suite.split(",")]
+        if "" in suites:
+            return _usage_error(f"--suite {args.suite!r} names an empty suite")
         unknown = [s for s in suites if s not in ALL_SUITES]
         if unknown:
             return _usage_error(f"unknown suite(s): {', '.join(unknown)}")
+        if len(set(suites)) < len(suites):
+            return _usage_error(f"--suite {args.suite!r} names a suite twice")
         not_applicable = [s for s in suites if s not in applicable]
         if not_applicable:
             return _usage_error(
                 f"suite(s) {', '.join(not_applicable)} do not apply to "
                 f"{channel.name or 'this channel'}")
     slots = None
-    if args.slots:
+    if args.slots is not None:
         slots = [slot_index(channel, s) for s in args.slots.split(",")]
+        if len(set(slots)) < len(slots):
+            return _usage_error(f"--slots {args.slots!r} names a slot twice")
     # "S1": the ce suite's S1 certificate, which is the renyi suite's
     # certificate for the complement of S0; whichever suite runs first searches
     shared: dict = {}
@@ -303,8 +309,9 @@ def cmd_verify(args) -> int:
                tp, 1e-9, tp <= 1e-9)
     for suite in suites:
         if suite == "properties":
-            _suite_properties(channel, report, [s % len(channel.sender_dims)
-                                                for s in slots] if slots else None)
+            # A and A' are one sender slot to the projector identities
+            _suite_properties(channel, report, list(dict.fromkeys(
+                s % len(channel.sender_dims) for s in slots)) if slots else None)
         elif suite == "ce":
             _suite_ce(channel, report, seed, args.restarts, shared)
         elif suite == "two-use":
@@ -378,8 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all",
                           help="comma list from: " + ",".join(ALL_SUITES) +
                                " (default: all applicable)")
-    p_verify.add_argument("--slots", help="restrict slot-dependent checks, "
-                                          "e.g. A,B or A,A',B,B'")
+    p_verify.add_argument("--slots", help="restrict slot-dependent checks to a comma "
+                                          "list of distinct slots, each a sender "
+                                          "letter or a letter and a prime, e.g. "
+                                          "A,B or A,A',B,B'")
     p_verify.add_argument("--restarts", type=int, default=None,
                           help="restart budget for product-state searches")
     p_verify.add_argument("--budget", type=int, default=800,
@@ -412,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _usage_error(str(exc))
 
 

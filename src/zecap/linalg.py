@@ -16,26 +16,21 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 ORTHO_TOL = 1e-10       # rank / orthogonality decisions
-DENSITY_TOL = 1e-9      # trace-one check for density operators
+DENSITY_TOL = 1e-9      # trace-one and Hermiticity checks for density operators
+DENSITY_EIG_TOL = 1e-8  # most negative eigenvalue a density operator may have
 
 
 def dim_of(dims: Sequence[int]) -> int:
     return int(np.prod(dims)) if len(dims) else 1
 
 
-def ket_from_terms(dims: Sequence[int], terms: Iterable[tuple[int, complex]],
-                   normalize: bool = False) -> np.ndarray:
-    """Build a ket from (flat index, amplitude) terms."""
+def ket_from_terms(dims: Sequence[int], terms: Iterable[tuple[int, complex]]) -> np.ndarray:
+    """Build an unnormalized ket from (flat index, amplitude) terms."""
     v = np.zeros(dim_of(dims), dtype=complex)
     for idx, coeff in terms:
         if not 0 <= idx < v.size:
             raise ValueError(f"index {idx} out of range for dimension {v.size}")
         v[idx] += coeff
-    if normalize:
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        v = v / n
     return v
 
 
@@ -61,22 +56,21 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def assert_density(rho: np.ndarray, tol: float = DENSITY_TOL,
-                   eig_tol: float = 1e-8) -> None:
+def assert_density(rho: np.ndarray) -> None:
     """Raise if rho is not (numerically) a density operator."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density operator must be square, got shape {rho.shape}")
-    if max_abs(rho - dagger(rho)) > 1e-9:
+    if max_abs(rho - dagger(rho)) > DENSITY_TOL:
         raise ValueError("density operator is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if abs(np.trace(rho).real - 1.0) > DENSITY_TOL:
         raise ValueError(f"density operator has trace {np.trace(rho).real}, expected 1")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -eig_tol:
+    if w[0] < -DENSITY_EIG_TOL:
         raise ValueError(f"density operator has negative eigenvalue {w[0]}")
 
 
-def gram_schmidt(vectors: Sequence[np.ndarray], tol: float = ORTHO_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the span; vectors with residual norm < tol are dropped."""
+def gram_schmidt(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Orthonormal basis of the span; vectors with residual norm < ORTHO_TOL are dropped."""
     out: list[np.ndarray] = []
     for v in vectors:
         w = np.asarray(v, dtype=complex).copy()
@@ -86,27 +80,9 @@ def gram_schmidt(vectors: Sequence[np.ndarray], tol: float = ORTHO_TOL) -> list[
         for e in out:
             w = w - e * np.vdot(e, w)
         n = np.linalg.norm(w)
-        if n >= tol:
+        if n >= ORTHO_TOL:
             out.append(w / n)
     return out
-
-
-def transpose_plain(m: np.ndarray) -> np.ndarray:
-    """Entrywise transpose in the computational basis (no conjugation)."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"transpose_plain expects a square operator, got {m.shape}")
-    return m.T.copy()
-
-
-def embed_operator(m: np.ndarray, slot: int, dims: Sequence[int]) -> np.ndarray:
-    """I x ... x M x ... x I with M acting on factor `slot` of `dims`."""
-    if not 0 <= slot < len(dims):
-        raise ValueError(f"slot {slot} out of range for {len(dims)} factors")
-    if m.shape != (dims[slot], dims[slot]):
-        raise ValueError(f"operator shape {m.shape} does not match factor dimension {dims[slot]}")
-    left = dim_of(dims[:slot])
-    right = dim_of(dims[slot + 1:])
-    return np.kron(np.kron(np.eye(left), m), np.eye(right)).astype(complex)
 
 
 def contract_factors(x: np.ndarray, mats: Sequence[np.ndarray],
@@ -228,9 +204,8 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
 

@@ -4,8 +4,9 @@ one-shot no-transmission certificates, the teleportation decoder and privacy.
 
 from __future__ import annotations
 
+import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2
 from typing import Sequence
 
@@ -23,19 +24,18 @@ from .linalg import (
 )
 from .subspaces import CECertificate, certify_completely_entangled, check_certificate
 
-ORTHO_OVERLAP_TOL = 1e-9
+ORTHO_OVERLAP_TOL = 1e-9    # output overlaps and differences at most this count as zero
+SCHMIDT_TOL = 1e-9          # s0 * s1 at most this across a cut counts as a product
+RESOURCE_TOL = 1e-6         # largest deviation of the teleportation resource from |alpha>
 
 
 @dataclass
 class CodeBook:
     """Locally preparable inputs for k uses of a channel."""
 
-    channel_name: str
-    uses: int
     dims: tuple[int, ...]                  # input factor dims, use-major
     inputs: list[np.ndarray]               # pure-state kets
     sender_partition: tuple[tuple[int, ...], ...]
-    labels: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -49,7 +49,6 @@ class DistinguishabilityCertificate:
 class AlphaLocalCertificate:
     """Certifies that one channel use cannot transmit even one bit."""
 
-    channel_name: str
     alpha_local_one: bool
     s0_certificate: CECertificate | None
     s1_certificate: CECertificate | None
@@ -57,16 +56,17 @@ class AlphaLocalCertificate:
 
 
 def slot_index(channel: MultiUserChannel, slot: int | str) -> int:
-    """Resolve a two-use slot given as index or label like 'A', "B'"."""
+    """Resolve a two-use slot given as index or label like 'A', "B'": one
+    sender letter, then one prime per use after the first."""
     m = len(channel.sender_dims)
     if isinstance(slot, (int, np.integer)):
         idx = int(slot)
     else:
-        label = slot.strip()
-        primes = label.count("'")
-        letter = label.rstrip("'").upper()
-        party = ord(letter) - ord("A")
-        idx = primes * m + party
+        label = re.fullmatch(r"([A-Za-z])('*)", slot.strip()) if isinstance(slot, str) else None
+        if label is None:
+            raise ValueError(f"slot {slot!r} is not a sender letter followed by "
+                             "primes, like A or B'")
+        idx = len(label[2]) * m + ord(label[1].upper()) - ord("A")
     if not 0 <= idx < 2 * m:
         raise ValueError(f"slot {slot!r} out of range for {m} senders, 2 uses")
     return idx
@@ -95,14 +95,7 @@ def build_two_use_code(channel: MultiUserChannel, slot: int | str) -> CodeBook:
     u = parity_phase(dims[idx])
     psi1 = _apply_on_slot(psi0, dims, u, idx)
     partition = tuple((s, m + s) for s in range(m))
-    return CodeBook(
-        channel_name=channel.name,
-        uses=2,
-        dims=dims,
-        inputs=[psi0, psi1],
-        sender_partition=partition,
-        labels=["0", f"1@slot{idx}"],
-    )
+    return CodeBook(dims=dims, inputs=[psi0, psi1], sender_partition=partition)
 
 
 def _apply_on_slot(psi: np.ndarray, dims: Sequence[int], op: np.ndarray,
@@ -132,18 +125,17 @@ def basis_codebook(channel: MultiUserChannel, uses: int,
             psi = use_ket if psi is None else np.kron(psi, use_ket)
         inputs.append(psi)
     partition = tuple(tuple(use * m + s for use in range(uses)) for s in range(m))
-    return CodeBook(channel.name, uses, dims, inputs, partition,
-                    labels=[",".join(str(i) for i in w) for w in codewords])
+    return CodeBook(dims, inputs, partition)
 
 
 def check_local_preparability(state: np.ndarray, dims: Sequence[int],
-                              partition: Sequence[Sequence[int]],
-                              tol: float = 1e-9) -> bool:
+                              partition: Sequence[Sequence[int]]) -> bool:
     """True iff the ket is a product across the given partition.
 
     A ket is a product iff every group|rest cut has Schmidt rank 1. With
-    Schmidt coefficients s0 >= s1 >= ... across a cut, s0 * s1 <= tol is the
-    numerical test; tol is absolute, so the ket is taken as normalized.
+    Schmidt coefficients s0 >= s1 >= ... across a cut, s0 * s1 <= SCHMIDT_TOL
+    is the numerical test; the tolerance is absolute, so the ket is taken as
+    normalized.
     """
     dims = list(dims)
     groups = [tuple(int(i) for i in g) for g in partition]
@@ -158,7 +150,7 @@ def check_local_preparability(state: np.ndarray, dims: Sequence[int],
         rest = [i for i in range(len(dims)) if i not in g]
         cut = np.transpose(psi, list(g) + rest).reshape(dim_of([dims[i] for i in g]), -1)
         s = np.linalg.svd(cut, compute_uv=False)
-        if s.size > 1 and s[0] * s[1] > tol:
+        if s.size > 1 and s[0] * s[1] > SCHMIDT_TOL:
             return False
     return True
 
@@ -219,8 +211,7 @@ def _receiver_count(channel: MultiUserChannel) -> int:
 
 
 def certify_alpha_local_one(channel: MultiUserChannel,
-                            restarts: int | None = None,
-                            gap: float = 1e-3, seed: int = 0,
+                            restarts: int | None = None, seed: int = 0,
                             s1_certificate: CECertificate | None = None,
                             ) -> AlphaLocalCertificate:
     """One-shot no-transmission certificate for flag-output channels.
@@ -242,14 +233,13 @@ def certify_alpha_local_one(channel: MultiUserChannel,
     if pl is None:
         raise ValueError("the one-shot certificate applies to one use of a "
                          "binary projective channel")
-    c0 = certify_completely_entangled(pl.s0, restarts=restarts, gap=gap,
-                                      seed=seed, label=f"{channel.name}/S0")
+    c0 = certify_completely_entangled(pl.s0, restarts=restarts, seed=seed,
+                                      label=f"{channel.name}/S0")
     if s1_certificate is None:
-        c1 = certify_completely_entangled(pl.s1, restarts=restarts, gap=gap,
-                                          seed=seed, label=f"{channel.name}/S1")
+        c1 = certify_completely_entangled(pl.s1, restarts=restarts, seed=seed,
+                                          label=f"{channel.name}/S1")
     else:
-        c1 = check_certificate(s1_certificate, pl.s1, restarts=restarts, gap=gap,
-                               seed=seed)
+        c1 = check_certificate(s1_certificate, pl.s1, restarts=restarts, seed=seed)
     ok = c0.certified and c1.certified
     notes = ("orthogonal flag outputs require product inputs inside each "
              "measured subspace; both subspaces are certified free of product states;"
@@ -258,7 +248,7 @@ def certify_alpha_local_one(channel: MultiUserChannel,
              "; ".join(f"{c.subspace_label}: {c.verdict}" for c in (c0, c1) if not c.certified))
     if len(channel.sender_dims) > len(pl.s0.dims):
         notes += " inherited through a trivial-party extension;"
-    return AlphaLocalCertificate(channel.name, ok, c0, c1, notes)
+    return AlphaLocalCertificate(ok, c0, c1, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +290,7 @@ def teleport_qubit(rho_in: np.ndarray) -> np.ndarray:
     return out
 
 
-def teleportation_decode(rho: np.ndarray, resource_tol: float = 1e-6) -> dict[int, float]:
+def teleportation_decode(rho: np.ndarray) -> dict[int, float]:
     """LOCC decoder for two uses of the one-sender/two-receiver channel.
 
     Input: 4-qubit density operator on (Alice use-1, Bob use-1, Alice use-2,
@@ -316,7 +306,7 @@ def teleportation_decode(rho: np.ndarray, resource_tol: float = 1e-6) -> dict[in
     dims = [2, 2, 2, 2]
     alpha = max_entangled_ket(2)
     resource = partial_trace(rho, dims, keep=[0, 1])
-    if max_abs(resource - np.outer(alpha, alpha.conj())) > resource_tol:
+    if max_abs(resource - np.outer(alpha, alpha.conj())) > RESOURCE_TOL:
         warnings.warn("use-1 marginal deviates from the maximally entangled "
                       "resource; decoding anyway", stacklevel=2)
     q0 = np.outer(alpha, alpha.conj())
@@ -350,8 +340,8 @@ def _bell_projector(bell: np.ndarray) -> np.ndarray:
     return full.transpose(axes).reshape(16, 16)
 
 
-def privacy_check(channel: MultiUserChannel, slot_pair: tuple[int | str, int | str],
-                  tol: float = 1e-9) -> tuple[bool, dict[str, float]]:
+def privacy_check(channel: MultiUserChannel,
+                  slot_pair: tuple[int | str, int | str]) -> tuple[bool, dict[str, float]]:
     """True iff the two-use outputs for the two message slots coincide and are
     orthogonal to the unmodulated output (so the receiver learns the bit while
     neither sender can tell who sent it)."""
@@ -367,6 +357,7 @@ def privacy_check(channel: MultiUserChannel, slot_pair: tuple[int | str, int | s
     same = max_abs(out_i - out_j)
     cross_i = abs(float(np.real(np.trace(out_i @ out0))))
     cross_j = abs(float(np.real(np.trace(out_j @ out0))))
+    tol = ORTHO_OVERLAP_TOL
     passed = same <= tol and cross_i <= tol and cross_j <= tol
     details = {"output_difference": same,
                "overlap_slot_i": cross_i,

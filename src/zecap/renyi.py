@@ -33,6 +33,7 @@ from .linalg import dagger, haar_ket, keyed_haar_kets, max_entangled_ket
 from .subspaces import CECertificate, Subspace, certify_completely_entangled, check_certificate
 
 RANK_THRESHOLD_RATIO = 1e-7   # eigenvalues below this fraction of the top count as zero
+LBFGS_MAXITER = 400           # iteration cap of each L-BFGS run of the rank search
 DEFAULT_GAP_BUDGET = 5000
 # kets per stacked output-spectrum pass. Scoring the two-use pool at budget
 # 5000 (2,004 kets) in one pass raised the renyi-gap peak RSS from 83 to
@@ -40,8 +41,7 @@ DEFAULT_GAP_BUDGET = 5000
 SPECTRUM_CHUNK = 64
 
 
-def renyi_entropy(rho: np.ndarray, p: float,
-                  threshold_ratio: float = RANK_THRESHOLD_RATIO) -> float:
+def renyi_entropy(rho: np.ndarray, p: float) -> float:
     """Renyi entropy of order p in bits; p = 0, 1 and inf take their limits."""
     if p < 0:
         raise ValueError("order p must be >= 0")
@@ -54,7 +54,7 @@ def renyi_entropy(rho: np.ndarray, p: float,
     if total <= 0:
         raise ValueError("cannot take the entropy of the zero operator")
     w = w / total
-    w = w[w > threshold_ratio * np.max(w)]
+    w = w[w > RANK_THRESHOLD_RATIO * np.max(w)]
     if p == 0:
         return log2(len(w))
     if p == 1:
@@ -64,13 +64,12 @@ def renyi_entropy(rho: np.ndarray, p: float,
     return float(np.log2(np.sum(w ** p)) / (1.0 - p))
 
 
-def spectrum_rank(spectrum: np.ndarray,
-                  threshold_ratio: float = RANK_THRESHOLD_RATIO) -> int | np.ndarray:
-    """Number of eigenvalues above threshold_ratio times the top one; for a
-    stack of spectra, one rank per row."""
+def spectrum_rank(spectrum: np.ndarray) -> int | np.ndarray:
+    """Number of eigenvalues above RANK_THRESHOLD_RATIO times the top one; for
+    a stack of spectra, one rank per row."""
     w = np.clip(np.asarray(spectrum, dtype=float), 0.0, None)
     top = np.max(w, axis=-1, keepdims=True, initial=0.0)
-    ranks = np.sum(w > threshold_ratio * top, axis=-1)
+    ranks = np.sum(w > RANK_THRESHOLD_RATIO * top, axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -80,7 +79,6 @@ class RankSearchResult:
     achiever: np.ndarray
     output_spectrum: np.ndarray        # descending, trace-normalized
     second_eigenvalue: float
-    threshold_ratio: float
     tried_ranks: dict[int, float] = field(default_factory=dict)  # target -> best tail mass
 
 
@@ -166,9 +164,7 @@ def minimize(fun, x0, **kwargs):
 def min_output_rank_search(channel: MultiUserChannel,
                            seeds: Sequence[np.ndarray] | None = None,
                            restarts: int = 200, seed: int = 0,
-                           threshold_ratio: float = RANK_THRESHOLD_RATIO,
-                           refine_per_rank: int = 24,
-                           maxiter: int = 400, stop_below: int = 0) -> RankSearchResult:
+                           refine_per_rank: int = 24, stop_below: int = 0) -> RankSearchResult:
     """Minimum output rank over pure inputs, by seeded descent on tail mass.
 
     Structured seeds and random restarts are ranked first by direct
@@ -194,11 +190,11 @@ def min_output_rank_search(channel: MultiUserChannel,
     pool: list[np.ndarray] = [s / np.linalg.norm(s) for s in
                               (structured_rank_seeds(channel) if seeds is None else list(seeds))]
     spectra = _output_spectra(channel, np.array(pool, dtype=complex))
-    if not np.any(spectrum_rank(spectra, threshold_ratio) < stop_below):
+    if not np.any(spectrum_rank(spectra) < stop_below):
         drawn = keyed_haar_kets([d], max(restarts, 1), [seed, 1])[0]
         pool += list(drawn)
         spectra = np.concatenate([spectra, _output_spectra(channel, drawn)])
-    ranks = spectrum_rank(spectra, threshold_ratio)
+    ranks = spectrum_rank(spectra)
     scored = [(int(r), float(np.sum(spec[max(r - 1, 0):])), idx, psi)
               for idx, (r, spec, psi) in enumerate(zip(ranks, spectra, pool))]
     scored.sort(key=lambda t: t[:3])
@@ -216,17 +212,17 @@ def min_output_rank_search(channel: MultiUserChannel,
         for x_start in starts:
             x0 = np.concatenate([x_start.real, x_start.imag])
             res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                           options={"maxiter": maxiter})
+                           options={"maxiter": LBFGS_MAXITER})
             if res.fun < best_tail:
                 best_tail = float(res.fun)
                 found = res.x[:d] + 1j * res.x[d:]
-            if best_tail < threshold_ratio / 10:
+            if best_tail < RANK_THRESHOLD_RATIO / 10:
                 break
         tried[target] = best_tail
-        if found is not None and best_tail < threshold_ratio / 10:
+        if found is not None and best_tail < RANK_THRESHOLD_RATIO / 10:
             psi = found / np.linalg.norm(found)
             spec = _output_spectrum(channel, psi)
-            r = spectrum_rank(spec, threshold_ratio)
+            r = spectrum_rank(spec)
             if r <= target:
                 best_rank, best_psi = r, psi
                 target = r - 1
@@ -236,7 +232,7 @@ def min_output_rank_search(channel: MultiUserChannel,
     spec = _output_spectrum(channel, best_psi)
     second = float(spec[1]) if len(spec) > 1 else 0.0
     return RankSearchResult(best_rank, best_psi / np.linalg.norm(best_psi),
-                            spec, second, threshold_ratio, tried)
+                            spec, second, tried)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +255,6 @@ class AdditivityGapReport:
 
 def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
                            seed: int = 0, ce_restarts: int | None = None,
-                           gap: float = 1e-3,
                            complement_certificate: CECertificate | None = None,
                            ) -> AdditivityGapReport:
     """Compare the minimum output rank of the subspace channel against two
@@ -281,7 +276,7 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
     search: min(budget, 2000) random restarts and max(8, budget // 200)
     L-BFGS starts per target rank, spent only while the verdict is open.
 
-    The complement is certified at `seed` with `ce_restarts` and `gap`. A
+    The complement is certified at `seed` with `ce_restarts`. A
     certificate already searched so (a flag-output channel's S1 certificate,
     when `subspace` is its S0) may be passed as `complement_certificate`.
     """
@@ -307,10 +302,10 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
     complement = subspace.complement()
     if complement_certificate is None:
         cert = certify_completely_entangled(complement, restarts=ce_restarts,
-                                            gap=gap, seed=seed, label="complement")
+                                            seed=seed, label="complement")
     else:
         cert = check_certificate(complement_certificate, complement,
-                                 restarts=ce_restarts, gap=gap, seed=seed)
+                                 restarts=ce_restarts, seed=seed)
     channel = make_cj_channel(subspace)
     if cert.verdict == "certified-CE":
         single, single_rank, floor = None, db, db

@@ -178,6 +178,8 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
         if not all(type(s) is int and 0 <= s < len(sender_dims) for s in u_slots):
             raise ValueError(f"u_slots: {u_slots!r} names a slot outside "
                              f"0..{len(sender_dims) - 1}")
+        if len(set(u_slots)) < len(u_slots):
+            raise ValueError(f"u_slots: {u_slots!r} names a slot twice")
         total = dim_of(sender_dims)
         vectors = _list_field(_field(spec, "s0_basis"), "s0_basis")
         term_lists = [_terms_from_json(v, total, f"s0_basis[{i}]")

@@ -23,21 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from .exactnum import ExactMatrix, exact_all_zero, exact_matmul, exact_projector
-from .linalg import (
-    ORTHO_TOL,
-    contract_factors,
-    dim_of,
-    embed_operator,
-    gram_schmidt,
-    keyed_haar_kets,
-    max_abs,
-    paired,
-    transpose_plain,
-)
+from .linalg import contract_factors, dim_of, gram_schmidt, keyed_haar_kets, max_abs, paired
 
 PRODUCT_FOUND_TOL = 1e-6     # overlap >= 1 - this counts as a product state
-DEFAULT_CE_GAP = 1e-3
-MIN_CERT_RESTARTS = 100
+DEFAULT_CE_GAP = 1e-3        # certified-CE needs an overlap <= 1 - this
+MIN_CERT_RESTARTS = 100      # fewer restarts than this certify nothing
+SWEEP_GAIN_TOL = 1e-12       # a restart stops when a sweep gains less than this
+MAX_SWEEPS = 500             # ... or after this many sweeps
+REAL_TOL = 1e-12             # largest imaginary projector entry of a real subspace
+SYMMETRY_TOL = 1e-9          # largest residual a float symmetry check passes
 GRID_MAX_EVALS = 200_000_000   # largest grid the oracle evaluates
 GRID_CHUNK_VALUES = 4_000_000  # real overlaps held at once by the grid (about 31 MiB)
 
@@ -61,15 +55,14 @@ class Subspace:
     projector: np.ndarray      # shape (total, total)
 
     @classmethod
-    def from_span(cls, dims: Sequence[int], spanning: Sequence[np.ndarray],
-                  tol: float = ORTHO_TOL) -> "Subspace":
+    def from_span(cls, dims: Sequence[int], spanning: Sequence[np.ndarray]) -> "Subspace":
         total = dim_of(dims)
         for v in spanning:
             if np.asarray(v).shape != (total,):
                 raise ValueError(
                     f"spanning vector of length {np.asarray(v).size} does not "
                     f"match dims {tuple(dims)} (total {total})")
-        basis = gram_schmidt(spanning, tol=tol)
+        basis = gram_schmidt(spanning)
         b = np.stack(basis) if basis else np.zeros((0, total), dtype=complex)
         proj = b.T @ b.conj()
         return cls(tuple(int(d) for d in dims), _frozen(b), _frozen(proj))
@@ -89,8 +82,8 @@ class Subspace:
         b = np.stack(kernel) if kernel else np.zeros((0, self.total_dim), dtype=complex)
         return Subspace(self.dims, _frozen(b), _frozen(b.T @ b.conj()))
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return max_abs(self.projector.imag) <= tol
+    def is_real(self) -> bool:
+        return max_abs(self.projector.imag) <= REAL_TOL
 
 
 @dataclass
@@ -101,7 +94,7 @@ class ProductCandidate:
     overlap: float
     restart_index: int = -1
     sweeps: int = 0
-    converged: bool = True     # the winner's last sweep gained less than tol
+    converged: bool = True     # the winner's last sweep gained less than SWEEP_GAIN_TOL
     retired: int = 0           # restarts stopped early by the retirement rule
 
     def ket(self) -> np.ndarray:
@@ -117,11 +110,8 @@ class CECertificate:
     max_overlap_found: float
     witness: ProductCandidate
     restarts: int
-    converged: bool            # the winning restart stopped on gain < tol
     verdict: str               # certified-CE | product-state-found | inconclusive
-    gap: float
     seed: int
-    retired: int = 0           # restarts the search retired early
 
     @property
     def certified(self) -> bool:
@@ -223,8 +213,7 @@ def _ket_from_coordinates(x: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:
 
 
 def max_product_overlap(subspace: Subspace, restarts: int | None = None,
-                        seed: int = 0, tol: float = 1e-12,
-                        max_sweeps: int = 500) -> ProductCandidate:
+                        seed: int = 0) -> ProductCandidate:
     """Best product state found by alternating eigenvector maximization.
 
     Each restart starts from independent Haar-random factors (stream derived
@@ -243,13 +232,13 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     result does not depend on the schedule. The winner's factor kets are
     read back from its coordinates once, at the end.
 
-    A restart stops when a sweep gains less than `tol`, or at `max_sweeps`.
-    After each sweep the leader is the restart with the highest overlap so
-    far (ties to the lowest index). Every other running restart is retired
-    when it cannot change the answer: either its current per-sweep gain,
-    kept up over the sweeps left, would not reach the leader, or it already
-    sits within PRODUCT_FOUND_TOL of the leader, whose own sweeps refine the
-    same level. The leader is never retired and stops by the first rule
+    A restart stops when a sweep gains less than SWEEP_GAIN_TOL, or after
+    MAX_SWEEPS sweeps. After each sweep the leader is the restart with the
+    highest overlap so far (ties to the lowest index). Every other running
+    restart is retired when it cannot change the answer: either its current
+    per-sweep gain, kept up over the sweeps left, would not reach the
+    leader, or it already sits within PRODUCT_FOUND_TOL of the leader, whose
+    own sweeps refine the same level. The leader is never retired and stops by the first rule
     only, while a retired restart stays frozen at or below the leader, so
     the winner is a restart that ran to its own stop. The rule reads only
     overlaps, so the result stays a pure function of (subspace, restarts,
@@ -272,7 +261,7 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     converged = np.zeros(restarts, dtype=bool)
     retired = 0
     alive = np.arange(restarts)
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         prev_sweep = obj[alive]
         cur = prev_sweep
         for slot, (d, mat) in enumerate(zip(dims, mats)):
@@ -289,12 +278,12 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
         obj[alive] = cur
         sweeps[alive] = sweep
         gain = cur - prev_sweep
-        running = gain >= tol
+        running = gain >= SWEEP_GAIN_TOL
         converged[alive[~running]] = True
         leader = int(np.argmax(obj))        # ties resolve to the lowest index
         best = obj[leader]
         retire = running & (alive != leader) & (
-            (cur + gain * (max_sweeps - sweep) < best)
+            (cur + gain * (MAX_SWEEPS - sweep) < best)
             | (best - cur <= PRODUCT_FOUND_TOL))
         retired += int(np.count_nonzero(retire))
         keep = running & ~retire
@@ -313,13 +302,12 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
 
 
 def certify_completely_entangled(subspace: Subspace, restarts: int | None = None,
-                                 gap: float = DEFAULT_CE_GAP, seed: int = 0,
-                                 label: str = "", min_restarts: int = MIN_CERT_RESTARTS,
-                                 ) -> CECertificate:
+                                 seed: int = 0, label: str = "") -> CECertificate:
     """Numerical certificate that a subspace contains no product state.
 
     The certificate is honest about being numerical: certified-CE means the
-    best product overlap over the full restart budget stayed below 1 - gap.
+    best product overlap over at least MIN_CERT_RESTARTS restarts stayed at
+    or below 1 - DEFAULT_CE_GAP.
     """
     if restarts is None:
         restarts = default_restarts(subspace.dims)
@@ -327,29 +315,26 @@ def certify_completely_entangled(subspace: Subspace, restarts: int | None = None
         raise ValueError("restarts must be >= 1")
     if subspace.dim == 0:
         empty = ProductCandidate([np.zeros(d) for d in subspace.dims], 0.0)
-        return CECertificate(label, 0.0, empty, restarts, empty.converged,
-                             "certified-CE", gap, seed)
+        return CECertificate(label, 0.0, empty, restarts, "certified-CE", seed)
     cand = max_product_overlap(subspace, restarts=restarts, seed=seed)
     if cand.overlap >= 1.0 - PRODUCT_FOUND_TOL:
         verdict = "product-state-found"
-    elif cand.overlap <= 1.0 - gap and restarts >= min_restarts:
+    elif cand.overlap <= 1.0 - DEFAULT_CE_GAP and restarts >= MIN_CERT_RESTARTS:
         verdict = "certified-CE"
     else:
         verdict = "inconclusive"
-    return CECertificate(label, cand.overlap, cand, restarts, cand.converged,
-                         verdict, gap, seed, retired=cand.retired)
+    return CECertificate(label, cand.overlap, cand, restarts, verdict, seed)
 
 
 def check_certificate(cert: CECertificate, subspace: Subspace,
-                      restarts: int | None = None, gap: float = DEFAULT_CE_GAP,
-                      seed: int = 0) -> CECertificate:
-    """Return `cert` if `certify_completely_entangled(subspace, restarts, gap,
-    seed)` would search with its restart count, gap and seed, else raise
+                      restarts: int | None = None, seed: int = 0) -> CECertificate:
+    """Return `cert` if `certify_completely_entangled(subspace, restarts,
+    seed)` would search with its restart count and seed, else raise
     ValueError. A certificate does not record its subspace: the caller vouches."""
-    want = (default_restarts(subspace.dims) if restarts is None else restarts, gap, seed)
-    got = (cert.restarts, cert.gap, cert.seed)
+    want = (default_restarts(subspace.dims) if restarts is None else restarts, seed)
+    got = (cert.restarts, cert.seed)
     if got != want:
-        raise ValueError(f"certificate searched with (restarts, gap, seed) = {got}, "
+        raise ValueError(f"certificate searched with (restarts, seed) = {got}, "
                          f"not the {want} asked for")
     return cert
 
@@ -428,11 +413,10 @@ class SymmetryCheck:
     name: str
     slot: int | None
     residual: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return self.residual <= SYMMETRY_TOL
 
 
 @dataclass
@@ -450,49 +434,38 @@ class SymmetryReport:
         raise KeyError(f"no check {name!r} for slot {slot}")
 
 
-def symmetry_checks(s0: Subspace, s1: Subspace, u: np.ndarray,
-                    slots: Sequence[int] | None = None,
-                    tol: float = 1e-9) -> SymmetryReport:
+def symmetry_checks(s0: Subspace, s1: Subspace, slots: Sequence[int]) -> SymmetryReport:
     """Residuals of the transpose and phase-conjugation identities.
 
-    Checks, for complementary projectors P0, P1 and a Hermitian unitary u
-    applied on single party slots i:
+    Checks, for complementary projectors P0, P1 and the parity phase
+    D = diag(+1, -1, +1, ...) on each party slot i in `slots`:
       transpose:       P_l - P_l^T
-      conjugation:     P_l - U^i P_{1-l} U^i
+      conjugation:     P_l - D^i P_{1-l} D^i
       orthogonality:   P_l^T P_{1-l}
-      twist:           P_l^T U^i P_l U^i
-    Slots restrict which parties are tested (some constructions satisfy the
-    conjugation identities only on one slot).
+      twist:           P_l^T D^i P_l D^i
+    D^i is diagonal with the signs s = `_parity_signs(dims, i)`, so D^i P D^i
+    is P with entry (a, b) times s_a s_b, and X D^i is X with column b times
+    s_b. Both are exact sign flips, and a trailing D^i does not change a
+    max-norm, so the twist residual is that of (P_l^T with column b times
+    s_b) P_l. Slots restrict which parties are tested (some constructions
+    satisfy the conjugation identities only on one slot).
     """
     if s0.dims != s1.dims:
         raise ValueError(f"dims mismatch: {s0.dims} vs {s1.dims}")
-    dims = s0.dims
-    if slots is None:
-        slots = [i for i, d in enumerate(dims) if d == u.shape[0]]
     projs = {0: s0.projector, 1: s1.projector}
-    report = SymmetryReport()
-    for ell in (0, 1):
-        p = projs[ell]
-        report.checks.append(SymmetryCheck(
-            f"transpose[{ell}]", None, max_abs(p - transpose_plain(p)), tol))
+    # C-contiguous transposes, so each product is the same BLAS call as P^T P
+    transposed = {ell: np.ascontiguousarray(p.T) for ell, p in projs.items()}
+    checks = [SymmetryCheck(f"transpose[{ell}]", None, max_abs(projs[ell] - transposed[ell]))
+              for ell in (0, 1)]
     for slot in slots:
-        if u.shape != (dims[slot], dims[slot]):
-            raise ValueError(
-                f"u of shape {u.shape} does not act on slot {slot} of dims {dims}")
-        ui = embed_operator(u, slot, dims)
-        for ell in (0, 1):
-            resid = max_abs(projs[ell] - ui @ projs[1 - ell] @ ui)
-            report.checks.append(SymmetryCheck(
-                f"conjugation[{ell}]", slot, resid, tol))
-        for ell in (0, 1):
-            resid = max_abs(transpose_plain(projs[ell]) @ ui @ projs[ell] @ ui)
-            report.checks.append(SymmetryCheck(
-                f"twist[{ell}]", slot, resid, tol))
-    for ell in (0, 1):
-        resid = max_abs(transpose_plain(projs[ell]) @ projs[1 - ell])
-        report.checks.append(SymmetryCheck(
-            f"orthogonality[{ell}]", None, resid, tol))
-    return report
+        s = _parity_signs(s0.dims, slot)
+        checks += [SymmetryCheck(f"conjugation[{ell}]", slot, max_abs(
+            projs[ell] - s[:, None] * projs[1 - ell] * s)) for ell in (0, 1)]
+        checks += [SymmetryCheck(f"twist[{ell}]", slot, max_abs(
+            (transposed[ell] * s) @ projs[ell])) for ell in (0, 1)]
+    checks += [SymmetryCheck(f"orthogonality[{ell}]", None, max_abs(
+        transposed[ell] @ projs[1 - ell])) for ell in (0, 1)]
+    return SymmetryReport(checks)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from zecap.linalg import (
     permute_factors,
     random_density,
     tensor,
-    transpose_plain,
 )
 from zecap.specio import channel_from_spec, describe_channel, make_builtin
 from zecap.subspaces import Subspace
@@ -40,7 +39,7 @@ def test_e12_outputs(e12):
 
 
 def test_e21_output_on_span_vector(e21):
-    psi1 = ket_from_terms([16], [(0, 1.0), (5, -1.0)], normalize=True)
+    psi1 = ket_from_terms([16], [(0, 1.0), (5, -1.0)]) / np.sqrt(2)
     out = apply_channel_to_ket(e21, psi1)
     assert max_abs(out - np.diag([1.0, 0.0])) < 1e-12
 
@@ -90,7 +89,7 @@ def test_em1_dimensions():
 
 
 def test_em1_m3_ghz_output(em13):
-    ghz = ket_from_terms([8], [(0, 1.0), (7, 1.0)], normalize=True)
+    ghz = ket_from_terms([8], [(0, 1.0), (7, 1.0)]) / np.sqrt(2)
     out = apply_channel_to_ket(em13, ghz)
     assert max_abs(out - np.diag([1.0, 0.0])) < 1e-12
 
@@ -243,8 +242,7 @@ def test_cj_channel_frame_operator(e21):
     assert len(to_kraus(ch)) == 8
     scale = 1 / np.linalg.norm(to_kraus(ch)[0]) ** 2   # basis kets have unit norm
     frame = sum(k.conj().T @ k for k in to_kraus(ch)) * scale
-    contraction = transpose_plain(partial_trace(e21.payload.s0.projector,
-                                                [4, 4], keep=[0]))
+    contraction = partial_trace(e21.payload.s0.projector, [4, 4], keep=[0]).T
     assert max_abs(frame - contraction) < 1e-10
     # the unscaled frame has trace 8 on a 4-dim space, so it is not the
     # identity; it happens to be exactly 2*I, so the documented scaling by

@@ -525,3 +525,57 @@ def test_teleport_is_offered_only_to_channels_shaped_like_e12(tmp_path, capsys,
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def _spec_with(tmp_path, builtin, **fields):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**describe_channel(make_builtin(builtin)), **fields}))
+    return str(path)
+
+
+E21_PROPERTIES = ["verify", "--builtin", "e21", "--suite", "properties"]
+
+
+# argv, and whether the refusal comes before any suite runs; "{tmp}" is the
+# test's temporary directory and "{spec}" a spec written there
+@pytest.mark.parametrize("argv, before_suites", [
+    pytest.param(E21_PROPERTIES + ["--slots", "AB"], True, id="slots-AB"),
+    pytest.param(E21_PROPERTIES + ["--slots", "A,"], True, id="slots-A-comma"),
+    pytest.param(E21_PROPERTIES + ["--slots", ","], True, id="slots-comma"),
+    pytest.param(E21_PROPERTIES + ["--slots", ""], True, id="slots-empty"),
+    pytest.param(E21_PROPERTIES + ["--slots", "A,A"], True, id="slots-repeated"),
+    pytest.param(["verify", "--builtin", "e21", "--suite", ""], True, id="suite-empty"),
+    pytest.param(["verify", "--builtin", "e21", "--suite", ","], True, id="suite-comma"),
+    pytest.param(["verify", "--builtin", "e21", "--suite", "ce,"], True, id="suite-ce-comma"),
+    pytest.param(["verify", "--builtin", "e21", "--suite", "properties,properties"], True,
+                 id="suite-repeated"),
+    pytest.param(["verify", "--spec", "{spec}", "--suite", "properties"], True,
+                 id="spec-u_slots-repeated"),
+    pytest.param(["verify", "--spec", "{tmp}", "--suite", "all"], True, id="spec-directory"),
+    pytest.param(["renyi-gap", "--spec", "{tmp}"], True, id="gap-spec-directory"),
+    pytest.param(E21_PROPERTIES + ["--out", "{tmp}"], False, id="out-directory"),
+])
+def test_malformed_lists_and_unreadable_paths_are_usage_errors(argv, before_suites, tmp_path,
+                                                               capsys, searched):
+    spec = _spec_with(tmp_path, "em1:3", u_slots=[0, 0, 1])
+    argv = [a.format(tmp=tmp_path, spec=spec) for a in argv]
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    if before_suites:
+        assert searched == []
+
+
+def test_report_rows_are_unique_for_every_builtin(tmp_path):
+    out = tmp_path / "report.json"
+    for builtin in ("e12", "e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5", "em1:6"):
+        runs = [["--suite", "all"]]
+        if builtin != "e12":
+            # A and A' are two slots of two uses, but one sender slot
+            runs.append(["--suite", "properties,two-use", "--slots", "A,A'"])
+        for extra in runs:
+            run(["verify", "--builtin", builtin, "--restarts", "100", "--out", str(out)] + extra)
+            names = [c["name"] for c in read_report(out)["checks"]]
+            assert len(names) == len(set(names)), (builtin, extra, names)

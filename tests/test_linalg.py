@@ -7,7 +7,6 @@ from zecap.channels import e21_spanning_terms
 from zecap.subspaces import Subspace
 from zecap.linalg import (
     contract_factors,
-    embed_operator,
     gram_schmidt,
     haar_ket,
     ket_from_terms,
@@ -15,13 +14,11 @@ from zecap.linalg import (
     ket_to_matrix,
     max_abs,
     max_entangled_ket,
-    parity_phase,
     partial_trace,
     permute_factors,
     random_density,
     random_hermitian,
     tensor,
-    transpose_plain,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -97,33 +94,9 @@ def test_projector_complement_completeness():
     assert max_abs(p0 + p1 - np.eye(16)) < 1e-10
 
 
-def test_transpose_plain_vs_conjugation():
-    m = np.array([[0, 1j], [0, 0]])
-    t = transpose_plain(m)
-    assert t[1, 0] == 1j and t[0, 1] == 0
-
-
-def test_transpose_plain_requires_square():
-    with pytest.raises(ValueError):
-        transpose_plain(np.zeros((2, 3)))
-
-
 def test_transpose_fixes_construction_projector():
     p = Subspace.from_span([16], e21_span_vectors()).projector
-    assert max_abs(p - transpose_plain(p)) < 1e-12
-
-
-def test_embed_operator_slots():
-    u = parity_phase(4)
-    assert max_abs(embed_operator(u, 0, [4, 4]) - np.kron(u, np.eye(4))) == 0
-    assert max_abs(embed_operator(u, 1, [4, 4]) - np.kron(np.eye(4), u)) == 0
-
-
-def test_embed_operator_errors():
-    with pytest.raises(ValueError):
-        embed_operator(np.eye(2), 2, [2, 2])
-    with pytest.raises(ValueError):
-        embed_operator(np.eye(3), 0, [2, 2])
+    assert max_abs(p - p.T) < 1e-12
 
 
 def test_contract_factors_matches_kronecker_product():

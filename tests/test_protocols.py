@@ -11,7 +11,6 @@ from zecap.channels import (
 from zecap.linalg import (
     max_abs,
     max_entangled_ket,
-    random_density,
     tensor,
     trace_distance,
 )
@@ -34,8 +33,15 @@ EXPECTED_FLIP = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
 
 def test_slot_labels(e21):
     assert [slot_index(e21, s) for s in ("A", "B", "A'", "B'")] == [0, 1, 2, 3]
+    assert [slot_index(e21, s) for s in (" b", "a'", 3)] == [1, 2, 3]
     with pytest.raises(ValueError):
         slot_index(e21, "C'")
+
+
+@pytest.mark.parametrize("label", ["", "AB", "'A", "A'B", None])
+def test_malformed_slot_labels_raise_value_error(e21, label):
+    with pytest.raises(ValueError):
+        slot_index(e21, label)
 
 
 def test_two_use_code_is_locally_preparable(e21, em13):
@@ -142,7 +148,7 @@ def test_alpha_local_one_reuses_a_matching_s1_certificate(e21):
     assert reused.s1_certificate is s1
     assert reused.s1_certificate.max_overlap_found == fresh.s1_certificate.max_overlap_found
     assert reused.alpha_local_one == fresh.alpha_local_one
-    for other in ({"seed": 3}, {"restarts": 121}, {"gap": 1e-2}):
+    for other in ({"seed": 3}, {"restarts": 121}):
         with pytest.raises(ValueError, match="certificate searched with"):
             certify_alpha_local_one(e21, **{"restarts": 120, "seed": 2, **other},
                                     s1_certificate=s1)
@@ -176,7 +182,8 @@ def test_alpha_local_wrong_kind(e12):
 def test_teleport_identity_on_random_states():
     rng = np.random.default_rng(10)
     for _ in range(100):
-        rho = random_density(2, rng, rank=1)
+        g = rng.normal(size=2) + 1j * rng.normal(size=2)
+        rho = np.outer(g, g.conj()) / np.vdot(g, g).real
         assert trace_distance(teleport_qubit(rho), rho) < 1e-10
 
 

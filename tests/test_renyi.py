@@ -325,7 +325,7 @@ def test_gap_reuses_a_matching_complement_certificate(e21):
     assert np.array_equal(reused.two_use_result.achiever, fresh.two_use_result.achiever)
 
 
-@pytest.mark.parametrize("asked", [{"seed": 4}, {"ce_restarts": 999}, {"gap": 1e-2}])
+@pytest.mark.parametrize("asked", [{"seed": 4}, {"ce_restarts": 999}])
 def test_gap_refuses_a_certificate_searched_otherwise(e21, asked):
     cert = certify_completely_entangled(e21.payload.s1, seed=3)
     with pytest.raises(ValueError, match="certificate searched with"):

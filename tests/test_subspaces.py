@@ -21,6 +21,7 @@ from zecap.subspaces import (
     _grid_factors,
     _hermitian_coordinates,
     _ket_coordinates,
+    _parity_signs,
     _slot_step,
     certify_completely_entangled,
     exact_symmetry_checks,
@@ -223,8 +224,7 @@ def test_certify_detects_explicit_product_basis_vector():
 
 
 def test_certify_inconclusive_below_min_restarts(s0_e21):
-    cert = certify_completely_entangled(s0_e21, restarts=3, seed=0,
-                                        min_restarts=100)
+    cert = certify_completely_entangled(s0_e21, restarts=3, seed=0)
     assert cert.verdict == "inconclusive"
 
 
@@ -244,7 +244,7 @@ def test_em1_m4_search_keeps_its_winner_while_retiring_stragglers():
     assert abs(np.vdot(x, sub.projector @ x).real - cand.overlap) < 1e-12
     cert = certify_completely_entangled(sub, restarts=100, seed=0)
     assert cert.verdict == "certified-CE"
-    assert (cert.converged, cert.retired) == (False, cand.retired)
+    assert (cert.witness.converged, cert.witness.retired) == (False, cand.retired)
 
 
 def test_a_restart_does_not_depend_on_the_batch_it_runs_in(em14):
@@ -318,9 +318,9 @@ def test_qubit_search_runs_no_eigh(em14, monkeypatch):
 
 def test_converged_search_reports_convergence(s0_e21):
     cert = certify_completely_entangled(s0_e21, restarts=150, seed=0)
-    assert cert.converged
+    assert cert.witness.converged
     assert cert.witness.sweeps < 500
-    assert 0 < cert.retired < 150
+    assert 0 < cert.witness.retired < 150
 
 
 def test_retirement_keeps_the_em1_m2_product_state():
@@ -328,7 +328,7 @@ def test_retirement_keeps_the_em1_m2_product_state():
     cert = certify_completely_entangled(sub, restarts=100, seed=0)
     assert cert.verdict == "product-state-found"
     assert cert.max_overlap_found >= 1 - 1e-6
-    assert cert.retired > 0
+    assert cert.witness.retired > 0
 
 
 def test_grid_oracle_pole_coverage():
@@ -414,7 +414,7 @@ def test_grid_never_beats_seesaw():
 
 def test_symmetry_e21_all_pass(s0_e21):
     s1 = s0_e21.complement()
-    report = symmetry_checks(s0_e21, s1, parity_phase(4), slots=[0, 1])
+    report = symmetry_checks(s0_e21, s1, slots=[0, 1])
     assert report.all_passed
     for check in report.checks:
         assert check.residual < 1e-9
@@ -422,9 +422,9 @@ def test_symmetry_e21_all_pass(s0_e21):
 
 def test_symmetry_variant_slot_b_only(s0_v34):
     s1 = s0_v34.complement()
-    report_b = symmetry_checks(s0_v34, s1, parity_phase(4), slots=[1])
+    report_b = symmetry_checks(s0_v34, s1, slots=[1])
     assert report_b.all_passed
-    report_a = symmetry_checks(s0_v34, s1, parity_phase(3), slots=[0])
+    report_a = symmetry_checks(s0_v34, s1, slots=[0])
     assert not report_a.all_passed
     assert report_a.residual("conjugation[0]", 0) > 1e-3
 
@@ -432,8 +432,40 @@ def test_symmetry_variant_slot_b_only(s0_v34):
 def test_symmetry_trivial_counterexample():
     s0 = Subspace.from_span([2, 2], [basis_ket([2, 2], 0), basis_ket([2, 2], 1)])
     s1 = s0.complement()
-    report = symmetry_checks(s0, s1, np.eye(2, dtype=complex), slots=[0])
+    report = symmetry_checks(s0, s1, slots=[0])
     assert report.residual("conjugation[0]", 0) > 0.9
+
+
+def _dense_parity(dims, slot):
+    """I x ... x parity_phase x ... x I on the factors `dims`."""
+    left, right = int(np.prod(dims[:slot])), int(np.prod(dims[slot + 1:]))
+    return np.kron(np.kron(np.eye(left), parity_phase(dims[slot])), np.eye(right))
+
+
+@pytest.mark.parametrize("dims, terms", [
+    ([4, 4], e21_spanning_terms()),
+    ([3, 4], variant34_spanning_terms()),
+    ([2, 2, 2], em1_spanning_terms(3)),
+])
+def test_symmetry_residuals_have_the_digits_of_the_dense_parity_products(dims, terms):
+    # the sign pattern stands for the dense parity phase D on a slot; every
+    # residual must equal, bit for bit, its product with D written out
+    s0 = subspace_from_terms(dims, terms)
+    s1 = s0.complement()
+    slots = list(range(len(dims)))
+    report = symmetry_checks(s0, s1, slots)
+    p = {0: s0.projector, 1: s1.projector}
+    t = {ell: p[ell].T.copy() for ell in (0, 1)}
+    for slot in slots:
+        d = _dense_parity(dims, slot).astype(complex)
+        assert np.array_equal(_parity_signs(dims, slot), d.diagonal().real)
+        for ell in (0, 1):
+            assert report.residual(f"conjugation[{ell}]", slot) == max_abs(
+                p[ell] - d @ p[1 - ell] @ d)
+            assert report.residual(f"twist[{ell}]", slot) == max_abs(t[ell] @ d @ p[ell] @ d)
+    for ell in (0, 1):
+        assert report.residual(f"transpose[{ell}]") == max_abs(p[ell] - t[ell])
+        assert report.residual(f"orthogonality[{ell}]") == max_abs(t[ell] @ p[1 - ell])
 
 
 def test_exact_symmetry_e21():
