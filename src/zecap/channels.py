@@ -35,6 +35,7 @@ from .subspaces import Subspace
 # it lifted, `verify --suite all` took 13 s on em1:7 and 34 s on em1:8 (2-CPU
 # VM, one BLAS thread, < 110 MB), most of it in the exact `properties` suite
 MAX_INPUT_DIM = 64
+TRACE_TOL = 1e-9      # largest residual of sum K^dag K - I that counts as trace preserving
 
 
 def check_input_dim(dims: Iterable[int], field: str = "sender_dims") -> None:

@@ -13,12 +13,16 @@ import sys
 import numpy as np
 
 from .channels import (
+    TRACE_TOL,
     MultiUserChannel,
     apply_channel,
     check_trace_preserving,
     tensor_power,
 )
 from .protocols import (
+    DECODE_TOL,
+    ORTHO_OVERLAP_TOL,
+    AlphaLocalCertificate,
     basis_codebook,
     build_two_use_code,
     capacity_lower_bound,
@@ -44,6 +48,7 @@ from .subspaces import (
     certify_completely_entangled,  # no caller here; bench/tracer.py wraps this binding
     exact_symmetry_checks,
     grid_product_overlap,
+    parity_conjugate_slot,
     symmetry_checks,
 )
 from .linalg import random_density, trace_distance
@@ -117,10 +122,6 @@ def _slot_labels(channel: MultiUserChannel) -> list[str]:
     return [chr(ord("A") + i) for i in range(len(channel.sender_dims))]
 
 
-def _product_param_count(dims) -> int:
-    return sum(2 * (d - 1) for d in dims)
-
-
 def _applicable_suites(channel: MultiUserChannel) -> list[str]:
     if channel.payload is None:
         # the teleport suite drives two uses of a channel shaped like e12
@@ -142,14 +143,13 @@ def _applicable_suites(channel: MultiUserChannel) -> list[str]:
 def _suite_properties(channel, report: Report, slots: list[int] | None) -> None:
     pl = channel.payload
     use_slots = slots if slots is not None else list(pl.u_slots)
-    for pos, slot in enumerate(use_slots):
-        for check in symmetry_checks(pl.s0, pl.s1, [slot]).checks:
-            if pos > 0 and check.slot is None:
-                continue        # transpose/orthogonality are slot independent
-            tag = f"@{check.slot}" if check.slot is not None else ""
-            report.add(f"properties/{check.name}{tag}",
-                       "projector symmetry residual (float)",
-                       check.residual, SYMMETRY_TOL, check.passed)
+    checks = symmetry_checks(pl.s0, pl.s1, use_slots).checks if use_slots else []
+    # the slot-independent transpose/orthogonality rows go around the first slot's
+    for check in sorted(checks, key=lambda c: c.slot not in (None, use_slots[0])):
+        tag = f"@{check.slot}" if check.slot is not None else ""
+        report.add(f"properties/{check.name}{tag}",
+                   "projector symmetry residual (float)",
+                   check.residual, SYMMETRY_TOL, check.passed)
     exact = exact_symmetry_checks(channel.sender_dims, pl.exact_s0, use_slots)
     for name, ok in exact.items():
         report.add(f"properties/exact/{name}",
@@ -157,20 +157,14 @@ def _suite_properties(channel, report: Report, slots: list[int] | None) -> None:
                    ok, None, ok)
 
 
-def _suite_ce(channel, report: Report, seed: int, restarts: int | None,
-              shared: dict) -> None:
+def _suite_ce(channel, report: Report, alpha: AlphaLocalCertificate) -> None:
     pl = channel.payload
-    # the one-shot certificate searches S0 and S1 with this seed, restarts
-    # and label, so its two certificates are the ce/S0 and ce/S1 rows
-    alpha = certify_alpha_local_one(channel, restarts=restarts, seed=seed,
-                                    s1_certificate=shared.get("S1"))
-    shared["S1"] = alpha.s1_certificate
     for label, sub, cert in (("S0", pl.s0, alpha.s0_certificate),
                              ("S1", pl.s1, alpha.s1_certificate)):
         report.add(f"ce/{label}", "no product state found in the subspace",
                    cert.max_overlap_found, 1.0 - DEFAULT_CE_GAP,
                    cert.verdict == "certified-CE")
-        params = _product_param_count(channel.sender_dims)
+        params = sum(2 * (d - 1) for d in channel.sender_dims)
         if params in _GRID_RESOLUTIONS:
             res = _GRID_RESOLUTIONS[params]
             grid_val = grid_product_overlap(sub, res)
@@ -202,7 +196,7 @@ def _suite_two_use(channel, report: Report, slots: list[int] | None) -> None:
         off = float(np.max(np.abs(cert.overlaps - np.diag(np.diag(cert.overlaps)))))
         report.add(f"two-use/{label}/orthogonal",
                    "two-use outputs for the two messages are orthogonal",
-                   off, 1e-9, cert.orthogonal)
+                   off, ORTHO_OVERLAP_TOL, cert.orthogonal)
     report.add("two-use/rate", "two distinguishable inputs over two uses",
                capacity_lower_bound(2, 2), None,
                capacity_lower_bound(2, 2) == 0.5)
@@ -217,9 +211,9 @@ def _suite_teleport(channel, report: Report, seed: int) -> None:
     p_first = teleportation_decode(apply_channel(power, rho00))[0]
     p_second = teleportation_decode(apply_channel(power, rho01))[1]
     report.add("teleport/codeword-0", "decoder identifies the first codeword",
-               1.0 - p_first, 1e-10, abs(1.0 - p_first) <= 1e-10)
+               1.0 - p_first, DECODE_TOL, abs(1.0 - p_first) <= DECODE_TOL)
     report.add("teleport/codeword-1", "decoder identifies the second codeword",
-               1.0 - p_second, 1e-10, abs(1.0 - p_second) <= 1e-10)
+               1.0 - p_second, DECODE_TOL, abs(1.0 - p_second) <= DECODE_TOL)
     code = basis_codebook(channel, 2, [(0, 0), (0, 1)])
     cert = verify_orthogonal_outputs(power, code)
     report.add("teleport/locc-decoder",
@@ -231,7 +225,7 @@ def _suite_teleport(channel, report: Report, seed: int) -> None:
         rho = random_density(2, rng)
         worst = max(worst, trace_distance(teleport_qubit(rho), rho))
     report.add("teleport/identity", "teleportation is the identity map",
-               worst, 1e-10, worst <= 1e-10)
+               worst, DECODE_TOL, worst <= DECODE_TOL)
     report.add("teleport/rate", "one bit over two uses",
                capacity_lower_bound(2, 2), None, True)
     report.add("teleport/assumed-indistinguishable",
@@ -247,15 +241,14 @@ def _suite_privacy(channel, report: Report) -> None:
             ok, details = privacy_check(channel, (i, j))
             report.add(f"privacy/{labels[i]}{labels[j]}",
                        "the channel output does not reveal which sender signalled",
-                       details["output_difference"], 1e-9, ok)
+                       details["output_difference"], ORTHO_OVERLAP_TOL, ok)
 
 
 def _suite_renyi(channel, report: Report, seed: int, budget: int,
-                 ce_restarts: int | None, shared: dict) -> None:
+                 ce_restarts: int | None, alpha: AlphaLocalCertificate | None) -> None:
     gap = additivity_gap_at_zero(channel.payload.s0, budget=budget, seed=seed,
                                  ce_restarts=ce_restarts,
-                                 complement_certificate=shared.get("S1"))
-    shared["S1"] = gap.complement_certificate
+                                 complement_certificate=alpha and alpha.s1_certificate)
     report.extra["renyi_gap"] = gap.verdict
 
     def outcome(ok: bool) -> bool | None:
@@ -299,21 +292,26 @@ def cmd_verify(args) -> int:
         slots = [slot_index(channel, s) for s in args.slots.split(",")]
         if len(set(slots)) < len(slots):
             return _usage_error(f"--slots {args.slots!r} names a slot twice")
-    # "S1": the ce suite's S1 certificate, which is the renyi suite's
-    # certificate for the complement of S0; whichever suite runs first searches
-    shared: dict = {}
+    # the one-shot certificate gives the ce rows, and its S1 certificate is
+    # the renyi suite's for the complement of S0; made once, before the suites,
+    # and for renyi alone only when S1 = D S0 carries S0's search over
+    pl = channel.payload
+    alpha = None
+    if "ce" in suites or "renyi" in suites and parity_conjugate_slot(
+            pl.s0.dims, pl.exact_s0, pl.u_slots) is not None:
+        alpha = certify_alpha_local_one(channel, restarts=args.restarts, seed=seed)
     report = Report(command="verify", channel=channel.name or "custom", seed=seed)
     report.extra["suites"] = ",".join(suites)
     tp = check_trace_preserving(channel)
     report.add("channel/trace-preserving", "completeness of the measurement/outputs",
-               tp, 1e-9, tp <= 1e-9)
+               tp, TRACE_TOL, tp <= TRACE_TOL)
     for suite in suites:
         if suite == "properties":
             # A and A' are one sender slot to the projector identities
             _suite_properties(channel, report, list(dict.fromkeys(
                 s % len(channel.sender_dims) for s in slots)) if slots else None)
         elif suite == "ce":
-            _suite_ce(channel, report, seed, args.restarts, shared)
+            _suite_ce(channel, report, alpha)
         elif suite == "two-use":
             _suite_two_use(channel, report, slots)
         elif suite == "teleport":
@@ -321,7 +319,7 @@ def cmd_verify(args) -> int:
         elif suite == "privacy":
             _suite_privacy(channel, report)
         elif suite == "renyi":
-            _suite_renyi(channel, report, seed, args.budget, args.restarts, shared)
+            _suite_renyi(channel, report, seed, args.budget, args.restarts, alpha)
     report.finalize()
     return _emit_report(report, args.out)
 

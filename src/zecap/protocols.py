@@ -22,11 +22,13 @@ from .linalg import (
     permute_factors,
     tensor,
 )
-from .subspaces import CECertificate, certify_completely_entangled, check_certificate
+from .subspaces import (CECertificate, certify_completely_entangled, check_certificate,
+                        conjugated_certificate, parity_conjugate_slot)
 
 ORTHO_OVERLAP_TOL = 1e-9    # output overlaps and differences at most this count as zero
 SCHMIDT_TOL = 1e-9          # s0 * s1 at most this across a cut counts as a product
 RESOURCE_TOL = 1e-6         # largest deviation of the teleportation resource from |alpha>
+DECODE_TOL = 1e-10          # largest miss of a decoded probability or teleported state
 
 
 @dataclass
@@ -182,7 +184,7 @@ def verify_orthogonal_outputs(channel: MultiUserChannel,
     orthogonal = off <= ORTHO_OVERLAP_TOL
     decoder = "none"
     if orthogonal:
-        if _receiver_count(channel) == 1:
+        if len(channel.receiver_dims) == channel.uses:       # one receiver
             decoder = "single-receiver-projective"
         elif _teleportation_decodes(channel, outputs):
             decoder = "teleportation-LOCC"
@@ -200,14 +202,10 @@ def _teleportation_decodes(channel: MultiUserChannel,
     for out in outputs:
         probs = teleportation_decode(out)
         outcome, best = max(probs.items(), key=lambda kv: kv[1])
-        if abs(best - 1.0) > 1e-10 or outcome in seen:
+        if abs(best - 1.0) > DECODE_TOL or outcome in seen:
             return False
         seen.add(outcome)
     return True
-
-
-def _receiver_count(channel: MultiUserChannel) -> int:
-    return len(channel.receiver_dims) // channel.uses
 
 
 def certify_alpha_local_one(channel: MultiUserChannel,
@@ -220,10 +218,13 @@ def certify_alpha_local_one(channel: MultiUserChannel,
     perfectly distinguishable outputs must be the two flag states, which
     requires one input supported inside each measured subspace. Locally
     preparable inputs may be taken to be product pure states, so certifying
-    both subspaces completely entangled rules out any such pair. Both are
-    searched at `seed`, as `certify_completely_entangled` does given the
-    same arguments and the label "<channel name>/S0" or "/S1". An S1
-    certificate already searched so may be passed as `s1_certificate`.
+    both subspaces completely entangled rules out any such pair. S0 is
+    searched at `seed`, as `certify_completely_entangled` does given the same
+    arguments and the label "<channel name>/S0". When the exact S0 span proves
+    S1 = D_u S0 for a slot u in `u_slots`, S1's certificate is S0's carried
+    over by D_u (`conjugated_certificate`); otherwise S1 is searched the same
+    way, labelled "/S1", unless a certificate so searched is passed as
+    `s1_certificate`.
 
     Trivial-party extensions inherit the base channel's certificate: added
     senders are ignored and added receivers get a fixed state, so output
@@ -233,19 +234,24 @@ def certify_alpha_local_one(channel: MultiUserChannel,
     if pl is None:
         raise ValueError("the one-shot certificate applies to one use of a "
                          "binary projective channel")
+    slot = parity_conjugate_slot(pl.s0.dims, pl.exact_s0, pl.u_slots)
     c0 = certify_completely_entangled(pl.s0, restarts=restarts, seed=seed,
                                       label=f"{channel.name}/S0")
-    if s1_certificate is None:
+    if s1_certificate is not None:
+        c1 = check_certificate(s1_certificate, pl.s1, restarts=restarts, seed=seed)
+    elif slot is not None:
+        c1 = conjugated_certificate(c0, pl.s1, slot, f"{channel.name}/S1")
+    else:
         c1 = certify_completely_entangled(pl.s1, restarts=restarts, seed=seed,
                                           label=f"{channel.name}/S1")
-    else:
-        c1 = check_certificate(s1_certificate, pl.s1, restarts=restarts, seed=seed)
     ok = c0.certified and c1.certified
     notes = ("orthogonal flag outputs require product inputs inside each "
              "measured subspace; both subspaces are certified free of product states;"
              if ok else
              "certification failed: " +
              "; ".join(f"{c.subspace_label}: {c.verdict}" for c in (c0, c1) if not c.certified))
+    if slot is not None:
+        notes += f" S1 = D S0 exactly, D the parity phase on slot {slot};"
     if len(channel.sender_dims) > len(pl.s0.dims):
         notes += " inherited through a trivial-party extension;"
     return AlphaLocalCertificate(ok, c0, c1, notes)

@@ -29,7 +29,7 @@ from .channels import (
     tensor_power,
     to_kraus,
 )
-from .linalg import dagger, haar_ket, keyed_haar_kets, max_entangled_ket
+from .linalg import dagger, haar_ket, keyed_haar_kets, max_entangled_ket, parity_phase
 from .subspaces import CECertificate, Subspace, certify_completely_entangled, check_certificate
 
 RANK_THRESHOLD_RATIO = 1e-7   # eigenvalues below this fraction of the top count as zero
@@ -117,12 +117,8 @@ def structured_rank_seeds(channel: MultiUserChannel) -> list[np.ndarray]:
     seeds = [np.concatenate([np.ones(1), np.zeros(d - 1)]).astype(complex)]
     root = int(round(np.sqrt(d)))
     if root * root == d:
-        phi = max_entangled_ket(root)
-        seeds.append(phi)
-        twist = np.diag([(-1.0) ** k for k in range(root)]).astype(complex)
-        twisted = (np.kron(twist, np.eye(root)) @ phi)
-        seeds.append(twisted)
-        seeds.append(np.kron(np.eye(root), twist) @ phi)
+        phi, twist = max_entangled_ket(root), parity_phase(root)
+        seeds += [phi, np.kron(twist, np.eye(root)) @ phi, np.kron(np.eye(root), twist) @ phi]
     return seeds
 
 

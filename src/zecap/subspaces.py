@@ -16,7 +16,7 @@ qubit); the grid takes all of a party's grid kets at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Sequence
 
@@ -324,6 +324,34 @@ def certify_completely_entangled(subspace: Subspace, restarts: int | None = None
     else:
         verdict = "inconclusive"
     return CECertificate(label, cand.overlap, cand, restarts, verdict, seed)
+
+
+def parity_conjugate_slot(dims: Sequence[int], exact_spanning: Sequence[ExactMatrix],
+                          slots: Sequence[int]) -> int | None:
+    """The first slot u in `slots` with S1 = D_u S0 proved exactly, else None.
+    With the k exact S0 spanning vectors as the columns of V, V^dag D_u V = 0
+    puts the unitary image D_u S0 inside S1, and 2k = total makes them equal."""
+    v = ExactMatrix(np.concatenate([x.num for x in exact_spanning], axis=2))
+    if 2 * v.shape[1] == dim_of(dims):
+        for u in slots:
+            dv = np.where(_parity_signs(dims, u)[:, None] < 0, -v.num, v.num)
+            if exact_all_zero(exact_matmul(v.dagger(), ExactMatrix(dv))):
+                return u
+    return None
+
+
+def conjugated_certificate(cert: CECertificate, s1: Subspace, slot: int,
+                           label: str) -> CECertificate:
+    """S1's certificate from S0's when S1 = D_slot S0. The local unitary D_slot
+    keeps product states product, so S1's best overlap is S0's, at S0's
+    witness with factor `slot`'s odd amplitudes negated. RuntimeError unless
+    that witness gives it on S1's float projector within SYMMETRY_TOL."""
+    witness = replace(cert.witness, factors=[f * _parity_signs(f.shape, 0) if t == slot
+                                             else f for t, f in enumerate(cert.witness.factors)])
+    ket = witness.ket()
+    if abs(np.vdot(ket, s1.projector @ ket).real - cert.max_overlap_found) > SYMMETRY_TOL:
+        raise RuntimeError(f"{label}: the parity-conjugated witness misses S0's overlap")
+    return replace(cert, subspace_label=label, witness=witness)
 
 
 def check_certificate(cert: CECertificate, subspace: Subspace,

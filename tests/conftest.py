@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zecap.channels import make_e12, make_e21, make_em1, make_variant34
+from zecap.specio import describe_channel, make_builtin
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,39 @@ def basis_ket(dims, index):
     v = np.zeros(int(np.prod(dims)), dtype=complex)
     v[index] = 1.0
     return v
+
+
+def e21_with_01_spec():
+    """e21's spec with |01> appended to s0_basis: S0 has 9 of 16 dimensions,
+    so S1 = D S0 fails for every slot."""
+    spec = describe_channel(make_builtin("e21"))
+    spec["s0_basis"].append([{"index": 1, "coeff": {"re": {"r": [1, 1]}}}])
+    return spec
+
+
+def e21_without_last_spec():
+    """e21's spec without its last s0_basis vector: D S0 still lies in S1 on
+    either slot, but S0 has 7 of 16 dimensions, so S1 = D S0 fails."""
+    spec = describe_channel(make_builtin("e21"))
+    spec["s0_basis"].pop()
+    return spec
+
+
+def variant34_slot_a_spec():
+    """variant34's spec with u_slots [0]: its S1 = D S0 holds on slot B only."""
+    return {**describe_channel(make_builtin("variant34")), "u_slots": [0]}
+
+
+def locally_phased_e21_spec():
+    """e21's spec with a phase i on every s0_basis term whose A digit is 1.
+
+    That phase is a diagonal unitary on A, which commutes with the parity
+    phase D on either slot, so S1 = D S0 still holds."""
+    spec = describe_channel(make_builtin("e21"))
+    for vec in spec["s0_basis"]:
+        for term in vec:
+            if term["index"] // 4 == 1:
+                re, im = term["coeff"]["re"], term["coeff"]["im"]
+                term["coeff"] = {"re": {k: [-v[0], v[1]] for k, v in im.items()},
+                                 "im": re}
+    return spec

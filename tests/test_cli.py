@@ -5,11 +5,18 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import zecap.channels
 import zecap.specio
 import zecap.subspaces
+from conftest import (
+    e21_with_01_spec,
+    e21_without_last_spec,
+    locally_phased_e21_spec,
+    variant34_slot_a_spec,
+)
 from zecap.cli import main
 from zecap.linalg import max_abs
 from zecap.specio import channel_from_spec, describe_channel, make_builtin
@@ -70,9 +77,9 @@ def test_verify_ce_searches_s0_once(tmp_path, searched):
     code = run(["verify", "--builtin", "em1:4", "--suite", "ce", "--seed", "4",
                 "--restarts", "100", "--out", str(out)])
     assert code == 0
-    # the one-shot certificate's S0 and S1 searches at seed 4 are the ce/S0
-    # and ce/S1 rows
-    assert sorted(searched) == [4, 4]
+    # the one-shot certificate's S0 search at seed 4 is the ce/S0 row, and
+    # S1 = D S0 carries it over to the ce/S1 row
+    assert searched == [4]
     names = [c["name"] for c in read_report(out)["checks"]]
     assert names == ["channel/trace-preserving", "ce/S0", "ce/S0/grid",
                      "ce/S1", "ce/S1/grid", "ce/alpha-local-one"]
@@ -294,14 +301,15 @@ def _checks(path):
 
 
 @pytest.mark.parametrize("suite, searches", [
-    ("all", 2),
+    ("all", 1),
     ("renyi", 1),
-    ("renyi,ce", 2),
-    ("ce,renyi", 2),
+    ("renyi,ce", 1),
+    ("ce,renyi", 1),
 ])
 def test_verify_searches_s1_once_for_ce_and_renyi(suite, searches, tmp_path, searched):
     # S0's complement is S1: the renyi suite's complement certificate and the
-    # ce suite's S1 certificate are one search, whichever suite runs first
+    # ce suite's S1 certificate are one certificate, whichever suite runs
+    # first, and for e21 it is S0's search carried over by S1 = D S0
     out = tmp_path / "report.json"
     args = ["--builtin", "e21", "--seed", "5", "--restarts", "200", "--budget", "200"]
     assert run(["verify", "--suite", suite, *args, "--out", str(out)]) == 0
@@ -314,6 +322,71 @@ def test_verify_searches_s1_once_for_ce_and_renyi(suite, searches, tmp_path, sea
         assert run(["verify", "--suite", alone, *args, "--out", str(path)]) == 0
         for name, row in _checks(path).items():
             assert rows[name] == row
+
+
+def _write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("source, searches", [
+    *((["--builtin", b], 1) for b in ("e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5")),
+    (locally_phased_e21_spec, 1),
+    (e21_with_01_spec, 2),
+    (e21_without_last_spec, 2),
+    (variant34_slot_a_spec, 2),
+], ids=["e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5",
+        "e21-phased", "e21+01", "e21-last", "variant34@A"])
+def test_verify_all_searches_s1_only_when_s1_is_not_d_s0(source, searches, tmp_path,
+                                                         searched):
+    # with S1 = D S0 proved exactly, S0's search certifies S1 as well; the
+    # other specs keep their separate S1 search
+    if callable(source):
+        source = ["--spec", _write_spec(tmp_path, source())]
+    run(["verify", *source, "--suite", "all", "--seed", "2", "--restarts", "100",
+         "--budget", "200", "--out", str(tmp_path / "report.json")])
+    assert searched == [2] * searches
+
+
+@pytest.mark.parametrize("spec, searched_subspace", [
+    (lambda: describe_channel(make_builtin("e21")), "s0"),
+    (variant34_slot_a_spec, "s1"),
+], ids=["e21", "variant34@A"])
+def test_renyi_alone_searches_s0_when_s1_is_d_s0(spec, searched_subspace, tmp_path,
+                                                monkeypatch):
+    # with S1 = D S0 the renyi suite's complement certificate is S0's search
+    # carried over, as under every other suite list; without it S1 is searched
+    spec = spec()
+    projectors = []
+    search = zecap.subspaces.max_product_overlap
+
+    def recording(subspace, **kwargs):
+        projectors.append(subspace.projector)
+        return search(subspace, **kwargs)
+
+    monkeypatch.setattr(zecap.subspaces, "max_product_overlap", recording)
+    run(["verify", "--spec", _write_spec(tmp_path, spec), "--suite", "renyi",
+         "--restarts", "100", "--budget", "200", "--out", str(tmp_path / "report.json")])
+    payload = channel_from_spec(spec).payload
+    assert len(projectors) == 1
+    assert np.array_equal(projectors[0], getattr(payload, searched_subspace).projector)
+
+
+@pytest.mark.parametrize("source", ["e21", "variant34", variant34_slot_a_spec],
+                         ids=["e21", "variant34", "variant34@A"])
+def test_ce_and_renyi_rows_do_not_depend_on_the_suite_order(source, tmp_path):
+    source = (["--spec", _write_spec(tmp_path, source())] if callable(source)
+              else ["--builtin", source])
+    rows = []
+    for suite in ("all", "ce", "renyi", "ce,renyi", "renyi,ce"):
+        out = tmp_path / "report.json"
+        run(["verify", *source, "--suite", suite, "--seed", "6", "--restarts", "100",
+             "--budget", "200", "--out", str(out)])
+        rows.append({name: json.dumps(row) for name, row in _checks(out).items()
+                     if name.startswith(("ce/", "renyi/"))})
+    assert rows[1] and rows[2]
+    assert rows[0] == rows[3] == rows[4] == {**rows[1], **rows[2]}
 
 
 def test_renyi_gap_needs_two_senders(tmp_path):
@@ -376,15 +449,7 @@ def test_describe_roundtrip_through_file(tmp_path):
 def write_locally_phased_e21(tmp_path):
     """e21 with a phase i on every s0_basis term whose A digit is 1."""
     spec_path = tmp_path / "e21.json"
-    assert run(["describe", "e21", "--out", str(spec_path)]) == 0
-    spec = read_report(spec_path)
-    for vec in spec["s0_basis"]:
-        for term in vec:
-            if term["index"] // 4 == 1:
-                re, im = term["coeff"]["re"], term["coeff"]["im"]
-                term["coeff"] = {"re": {k: [-v[0], v[1]] for k, v in im.items()},
-                                 "im": re}
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(json.dumps(locally_phased_e21_spec()))
     return spec_path
 
 

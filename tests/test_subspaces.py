@@ -3,7 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import basis_ket, gram_rank
+from conftest import (
+    basis_ket,
+    e21_with_01_spec,
+    e21_without_last_spec,
+    gram_rank,
+    locally_phased_e21_spec,
+    variant34_slot_a_spec,
+)
 from zecap.channels import (
     e21_spanning_terms,
     em1_spanning_terms,
@@ -24,11 +31,14 @@ from zecap.subspaces import (
     _parity_signs,
     _slot_step,
     certify_completely_entangled,
+    conjugated_certificate,
     exact_symmetry_checks,
     grid_product_overlap,
     max_product_overlap,
+    parity_conjugate_slot,
     symmetry_checks,
 )
+from zecap.specio import channel_from_spec, make_builtin
 
 # frozen from oracle runs during development (alternating search cross-checked
 # against the exhaustive grid; the constructions give no analytic values)
@@ -484,3 +494,46 @@ def test_exact_symmetry_variant_slot_a_fails():
     assert results["conjugation[0]@1"] and results["twist[0]@1"]
     assert not results["conjugation[0]@0"]
     assert not results["twist[0]@0"]
+
+
+CONJUGATE_BUILTINS = ("e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5")
+
+
+@pytest.mark.parametrize("channel, slot", [
+    *((make_builtin(b), 1 if b == "variant34" else 0) for b in CONJUGATE_BUILTINS),
+    (channel_from_spec(locally_phased_e21_spec()), 0),
+    (channel_from_spec(e21_with_01_spec()), None),
+    (channel_from_spec(e21_without_last_spec()), None),
+    (channel_from_spec(variant34_slot_a_spec()), None),
+], ids=[*CONJUGATE_BUILTINS, "e21-phased", "e21+01", "e21-last", "variant34@A"])
+def test_parity_conjugate_slot_agrees_with_the_exact_conjugation_rows(channel, slot):
+    pl = channel.payload
+    exact = exact_symmetry_checks(pl.s0.dims, pl.exact_s0, pl.u_slots)
+    held = [u for u in pl.u_slots
+            if exact[f"conjugation[0]@{u}"] and exact[f"conjugation[1]@{u}"]]
+    assert parity_conjugate_slot(pl.s0.dims, pl.exact_s0, pl.u_slots) == slot
+    assert (held[:1] or [None]) == [slot]
+
+
+@pytest.mark.parametrize("builtin", CONJUGATE_BUILTINS)
+def test_carried_over_witness_reproduces_its_overlap_on_p1(builtin):
+    pl = make_builtin(builtin).payload
+    slot = parity_conjugate_slot(pl.s0.dims, pl.exact_s0, pl.u_slots)
+    c0 = certify_completely_entangled(pl.s0, restarts=100, seed=3, label="S0")
+    c1 = conjugated_certificate(c0, pl.s1, slot, "S1")
+    ket = c1.witness.ket()
+    assert abs(np.vdot(ket, pl.s1.projector @ ket).real - c0.max_overlap_found) <= 1e-12
+    assert (c1.subspace_label, c1.max_overlap_found, c1.verdict, c1.restarts, c1.seed) \
+        == ("S1", c0.max_overlap_found, c0.verdict, c0.restarts, c0.seed)
+    assert c1.witness.restart_index == c0.witness.restart_index
+    assert c1.witness.sweeps == c0.witness.sweeps
+    for t, (f0, f1) in enumerate(zip(c0.witness.factors, c1.witness.factors)):
+        assert np.array_equal(f1, f0 * _parity_signs(f0.shape, 0) if t == slot else f0)
+
+
+def test_carried_over_witness_off_its_slot_fails_loudly():
+    # variant34's S1 = D S0 fails on slot A: its moved witness misses S1's overlap
+    pl = make_builtin("variant34").payload
+    c0 = certify_completely_entangled(pl.s0, restarts=100, seed=0, label="S0")
+    with pytest.raises(RuntimeError, match="parity-conjugated witness"):
+        conjugated_certificate(c0, pl.s1, 0, "S1")
