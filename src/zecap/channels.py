@@ -31,9 +31,9 @@ from .linalg import (
 from .subspaces import Subspace
 
 # largest joint sender dimension of a flag-output channel, and largest joint
-# sender or receiver dimension of a cq spec. Time, not memory, sets it: with
-# it lifted, `verify --suite all` took 13 s on em1:7 and 34 s on em1:8 (2-CPU
-# VM, one BLAS thread, < 110 MB), most of it in the exact `properties` suite
+# sender or receiver dimension of a cq spec. With it lifted, `verify --suite
+# all` takes 1.2 s on em1:7 and 5.6 s on em1:8 (2-CPU VM, one BLAS thread,
+# 107 MB peak), spread over every suite and no longer mostly `properties`
 MAX_INPUT_DIM = 64
 TRACE_TOL = 1e-9      # largest residual of sum K^dag K - I that counts as trace preserving
 

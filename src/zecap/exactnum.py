@@ -3,12 +3,12 @@
 An `ExactMatrix` is (N0 + sqrt(2) N1 + i N2 + i sqrt(2) N3) / den for integer
 matrices N0..N3, stacked in `num`, and one positive integer `den` shared by
 every entry. Products are integer matmuls of the components, so no
-arithmetic happens entry by entry; the only division is the Gauss-Jordan
-inverse of a Gram matrix.
+arithmetic happens entry by entry. The symmetry identities are zero tests of
+products of a span with itself and divide nothing; the one division is the
+Gauss-Jordan inverse in `exact_projector`, for spans without S1 = D S0.
 
-Used where only field operations are needed (projectors from spans,
-transpose/conjugation identities, trace-orthogonality). Eigendecompositions
-are out of scope for this backend: eigenvalues generally leave the field.
+Used where only field operations are needed. Eigendecompositions are out of
+scope for this backend: eigenvalues generally leave the field.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ from .linalg import (
     permute_factors,
     tensor,
 )
-from .subspaces import (CECertificate, certify_completely_entangled, check_certificate,
-                        conjugated_certificate, parity_conjugate_slot)
+from .subspaces import (CECertificate, certify_completely_entangled, conjugated_certificate,
+                        parity_conjugate_slot)
 
 ORTHO_OVERLAP_TOL = 1e-9    # output overlaps and differences at most this count as zero
 SCHMIDT_TOL = 1e-9          # s0 * s1 at most this across a cut counts as a product
@@ -208,10 +208,8 @@ def _teleportation_decodes(channel: MultiUserChannel,
     return True
 
 
-def certify_alpha_local_one(channel: MultiUserChannel,
-                            restarts: int | None = None, seed: int = 0,
-                            s1_certificate: CECertificate | None = None,
-                            ) -> AlphaLocalCertificate:
+def certify_alpha_local_one(channel: MultiUserChannel, restarts: int | None = None,
+                            seed: int = 0) -> AlphaLocalCertificate:
     """One-shot no-transmission certificate for flag-output channels.
 
     The channel output is diagonal with weights (tr P0 rho, tr P1 rho), so two
@@ -223,8 +221,7 @@ def certify_alpha_local_one(channel: MultiUserChannel,
     arguments and the label "<channel name>/S0". When the exact S0 span proves
     S1 = D_u S0 for a slot u in `u_slots`, S1's certificate is S0's carried
     over by D_u (`conjugated_certificate`); otherwise S1 is searched the same
-    way, labelled "/S1", unless a certificate so searched is passed as
-    `s1_certificate`.
+    way, labelled "/S1".
 
     Trivial-party extensions inherit the base channel's certificate: added
     senders are ignored and added receivers get a fixed state, so output
@@ -237,9 +234,7 @@ def certify_alpha_local_one(channel: MultiUserChannel,
     slot = parity_conjugate_slot(pl.s0.dims, pl.exact_s0, pl.u_slots)
     c0 = certify_completely_entangled(pl.s0, restarts=restarts, seed=seed,
                                       label=f"{channel.name}/S0")
-    if s1_certificate is not None:
-        c1 = check_certificate(s1_certificate, pl.s1, restarts=restarts, seed=seed)
-    elif slot is not None:
+    if slot is not None:
         c1 = conjugated_certificate(c0, pl.s1, slot, f"{channel.name}/S1")
     else:
         c1 = certify_completely_entangled(pl.s1, restarts=restarts, seed=seed,

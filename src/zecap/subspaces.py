@@ -334,8 +334,7 @@ def parity_conjugate_slot(dims: Sequence[int], exact_spanning: Sequence[ExactMat
     v = ExactMatrix(np.concatenate([x.num for x in exact_spanning], axis=2))
     if 2 * v.shape[1] == dim_of(dims):
         for u in slots:
-            dv = np.where(_parity_signs(dims, u)[:, None] < 0, -v.num, v.num)
-            if exact_all_zero(exact_matmul(v.dagger(), ExactMatrix(dv))):
+            if _sign_form_vanishes(v.dagger(), v, _parity_signs(dims, u)):
                 return u
     return None
 
@@ -505,27 +504,51 @@ def _parity_signs(dims: Sequence[int], slot: int) -> np.ndarray:
     return 1 - 2 * (digits % 2)
 
 
+def _sign_form_vanishes(left: ExactMatrix, v: ExactMatrix, signs: np.ndarray) -> bool:
+    """Whether left diag(signs) v = 0 exactly, the signs applied to v's rows."""
+    return exact_all_zero(exact_matmul(left, ExactMatrix(
+        np.where(signs[:, None] < 0, -v.num, v.num))))
+
+
 def exact_symmetry_checks(dims: Sequence[int],
                           exact_spanning: Sequence[ExactMatrix],
                           slots: Sequence[int]) -> dict[str, bool]:
-    """Exact-field version of `symmetry_checks` for spans over Q(sqrt(2), i).
+    """Exact-field version of `symmetry_checks` for spans over Q(sqrt(2), i):
+    every reported identity is an exact zero test, not a tolerance comparison.
 
-    The projector pair is built by exact Gram-matrix inversion, so every
-    reported identity is an exact zero test, not a tolerance comparison.
-    The parity phase is applied entrywise as a sign pattern.
+    As P_l^T = conj(P_l), transpose[l] and orthogonality[l] each say
+    conj(S0) = S0, conjugation[l]@u says S1 = D_u S0, and twist[l]@w says
+    D_w S_l is orthogonal to conj(S_l). If S1 = D_b S0 for a party b
+    (`parity_conjugate_slot` over all parties), N = D_b V spans S1, V the
+    stacked spanning vectors, and every row is a k x k product: conj(S0) =
+    S0 iff N^dag conj(V) = conj(V^T D_b V) = 0, conjugation@u is
+    `parity_conjugate_slot`'s test on u, and twist@w is V^T D_w V = 0 for
+    either l, as N^T D_w N = V^T D_w V. That route takes k = dim S0, so the
+    vectors must be independent, as `binary_projective_channel` demands.
+    Otherwise no conjugation row holds, and the other rows are read off the
+    exact projector.
     """
-    p0 = exact_projector(exact_spanning)
-    projs = {0: p0, 1: ExactMatrix.eye(dim_of(dims)) - p0}
+    signs = {slot: _parity_signs(dims, slot) for slot in slots}
+    found = parity_conjugate_slot(dims, exact_spanning, range(len(dims)))
+    if found is None:
+        p0 = exact_projector(exact_spanning)
+        projs = (p0, ExactMatrix.eye(dim_of(dims)) - p0)
+        transpose = [exact_all_zero(p - p.T) for p in projs]
+        orthogonality = [exact_all_zero(exact_matmul(p.T, q)) for p, q in zip(projs, projs[::-1])]
+        conjugation = dict.fromkeys(slots, False)
+        twist = {slot: [exact_all_zero(exact_matmul(p.T, p.sign_conjugate(signs[slot])))
+                        for p in projs] for slot in slots}
+    else:
+        v = ExactMatrix(np.concatenate([x.num for x in exact_spanning], axis=2))
+        transpose = orthogonality = [_sign_form_vanishes(v.T, v, _parity_signs(dims, found))] * 2
+        conjugation = {slot: _sign_form_vanishes(v.dagger(), v, signs[slot]) for slot in slots}
+        twist = {slot: [_sign_form_vanishes(v.T, v, signs[slot])] * 2 for slot in slots}
     results: dict[str, bool] = {}
     for ell in (0, 1):
-        results[f"transpose[{ell}]"] = exact_all_zero(projs[ell] - projs[ell].T)
-        results[f"orthogonality[{ell}]"] = exact_all_zero(
-            exact_matmul(projs[ell].T, projs[1 - ell]))
+        results[f"transpose[{ell}]"] = transpose[ell]
+        results[f"orthogonality[{ell}]"] = orthogonality[ell]
     for slot in slots:
-        signs = _parity_signs(dims, slot)
         for ell in (0, 1):
-            results[f"conjugation[{ell}]@{slot}"] = exact_all_zero(
-                projs[ell] - projs[1 - ell].sign_conjugate(signs))
-            twist = exact_matmul(projs[ell].T, projs[ell].sign_conjugate(signs))
-            results[f"twist[{ell}]@{slot}"] = exact_all_zero(twist)
+            results[f"conjugation[{ell}]@{slot}"] = conjugation[slot]
+            results[f"twist[{ell}]@{slot}"] = twist[slot][ell]
     return results

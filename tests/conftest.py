@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from zecap.channels import make_e12, make_e21, make_em1, make_variant34
-from zecap.specio import describe_channel, make_builtin
+from zecap.specio import channel_from_spec, describe_channel, make_builtin
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +85,30 @@ def locally_phased_e21_spec():
                 term["coeff"] = {"re": {k: [-v[0], v[1]] for k, v in im.items()},
                                  "im": re}
     return spec
+
+
+# builtins whose S1 = D S0 holds on one of their u_slots; product searches on
+# them stay short (em1:6 is left out of searching tests for that reason)
+CONJUGATE_BUILTINS = ("e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5")
+
+# specs that vary e21 and variant34, by test id
+SPEC_CASES = {
+    "e21-phased": locally_phased_e21_spec,
+    "e21+01": e21_with_01_spec,
+    "e21-last": e21_without_last_spec,
+    "variant34@A": variant34_slot_a_spec,
+}
+
+
+def case_channel(case):
+    """The channel of a builtin name or of a SPEC_CASES id."""
+    return channel_from_spec(SPEC_CASES[case]()) if case in SPEC_CASES else make_builtin(case)
+
+
+def case_source(case, tmp_path):
+    """`verify` arguments naming a builtin, or a spec file written to tmp_path."""
+    if case not in SPEC_CASES:
+        return ["--builtin", case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC_CASES[case]()))
+    return ["--spec", str(path)]

@@ -12,8 +12,10 @@ import zecap.channels
 import zecap.specio
 import zecap.subspaces
 from conftest import (
-    e21_with_01_spec,
-    e21_without_last_spec,
+    CONJUGATE_BUILTINS,
+    SPEC_CASES,
+    case_channel,
+    case_source,
     locally_phased_e21_spec,
     variant34_slot_a_spec,
 )
@@ -330,22 +332,13 @@ def _write_spec(tmp_path, spec):
     return str(path)
 
 
-@pytest.mark.parametrize("source, searches", [
-    *((["--builtin", b], 1) for b in ("e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5")),
-    (locally_phased_e21_spec, 1),
-    (e21_with_01_spec, 2),
-    (e21_without_last_spec, 2),
-    (variant34_slot_a_spec, 2),
-], ids=["e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5",
-        "e21-phased", "e21+01", "e21-last", "variant34@A"])
-def test_verify_all_searches_s1_only_when_s1_is_not_d_s0(source, searches, tmp_path,
-                                                         searched):
+@pytest.mark.parametrize("case", [*CONJUGATE_BUILTINS, *SPEC_CASES])
+def test_verify_all_searches_s1_only_when_s1_is_not_d_s0(case, tmp_path, searched):
     # with S1 = D S0 proved exactly, S0's search certifies S1 as well; the
     # other specs keep their separate S1 search
-    if callable(source):
-        source = ["--spec", _write_spec(tmp_path, source())]
-    run(["verify", *source, "--suite", "all", "--seed", "2", "--restarts", "100",
-         "--budget", "200", "--out", str(tmp_path / "report.json")])
+    run(["verify", *case_source(case, tmp_path), "--suite", "all", "--seed", "2",
+         "--restarts", "100", "--budget", "200", "--out", str(tmp_path / "report.json")])
+    searches = 2 if case in ("e21+01", "e21-last", "variant34@A") else 1
     assert searched == [2] * searches
 
 
@@ -373,11 +366,9 @@ def test_renyi_alone_searches_s0_when_s1_is_d_s0(spec, searched_subspace, tmp_pa
     assert np.array_equal(projectors[0], getattr(payload, searched_subspace).projector)
 
 
-@pytest.mark.parametrize("source", ["e21", "variant34", variant34_slot_a_spec],
-                         ids=["e21", "variant34", "variant34@A"])
-def test_ce_and_renyi_rows_do_not_depend_on_the_suite_order(source, tmp_path):
-    source = (["--spec", _write_spec(tmp_path, source())] if callable(source)
-              else ["--builtin", source])
+@pytest.mark.parametrize("case", ["e21", "variant34", "variant34@A"])
+def test_ce_and_renyi_rows_do_not_depend_on_the_suite_order(case, tmp_path):
+    source = case_source(case, tmp_path)
     rows = []
     for suite in ("all", "ce", "renyi", "ce,renyi", "renyi,ce"):
         out = tmp_path / "report.json"
@@ -475,6 +466,22 @@ def test_locally_phased_spec_keeps_float_and_exact_verdicts_together(tmp_path):
     assert checks["ce/S0"]["passed"] and checks["ce/S1"]["passed"]
 
 
+@pytest.mark.parametrize("case", [*CONJUGATE_BUILTINS, "em1:6", *SPEC_CASES])
+@pytest.mark.parametrize("all_slots", [False, True], ids=["u_slots", "all-slots"])
+def test_float_and_exact_property_rows_agree(case, all_slots, tmp_path):
+    # every float projector residual passes exactly when its exact identity holds
+    args = case_source(case, tmp_path)
+    if all_slots:
+        args += ["--slots", ",".join(chr(ord("A") + t)
+                                     for t in range(len(case_channel(case).sender_dims)))]
+    out = tmp_path / "report.json"
+    run(["verify", *args, "--suite", "properties", "--out", str(out)])
+    rows = {c["name"]: c["passed"] for c in read_report(out)["checks"]
+            if c["name"].startswith("properties/")}
+    exact = {n.replace("exact/", ""): ok for n, ok in rows.items() if "/exact/" in n}
+    assert exact and exact == {n: ok for n, ok in rows.items() if "/exact/" not in n}
+
+
 def test_default_suites_leave_out_renyi_for_a_complex_s0(tmp_path, capsys):
     # the p = 0 rank floor needs a real S0, so `--suite all` runs the other
     # suites and reports; the two-use code is fixed to the computational
@@ -495,12 +502,16 @@ def test_linearly_dependent_s0_basis_is_usage_error(tmp_path, capsys):
     spec_path = tmp_path / "e21.json"
     assert run(["describe", "e21", "--out", str(spec_path)]) == 0
     spec = read_report(spec_path)
-    spec["s0_basis"].append(spec["s0_basis"][0])
-    spec_path.write_text(json.dumps(spec))
-    for suite in ("properties", "ce"):
-        assert run(["verify", "--spec", str(spec_path), "--suite", suite]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: s0_basis") and err.count("\n") == 1
+    # 9 vectors of rank 8; then 8 of rank 7, where 2k = total holds by count,
+    # which the exact properties rows would take as dim S0
+    appended = {**spec, "s0_basis": spec["s0_basis"] + spec["s0_basis"][:1]}
+    replaced = {**spec, "s0_basis": spec["s0_basis"][:-1] + spec["s0_basis"][:1]}
+    for bad in (appended, replaced):
+        spec_path.write_text(json.dumps(bad))
+        for suite in ("properties", "ce"):
+            assert run(["verify", "--spec", str(spec_path), "--suite", suite]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: s0_basis") and err.count("\n") == 1
 
 
 def run_python(*args):

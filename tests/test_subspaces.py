@@ -1,22 +1,26 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import (
-    basis_ket,
-    e21_with_01_spec,
-    e21_without_last_spec,
-    gram_rank,
-    locally_phased_e21_spec,
-    variant34_slot_a_spec,
-)
+import zecap.subspaces
+from conftest import CONJUGATE_BUILTINS, SPEC_CASES, basis_ket, case_channel, gram_rank
 from zecap.channels import (
     e21_spanning_terms,
     em1_spanning_terms,
     variant34_spanning_terms,
 )
+from zecap.exactnum import (
+    Coeff,
+    ExactMatrix,
+    exact_all_zero,
+    exact_matmul,
+    exact_projector,
+    exact_vector,
+)
 from zecap.linalg import (
+    dim_of,
     ket_from_terms,
     max_abs,
     max_entangled_ket,
@@ -38,7 +42,7 @@ from zecap.subspaces import (
     parity_conjugate_slot,
     symmetry_checks,
 )
-from zecap.specio import channel_from_spec, make_builtin
+from zecap.specio import make_builtin
 
 # frozen from oracle runs during development (alternating search cross-checked
 # against the exhaustive grid; the constructions give no analytic values)
@@ -479,7 +483,6 @@ def test_symmetry_residuals_have_the_digits_of_the_dense_parity_products(dims, t
 
 
 def test_exact_symmetry_e21():
-    from zecap.exactnum import exact_vector
     vs = [exact_vector(16, t) for t in e21_spanning_terms()]
     results = exact_symmetry_checks([4, 4], vs, slots=[0, 1])
     assert all(results.values())
@@ -487,7 +490,6 @@ def test_exact_symmetry_e21():
 
 
 def test_exact_symmetry_variant_slot_a_fails():
-    from zecap.exactnum import exact_vector
     vs = [exact_vector(12, t) for t in variant34_spanning_terms()]
     results = exact_symmetry_checks([3, 4], vs, slots=[0, 1])
     assert results["transpose[0]"] and results["transpose[1]"]
@@ -496,18 +498,108 @@ def test_exact_symmetry_variant_slot_a_fails():
     assert not results["twist[0]@0"]
 
 
-CONJUGATE_BUILTINS = ("e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5")
+def projector_route(dims, exact_spanning, slots):
+    """Every exact symmetry row read off the exact projectors P0 and I - P0,
+    in `exact_symmetry_checks`' key order."""
+    p0 = exact_projector(exact_spanning)
+    projs = {0: p0, 1: ExactMatrix.eye(dim_of(dims)) - p0}
+    rows = {}
+    for ell in (0, 1):
+        rows[f"transpose[{ell}]"] = exact_all_zero(projs[ell] - projs[ell].T)
+        rows[f"orthogonality[{ell}]"] = exact_all_zero(
+            exact_matmul(projs[ell].T, projs[1 - ell]))
+    for slot in slots:
+        signs = _parity_signs(dims, slot)
+        for ell in (0, 1):
+            rows[f"conjugation[{ell}]@{slot}"] = exact_all_zero(
+                projs[ell] - projs[1 - ell].sign_conjugate(signs))
+            rows[f"twist[{ell}]@{slot}"] = exact_all_zero(
+                exact_matmul(projs[ell].T, projs[ell].sign_conjugate(signs)))
+    return rows
 
 
-@pytest.mark.parametrize("channel, slot", [
-    *((make_builtin(b), 1 if b == "variant34" else 0) for b in CONJUGATE_BUILTINS),
-    (channel_from_spec(locally_phased_e21_spec()), 0),
-    (channel_from_spec(e21_with_01_spec()), None),
-    (channel_from_spec(e21_without_last_spec()), None),
-    (channel_from_spec(variant34_slot_a_spec()), None),
-], ids=[*CONJUGATE_BUILTINS, "e21-phased", "e21+01", "e21-last", "variant34@A"])
-def test_parity_conjugate_slot_agrees_with_the_exact_conjugation_rows(channel, slot):
-    pl = channel.payload
+@pytest.fixture
+def projector_calls(monkeypatch):
+    """Number of exact projectors `exact_symmetry_checks` builds."""
+    calls = []
+    build = zecap.subspaces.exact_projector
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return build(vectors)
+
+    monkeypatch.setattr(zecap.subspaces, "exact_projector", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", [*CONJUGATE_BUILTINS, "em1:6", *SPEC_CASES])
+def test_exact_rows_from_the_span_equal_the_projector_route(case, projector_calls):
+    # only the two specs with S1 = D S0 on no party build the exact projector
+    pl = case_channel(case).payload
+    dims = pl.s0.dims
+    for slots in (list(pl.u_slots), list(range(len(dims)))):
+        rows = exact_symmetry_checks(dims, pl.exact_s0, slots)
+        assert list(rows.items()) == list(projector_route(dims, pl.exact_s0, slots).items())
+    assert len(projector_calls) == (2 if case in ("e21+01", "e21-last") else 0)
+
+
+def _times_phase(c, phase):
+    """c times phase, for a phase in {1, -1, 1j, -1j}."""
+    # times i, (a + b sqrt2) + i (c + d sqrt2) becomes -(c + d sqrt2) + i (a + b sqrt2)
+    parts = (c.a, c.b, c.c, c.d) if phase.real else (-c.c, -c.d, c.a, c.b)
+    sign = -1 if phase in (-1, -1j) else 1
+    return Coeff(*(sign * x for x in parts))
+
+
+def conjugate_pair_span(rng, dims, slot, real):
+    """total/2 exact vectors x + U x, for independent x in the even sector of
+    `slot` and U a permutation onto its odd sector with phases in {+-1, +-i}
+    ({+-1} and real x when `real`). D_slot maps x + U x to x - U x, which is
+    orthogonal to every y + U y, so S1 = D_slot S0."""
+    signs = _parity_signs(dims, slot)
+    even, odd = np.flatnonzero(signs > 0), rng.permutation(np.flatnonzero(signs < 0))
+    phases = rng.choice([1, -1] if real else [1, -1, 1j, -1j], size=len(even))
+    while True:
+        # each coefficient is zero with probability 1/2, else (a, b, c, d) / den
+        parts = rng.integers(-2, 3, size=(len(even), len(even), 4))
+        parts *= rng.integers(0, 2, size=(len(even), len(even), 1))
+        if real:
+            parts[..., 2:] = 0
+        dens = rng.integers(1, 4, size=parts.shape[:2])
+        x = [[Coeff(*(Fraction(int(p), int(den)) for p in part)) for part, den in zip(row, drow)]
+             for row, drow in zip(parts, dens)]
+        if np.linalg.matrix_rank(np.array([[complex(c) for c in row] for row in x])) == len(even):
+            break
+    return [exact_vector(dim_of(dims), [
+        *((int(e), c) for e, c in zip(even, row)),
+        *((int(o), _times_phase(c, ph)) for o, c, ph in zip(odd, row, phases))])
+        for row in x]
+
+
+@pytest.mark.parametrize("dims, slot", [
+    ((2, 2), 0), ((2, 3), 0), ((3, 2), 1), ((4, 2), 0), ((2, 4), 1), ((2, 2, 2), 2),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"at{v}")
+def test_exact_rows_from_random_conjugate_spans_equal_the_projector_route(dims, slot):
+    # 35 seeded spans over Q(sqrt(2), i) per shape, a third of them real
+    rng = np.random.default_rng([len(dims), *dims, slot])
+    slots = list(range(len(dims)))
+    transposes = set()
+    for n in range(35):
+        vectors = conjugate_pair_span(rng, dims, slot, real=n % 3 == 0)
+        assert parity_conjugate_slot(dims, vectors, [slot]) == slot
+        rows = exact_symmetry_checks(dims, vectors, slots)
+        assert list(rows.items()) == list(projector_route(dims, vectors, slots).items())
+        transposes.add(rows["transpose[0]"])
+    assert transposes == {True, False}
+
+
+_PARITY_SLOT = {"variant34": 1, "e21+01": None, "e21-last": None, "variant34@A": None}
+
+
+@pytest.mark.parametrize("case", [*CONJUGATE_BUILTINS, *SPEC_CASES])
+def test_parity_conjugate_slot_agrees_with_the_exact_conjugation_rows(case):
+    pl = case_channel(case).payload
+    slot = _PARITY_SLOT.get(case, 0)
     exact = exact_symmetry_checks(pl.s0.dims, pl.exact_s0, pl.u_slots)
     held = [u for u in pl.u_slots
             if exact[f"conjugation[0]@{u}"] and exact[f"conjugation[1]@{u}"]]
