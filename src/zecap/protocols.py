@@ -54,6 +54,7 @@ class AlphaLocalCertificate:
     alpha_local_one: bool
     s0_certificate: CECertificate | None
     s1_certificate: CECertificate | None
+    s1_slot: int | None = None     # the slot u of S1 = D_u S0 when S1's is S0's carried over
     notes: str = ""
 
 
@@ -249,7 +250,7 @@ def certify_alpha_local_one(channel: MultiUserChannel, restarts: int | None = No
         notes += f" S1 = D S0 exactly, D the parity phase on slot {slot};"
     if len(channel.sender_dims) > len(pl.s0.dims):
         notes += " inherited through a trivial-party extension;"
-    return AlphaLocalCertificate(ok, c0, c1, notes)
+    return AlphaLocalCertificate(ok, c0, c1, slot, notes)
 
 
 # ---------------------------------------------------------------------------

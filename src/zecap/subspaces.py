@@ -17,7 +17,7 @@ qubit); the grid takes all of a party's grid kets at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -30,10 +30,14 @@ DEFAULT_CE_GAP = 1e-3        # certified-CE needs an overlap <= 1 - this
 MIN_CERT_RESTARTS = 100      # fewer restarts than this certify nothing
 SWEEP_GAIN_TOL = 1e-12       # a restart stops when a sweep gains less than this
 MAX_SWEEPS = 500             # ... or after this many sweeps
+ASCENT_TOL = 1e-9            # a slot step lowering an overlap by more than this raises
 REAL_TOL = 1e-12             # largest imaginary projector entry of a real subspace
 SYMMETRY_TOL = 1e-9          # largest residual a float symmetry check passes
 GRID_MAX_EVALS = 200_000_000   # largest grid the oracle evaluates
 GRID_CHUNK_VALUES = 4_000_000  # real overlaps held at once by the grid (about 31 MiB)
+
+_SQRT_HALF = np.sqrt(0.5)
+_SQRT_TWO = np.sqrt(2)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -127,17 +131,23 @@ def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(d, 1)`, made once per d and write-protected."""
+    return tuple(_frozen(i) for i in np.triu_indices(d, 1))
+
+
 def _hermitian_coordinates(d: int) -> np.ndarray:
     """Unitary U_d on C^(d*d) taking a Hermitian d x d matrix M, flattened
     row-major, to real coordinates: the d diagonal entries, then sqrt(2) Re
     and sqrt(2) Im of each entry above the diagonal."""
     u = np.zeros((d * d, d * d), dtype=complex)
     u[np.arange(d), np.arange(d) * (d + 1)] = 1.0
-    a, b = np.triu_indices(d, 1)
+    a, b = _upper_pairs(d)
     re = d + 2 * np.arange(len(a))
     upper, lower = a * d + b, b * d + a
-    u[re, upper] = u[re, lower] = np.sqrt(0.5)
-    u[re + 1, upper], u[re + 1, lower] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
+    u[re, upper] = u[re, lower] = _SQRT_HALF
+    u[re + 1, upper], u[re + 1, lower] = -1j * _SQRT_HALF, 1j * _SQRT_HALF
     return u
 
 
@@ -162,8 +172,8 @@ def _ket_coordinates(f: np.ndarray) -> np.ndarray:
     sqrt(2) Re and sqrt(2) Im of conj(f_a) f_b for each a < b. Each row is
     computed on its own, so its digits do not depend on the stack it is in."""
     n, d = f.shape
-    a, b = np.triu_indices(d, 1)
-    off = np.sqrt(2) * f[:, a].conj() * f[:, b]
+    a, b = _upper_pairs(d)
+    off = _SQRT_TWO * f[:, a].conj() * f[:, b]
     x = np.empty((n, d * d))
     x[:, :d] = f.real ** 2 + f.imag ** 2
     x[:, d::2], x[:, d + 1::2] = off.real, off.imag
@@ -185,20 +195,21 @@ def _slot_step(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     if d == 2:
         a = 0.5 * (h[:, 0] - h[:, 1])
         # hypot, not a root of squares, so that tiny entries do not underflow
-        r = np.hypot(a, np.sqrt(0.5) * np.hypot(h[:, 2], h[:, 3]))
-        flat = r == 0
-        s = 0.5 / np.where(flat, 1.0, r)
+        r = np.hypot(a, _SQRT_HALF * np.hypot(h[:, 2], h[:, 3]))
+        flat = None if r.all() else r == 0     # the mask only when a row is flat
+        s = 0.5 / (r if flat is None else np.where(flat, 1.0, r))
         x = h * s[:, None]
         # the diagonal from a, not from h_k - (h0 + h1)/2: |a| <= R keeps it
         # in [0, 1] with unit trace even when R is at the rounding scale
         x[:, 0] = 0.5 + a * s
         x[:, 1] = 0.5 - a * s
-        x[flat] = (1.0, 0.0, 0.0, 0.0)
+        if flat is not None:
+            x[flat] = (1.0, 0.0, 0.0, 0.0)
         return 0.5 * (h[:, 0] + h[:, 1]) + r, x
-    a, b = np.triu_indices(d, 1)
+    a, b = _upper_pairs(d)
     m = np.zeros((len(h), d, d), dtype=complex)
     m[:, np.arange(d), np.arange(d)] = h[:, :d]
-    m[:, a, b] = np.sqrt(0.5) * (h[:, d::2] - 1j * h[:, d + 1::2])
+    m[:, a, b] = _SQRT_HALF * (h[:, d::2] - 1j * h[:, d + 1::2])
     m[:, b, a] = m[:, a, b].conj()
     w, v = np.linalg.eigh(m)
     return w[:, -1], _ket_coordinates(v[..., -1])
@@ -242,7 +253,10 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     only, while a retired restart stays frozen at or below the leader, so
     the winner is a restart that ran to its own stop. The rule reads only
     overlaps, so the result stays a pure function of (subspace, restarts,
-    seed).
+    seed). Rows are written back, and the running set compacted, only after
+    a sweep in which some restart stopped or was retired. Once the leader is
+    the only restart running, the rule is not evaluated: there is nothing
+    else to retire, and the leader's rising overlap keeps it the leader.
     """
     if restarts is None:
         restarts = default_restarts(subspace.dims)
@@ -255,12 +269,13 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     mats = [np.moveaxis(coeffs, s, -1).reshape(-1, d * d) for s, d in enumerate(dims)]
     # each restart draws its factors from a private stream keyed by its index
     coords = [_ket_coordinates(f) for f in keyed_haar_kets(dims, restarts, [seed])]
-    live = list(coords)     # the rows of the restarts in `alive`, compacted as they stop
+    live = list(coords)     # the rows of the restarts in `alive`, written back as they stop
     obj = np.zeros(restarts)
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     retired = 0
     alive = np.arange(restarts)
+    lone = False            # the leader is the only restart still running
     for sweep in range(1, MAX_SWEEPS + 1):
         prev_sweep = obj[alive]
         cur = prev_sweep
@@ -272,27 +287,34 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
             # (a BLAS `rows @ mat` does not), so a restart's digits do not
             # depend on which other restarts are still alive
             new, live[slot] = _slot_step(np.einsum("zi,ij->zj", rows, mat), d)
-            if float(np.min(new - cur)) < -1e-9:
+            if (new - cur).min() < -ASCENT_TOL:
                 raise RuntimeError("alternating maximization decreased")
             cur = new
         obj[alive] = cur
         sweeps[alive] = sweep
         gain = cur - prev_sweep
-        running = gain >= SWEEP_GAIN_TOL
-        converged[alive[~running]] = True
-        leader = int(np.argmax(obj))        # ties resolve to the lowest index
-        best = obj[leader]
-        retire = running & (alive != leader) & (
-            (cur + gain * (MAX_SWEEPS - sweep) < best)
-            | (best - cur <= PRODUCT_FOUND_TOL))
-        retired += int(np.count_nonzero(retire))
-        keep = running & ~retire
-        for x, y in zip(coords, live):
+        running = keep = gain >= SWEEP_GAIN_TOL
+        # a lone leader cannot be retired, and its rising overlap keeps it the leader
+        if not lone:
+            leader = int(np.argmax(obj))        # ties resolve to the lowest index
+            best = obj[leader]
+            retire = running & (alive != leader) & (
+                (cur + gain * (MAX_SWEEPS - sweep) < best)
+                | (best - cur <= PRODUCT_FOUND_TOL))
+            retired += int(np.count_nonzero(retire))
+            keep = running & ~retire
+        if not keep.all():
+            converged[alive[~running]] = True
+            for x, y in zip(coords, live):
+                x[alive] = y
+            live = [y[keep] for y in live]
+            alive = alive[keep]
+            if alive.size == 0:
+                break
+        lone = lone or (alive.size == 1 and alive[0] == leader)
+    else:
+        for x, y in zip(coords, live):      # the restarts still running at MAX_SWEEPS
             x[alive] = y
-        live = [y[keep] for y in live]
-        alive = alive[keep]
-        if alive.size == 0:
-            break
     best_idx = int(np.argmax(obj))      # ties resolve to the lowest index
     best_factors = [_ket_from_coordinates(x[best_idx], d, u)
                     for x, d, u in zip(coords, dims, units)]
@@ -408,8 +430,10 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     <g|P|g> for a product g is P's real coefficient tensor
     (`_coefficient_tensor`) contracted with each party's row
     U_d (conj(g_t) (x) g_t), so all grid points of a party are absorbed by
-    one real matrix product. The first party's grid is built in chunks of at
-    most GRID_CHUNK_VALUES results, and only one chunk is held at a time.
+    one real matrix product. The party with the most grid kets (the first
+    of equals) is moved first and its grid built in chunks of at most
+    GRID_CHUNK_VALUES results and 4,096 kets, and only one chunk is held at
+    a time.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -422,13 +446,15 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
         raise ValueError(
             f"grid of {total} product states exceeds the {GRID_MAX_EVALS} evaluation "
             f"budget; use max_product_overlap (alternating search) instead")
-    coeffs, _ = _coefficient_tensor(subspace)
+    big = int(np.argmax(sizes))
+    order = [big, *(t for t in range(len(dims)) if t != big)]
+    coeffs = _coefficient_tensor(subspace)[0].transpose(order)
     # row n of a party's matrix is U_d (conj(g_n) (x) g_n) for its n-th grid ket
-    rest = [_ket_coordinates(_grid_factors(d, resolution)) for d in dims[1:]]
-    chunk = max(1, min(sizes[0], GRID_CHUNK_VALUES // (total // sizes[0]), 4096))
+    rest = [_ket_coordinates(_grid_factors(dims[t], resolution)) for t in order[1:]]
+    chunk = max(1, min(sizes[big], GRID_CHUNK_VALUES // (total // sizes[big]), 4096))
     return max(float(np.max(contract_factors(coeffs, [_ket_coordinates(
-        _grid_factors(dims[0], resolution, start, start + chunk)), *rest])))
-               for start in range(0, sizes[0], chunk))
+        _grid_factors(dims[big], resolution, start, start + chunk)), *rest])))
+               for start in range(0, sizes[big], chunk))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import zecap.channels
+import zecap.cli
 import zecap.specio
 import zecap.subspaces
 from conftest import (
@@ -19,9 +20,10 @@ from conftest import (
     locally_phased_e21_spec,
     variant34_slot_a_spec,
 )
-from zecap.cli import main
+from zecap.cli import _GRID_RESOLUTIONS, main
 from zecap.linalg import max_abs
 from zecap.specio import channel_from_spec, describe_channel, make_builtin
+from zecap.subspaces import grid_product_overlap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GAP_E21 = ["renyi-gap", "--builtin", "e21", "--budget", "5000"]
@@ -85,6 +87,65 @@ def test_verify_ce_searches_s0_once(tmp_path, searched):
     names = [c["name"] for c in read_report(out)["checks"]]
     assert names == ["channel/trace-preserving", "ce/S0", "ce/S0/grid",
                      "ce/S1", "ce/S1/grid", "ce/alpha-local-one"]
+
+
+def test_every_grid_resolution_is_even():
+    # D_u adds pi to a grid phase, which is a grid step only at even resolution
+    assert all(res % 2 == 0 for res in _GRID_RESOLUTIONS.values())
+
+
+@pytest.mark.parametrize("builtin", ["em1:2", "em1:3", "em1:4"])
+@pytest.mark.parametrize("from_spec", [False, True], ids=["builtin", "spec"])
+def test_a_carried_over_s1_reports_s0s_grid_value(builtin, from_spec, tmp_path):
+    if from_spec:
+        path = tmp_path / "spec.json"
+        assert run(["describe", builtin, "--out", str(path)]) == 0
+        source = ["--spec", str(path)]
+    else:
+        source = ["--builtin", builtin]
+    out = tmp_path / "report.json"
+    run(["verify", *source, "--suite", "ce", "--restarts", "100", "--out", str(out)])
+    checks = _checks(out)
+    assert checks["ce/S1/grid"]["value"] == checks["ce/S0/grid"]["value"]
+    # S1's own grid agrees to rounding (em1:3's differs in the last bit)
+    payload = make_builtin(builtin).payload
+    res = _GRID_RESOLUTIONS[2 * len(payload.s0.dims)]
+    assert abs(checks["ce/S1/grid"]["value"] - grid_product_overlap(payload.s1, res)) <= 1e-12
+
+
+@pytest.fixture
+def gridded(monkeypatch):
+    """The projector of every subspace the ce suite's grid oracle evaluates."""
+    projectors = []
+    grid = zecap.cli.grid_product_overlap
+
+    def counting(subspace, resolution):
+        projectors.append(subspace.projector)
+        return grid(subspace, resolution)
+
+    monkeypatch.setattr(zecap.cli, "grid_product_overlap", counting)
+    return projectors
+
+
+def test_verify_ce_evaluates_s1s_grid_only_without_s1_equal_to_d_s0(tmp_path, gridded):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--builtin", "em1:3", "--suite", "ce", "--restarts", "100",
+                "--out", str(out)]) == 0
+    assert len(gridded) == 1
+    assert np.array_equal(gridded[0], make_builtin("em1:3").payload.s0.projector)
+    # S0 = span{|00> + |11>} has 1 of 4 dimensions, so S1 = D S0 cannot hold
+    one = {"re": {"r": [1, 1]}}
+    spec = {"format": "zecap-channel/1", "name": "bell-line", "kind": "binary-projective",
+            "sender_dims": [2, 2], "receiver_dims": [2], "u_slots": [0],
+            "s0_basis": [[{"index": 0, "coeff": one}, {"index": 3, "coeff": one}]]}
+    gridded.clear()
+    run(["verify", "--spec", _write_spec(tmp_path, spec), "--suite", "ce",
+         "--restarts", "100", "--out", str(out)])
+    payload = channel_from_spec(spec).payload
+    assert len(gridded) == 2
+    assert np.array_equal(gridded[1], payload.s1.projector)
+    checks = _checks(out)
+    assert checks["ce/S1/grid"]["value"] != checks["ce/S0/grid"]["value"]
 
 
 def test_oversized_input_is_usage_error_before_allocation(tmp_path, monkeypatch):

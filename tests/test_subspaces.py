@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from zecap.exactnum import (
 )
 from zecap.linalg import (
     dim_of,
+    keyed_haar_kets,
     ket_from_terms,
     max_abs,
     max_entangled_ket,
@@ -28,11 +30,17 @@ from zecap.linalg import (
     tensor,
 )
 from zecap.subspaces import (
+    MAX_SWEEPS,
+    PRODUCT_FOUND_TOL,
+    SWEEP_GAIN_TOL,
     Subspace,
+    _coefficient_tensor,
     _grid_factors,
     _hermitian_coordinates,
     _ket_coordinates,
+    _ket_from_coordinates,
     _parity_signs,
+    _row_kron,
     _slot_step,
     certify_completely_entangled,
     conjugated_certificate,
@@ -274,6 +282,107 @@ def test_a_restart_does_not_depend_on_the_batch_it_runs_in(em14):
         assert np.array_equal(a, b)
 
 
+def _reference_qubit_step(h):
+    # the closed-form qubit step as first written: the flat-row mask is
+    # always formed and always assigned
+    a = 0.5 * (h[:, 0] - h[:, 1])
+    r = np.hypot(a, np.sqrt(0.5) * np.hypot(h[:, 2], h[:, 3]))
+    flat = r == 0
+    s = 0.5 / np.where(flat, 1.0, r)
+    x = h * s[:, None]
+    x[:, 0] = 0.5 + a * s
+    x[:, 1] = 0.5 - a * s
+    x[flat] = (1.0, 0.0, 0.0, 0.0)
+    return 0.5 * (h[:, 0] + h[:, 1]) + r, x
+
+
+def _reference_search(sub, restarts, seed):
+    """The alternating search's sweep loop as first written, which writes
+    every row back, compacts and tests retirement after every sweep. Returns
+    its candidate fields, the factors, and whether the last running restart
+    was ever not the leader."""
+    dims = sub.dims
+    coeffs, units = _coefficient_tensor(sub)
+    mats = [np.moveaxis(coeffs, s, -1).reshape(-1, d * d) for s, d in enumerate(dims)]
+    coords = [_ket_coordinates(f) for f in keyed_haar_kets(dims, restarts, [seed])]
+    live = list(coords)
+    obj = np.zeros(restarts)
+    sweeps = np.zeros(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
+    retired, straggler = 0, False
+    alive = np.arange(restarts)
+    for sweep in range(1, MAX_SWEEPS + 1):
+        prev_sweep = obj[alive]
+        cur = prev_sweep
+        for slot, (d, mat) in enumerate(zip(dims, mats)):
+            others = [x for t, x in enumerate(live) if t != slot]
+            rows = reduce(_row_kron, others) if others else np.ones((len(alive), 1))
+            h = np.einsum("zi,ij->zj", rows, mat)
+            new, live[slot] = _reference_qubit_step(h) if d == 2 else _slot_step(h, d)
+            if float(np.min(new - cur)) < -1e-9:
+                raise RuntimeError("alternating maximization decreased")
+            cur = new
+        obj[alive] = cur
+        sweeps[alive] = sweep
+        gain = cur - prev_sweep
+        running = gain >= SWEEP_GAIN_TOL
+        converged[alive[~running]] = True
+        leader = int(np.argmax(obj))
+        best = obj[leader]
+        retire = running & (alive != leader) & (
+            (cur + gain * (MAX_SWEEPS - sweep) < best)
+            | (best - cur <= PRODUCT_FOUND_TOL))
+        retired += int(np.count_nonzero(retire))
+        keep = running & ~retire
+        for x, y in zip(coords, live):
+            x[alive] = y
+        live = [y[keep] for y in live]
+        alive = alive[keep]
+        straggler |= bool(alive.size == 1 and alive[0] != leader)
+        if alive.size == 0:
+            break
+    b = int(np.argmax(obj))
+    fields = (float(obj[b]), b, int(sweeps[b]), bool(converged[b]), retired)
+    factors = [_ket_from_coordinates(x[b], d, u) for x, d, u in zip(coords, dims, units)]
+    return fields, factors, straggler
+
+
+def test_the_sweep_loop_matches_its_reference_bit_for_bit(em14):
+    # random spans of 1, 2 and 3 vectors and of half the space, plus em1:4,
+    # whose restarts run to MAX_SWEEPS; the loop writes rows back and tests
+    # retirement only when it must, and every field and factor keeps its bits
+    subs = [em14.payload.s0]
+    for dims in ([2, 2, 2, 2], [2, 3, 2], [4, 4], [3, 4]):
+        total = dim_of(dims)
+        for k in (1, 2, 3, total // 2):
+            rng = np.random.default_rng([k, total])
+            subs.append(Subspace.from_span(dims, list(
+                rng.normal(size=(k, total)) + 1j * rng.normal(size=(k, total)))))
+    stragglers = capped = 0
+    for sub in subs:
+        for restarts, seed in ((1, 0), (7, 3), (30, 11)):
+            fields, factors, straggler = _reference_search(sub, restarts, seed)
+            cand = max_product_overlap(sub, restarts=restarts, seed=seed)
+            assert (cand.overlap, cand.restart_index, cand.sweeps, cand.converged,
+                    cand.retired) == fields
+            for a, b in zip(cand.factors, factors):
+                assert a.tobytes() == b.tobytes()
+            stragglers += straggler
+            capped += cand.sweeps == MAX_SWEEPS
+    # the last running restart was not the leader in some searches, and some
+    # winners were still running at MAX_SWEEPS
+    assert stragglers > 0 and capped > 0
+
+
+def test_the_qubit_step_matches_its_reference_with_flat_rows():
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(6, 4))
+    h[[1, 4]] = (0.25, 0.25, 0.0, 0.0)          # multiples of the identity
+    for rows in (h, h[[0, 2]], h[[1]]):
+        for got, want in zip(_slot_step(rows, 2), _reference_qubit_step(rows)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_search_on_unequal_party_dimensions():
     # each slot's shared matrix takes that party's (out, in) pair from among
     # parties of dimension 2, 3 and 2
@@ -407,6 +516,17 @@ def test_grid_oracle_builds_the_first_party_one_chunk_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+    # with a 1-dim party first, the 4-dim party is still the one chunked: it
+    # is moved first, and the [1, 4] grid gives the [4] grid's value
+    wide = Subspace.from_span([1, 4], [np.array([1, 1j, 0, 1]) / np.sqrt(3)])
+    tracemalloc.start()
+    try:
+        value = grid_product_overlap(wide, resolution=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert value == grid_product_overlap(sub, resolution=8)
     # a chunk is the same rows, bit for bit, as the slice of the whole grid
     for d in (2, 3, 4):
         assert _grid_factors(d, 3, 3, 11).tobytes() == _grid_factors(d, 3)[3:11].tobytes()
