@@ -174,20 +174,92 @@ def haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+# SeedSequence's pool hash (O'Neill's seed_seq_fe, numpy.random.bit_generator)
+# and PCG64's srandom step, as fixed unsigned arithmetic
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; the multiplier runs on from
+    call to call, as the C loop's hash_const does."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def _generate_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for each row of a
+    (count, L) uint32 entropy array, as one (count, 4) uint64 array."""
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ out >> np.uint32(16)
+
+    count, length = entropy.shape
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    # missing pool words hash as 0
+    pool = [hashmix(entropy[:, i] if i < length else np.zeros(count, np.uint32))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):      # words past the pool
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    # eight words cycled off the pool, paired little-endian
+    out = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([out(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def keyed_haar_kets(dims: Sequence[int], count: int,
                     key: Sequence[int]) -> list[np.ndarray]:
-    """Haar-random kets for `count` restarts, one (count, d) array per party:
-    row r is bit for bit haar_ket party by party on default_rng([*key, r])."""
+    """Haar-random kets for `count` >= 1 restarts, one (count, d) array per
+    party: row r is bit for bit haar_ket party by party on default_rng([*key, r]).
+
+    The streams are seeded by one vectorized SeedSequence hash over all rows
+    (`_generate_states`), set on one PCG64 in turn, so the bits are unchanged.
+    Each call also draws its last row through numpy's own
+    Generator(PCG64(SeedSequence(...))) and raises RuntimeError if the two
+    rows differ, so a NumPy that seeds differently fails loudly.
+    """
     words = []      # the little-endian uint32 words SeedSequence makes of each int
     for k in map(operator.index, key):
         if k < 0:
             raise ValueError(f"seed must be a non-negative integer, got {k}")
-        words += [(k >> s) & 0xFFFFFFFF for s in range(0, max(k.bit_length(), 1), 32)]
-    keys = np.array([words + [r] for r in range(count)], dtype=np.uint32)
+        words += [(k >> s) & _MASK32 for s in range(0, max(k.bit_length(), 1), 32)]
+    entropy = np.empty((count, len(words) + 1), dtype=np.uint32)
+    entropy[:, :-1] = words
+    entropy[:, -1] = np.arange(count)
+    seeds = _generate_states(entropy)   # (initstate high, low, initseq high, low)
     # one draw per stream holds each party's real then imaginary parts
     z = np.empty((count, 2 * sum(dims)))
-    for key_r, z_r in zip(keys, z):
-        Generator(PCG64(SeedSequence(key_r))).standard_normal(out=z_r)
+    # the one generator numpy seeds itself: it draws the last row for the check
+    bitgen = PCG64(SeedSequence(entropy[-1]))
+    gen = Generator(bitgen)
+    check = gen.standard_normal(z.shape[1])
+    for seed, z_r in zip(seeds, z):
+        # PCG64's srandom: inc = initseq << 1 | 1, then step, add initstate, step
+        s_hi, s_lo, q_hi, q_lo = seed.tolist()
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=z_r)
+    if z[-1].tobytes() != check.tobytes():
+        raise RuntimeError("the vectorized SeedSequence hash disagrees with "
+                           "numpy's SeedSequence; restart streams would change")
     kets, at = [], 0
     for d in dims:
         v = z[:, at:at + d] + 1j * z[:, at + d:at + 2 * d]

@@ -165,7 +165,9 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
     if fmt != SPEC_FORMAT:
         raise ValueError(f"unsupported spec format {fmt!r}")
     kind = spec.get("kind")
-    name = str(spec.get("name", "custom"))
+    name = spec.get("name", "custom")
+    if not isinstance(name, str):
+        raise ValueError(f"name: expected a string, got {name!r}")
     sender_dims = _dims_field(spec, "sender_dims")
     receiver_dims = _dims_field(spec, "receiver_dims")
     if kind == "binary-projective":
@@ -184,7 +186,15 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
         vectors = _list_field(_field(spec, "s0_basis"), "s0_basis")
         term_lists = [_terms_from_json(v, total, f"s0_basis[{i}]")
                       for i, v in enumerate(vectors)]
-        return binary_projective_channel(sender_dims, term_lists, u_slots, name)
+        channel = binary_projective_channel(sender_dims, term_lists, u_slots, name)
+        # optional, as describe writes it: [dim S0, dim S1] of the built channel
+        dims, pl = spec.get("subspace_dims"), channel.payload
+        if "subspace_dims" in spec and not (
+                isinstance(dims, list) and all(type(d) is int for d in dims)
+                and dims == [pl.s0.dim, pl.s1.dim]):
+            raise ValueError(f"subspace_dims: {dims!r} is not [dim S0, dim S1] = "
+                             f"[{pl.s0.dim}, {pl.s1.dim}] of s0_basis")
+        return channel
     if kind == "cq":
         check_input_dim(sender_dims)
         check_input_dim(receiver_dims, "receiver_dims")

@@ -56,6 +56,7 @@ def e21_with_01_spec():
     so S1 = D S0 fails for every slot."""
     spec = describe_channel(make_builtin("e21"))
     spec["s0_basis"].append([{"index": 1, "coeff": {"re": {"r": [1, 1]}}}])
+    spec["subspace_dims"] = [9, 7]
     return spec
 
 
@@ -64,6 +65,7 @@ def e21_without_last_spec():
     either slot, but S0 has 7 of 16 dimensions, so S1 = D S0 fails."""
     spec = describe_channel(make_builtin("e21"))
     spec["s0_basis"].pop()
+    spec["subspace_dims"] = [7, 9]
     return spec
 
 

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import basis_ket, gram_rank
 from zecap import linalg
-from zecap.channels import e21_spanning_terms
-from zecap.subspaces import Subspace
+from zecap.channels import e21_spanning_terms, make_e21
+from zecap.cli import MAX_RESTARTS
+from zecap.subspaces import Subspace, max_product_overlap
 from zecap.linalg import (
     contract_factors,
     gram_schmidt,
@@ -236,6 +237,53 @@ def test_keyed_haar_kets_are_haar_ket_on_each_restart_stream(dims, seed):
         # row r is its stream's, not the batch's
         for t, few in enumerate(keyed_haar_kets(dims, 3, key)):
             assert few.tobytes() == kets[t][:3].tobytes()
+
+
+def assert_rows_are_default_rng_streams(kets, dims, key, rows):
+    for r in rows:
+        rng = np.random.default_rng([*key, r])
+        for t, d in enumerate(dims):
+            assert kets[t][r].tobytes() == haar_ket(d, rng).tobytes()
+
+
+@pytest.mark.parametrize("seed", [2**96 + 5, 2**200 + 3])
+def test_keyed_haar_kets_mix_entropy_past_the_hash_pool(seed):
+    # 4 and 7 words of seed, plus the restart index: more than the 4-word pool
+    for key in ([seed], [seed, 1]):
+        kets = keyed_haar_kets((2, 3), 20, key)
+        assert_rows_are_default_rng_streams(kets, (2, 3), key, range(20))
+
+
+def test_keyed_haar_kets_single_restart():
+    for key in ([0], [5, 1], [2**64]):
+        assert_rows_are_default_rng_streams(keyed_haar_kets((4, 4), 1, key), (4, 4), key, [0])
+
+
+def test_keyed_haar_kets_up_to_the_largest_restart_count():
+    kets = keyed_haar_kets((2,), MAX_RESTARTS, [3])
+    assert kets[0].shape == (MAX_RESTARTS, 2)
+    assert_rows_are_default_rng_streams(kets, (2,), [3], range(MAX_RESTARTS))
+
+
+def test_keyed_haar_kets_refuse_a_hash_that_disagrees_with_numpy(monkeypatch):
+    fast = linalg._generate_states
+    monkeypatch.setattr(linalg, "_generate_states",
+                        lambda entropy: fast(entropy) ^ np.uint64(1))
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        keyed_haar_kets([2, 2], 10, [0])
+
+
+def test_product_search_builds_one_seed_sequence(monkeypatch):
+    built = []
+
+    class Counting(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "SeedSequence", Counting)
+    max_product_overlap(make_e21().payload.s0, restarts=1000, seed=0)
+    assert len(built) == 1      # the self-check's own generator
 
 
 def test_keyed_haar_kets_refuse_a_negative_seed():

@@ -52,6 +52,12 @@ def _first_weight(doc, value):
     ("e12", lambda d: _first_weight(d, [-1, 3]), "outputs"),
     ("e12", lambda d: _first_weight(d, [0, 1]), "outputs"),
     ("e12", lambda d: _set(d, "receiver_dims", [1000, 1000]), "receiver_dims"),
+    ("e21", lambda d: _set(d, "subspace_dims", [3, 13]), "subspace_dims"),
+    ("e21", lambda d: _set(d, "subspace_dims", [8.0, 8]), "subspace_dims"),
+    ("e21", lambda d: _set(d, "subspace_dims", None), "subspace_dims"),
+    ("e21", lambda d: _set(d, "name", None), "name"),
+    ("e12", lambda d: _set(d, "name", {"a": 1}), "name"),
+    ("e21", lambda d: _set(d, "name", 21), "name"),
 ])
 def test_malformed_field_is_named_in_one_line(name, edit, field, capsys):
     doc = copy.deepcopy(DESCRIBED[name])
@@ -59,6 +65,24 @@ def test_malformed_field_is_named_in_one_line(name, edit, field, capsys):
     assert run_spec(doc, SUITE[name]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("builtin, suite", [
+    *((b, "properties") for b in ("e21", "variant34", "em1:2", "em1:3", "em1:4",
+                                  "em1:5", "em1:6")),
+    ("e12", "teleport"),
+])
+def test_every_builtin_description_verifies(builtin, suite, capsys):
+    """The spec checks accept what describe writes, subspace_dims and name included."""
+    assert run_spec(describe_channel(make_builtin(builtin)), suite) == 0
+    assert json.loads(capsys.readouterr().out)["channel"] == builtin
+
+
+def test_spec_without_name_or_subspace_dims_is_custom(capsys):
+    doc = copy.deepcopy(DESCRIBED["e21"])
+    del doc["name"], doc["subspace_dims"]
+    assert run_spec(doc, "properties") == 0
+    assert json.loads(capsys.readouterr().out)["channel"] == "custom"
 
 
 def test_oversized_cq_spec_is_refused_before_reading_outputs(monkeypatch):
