@@ -31,6 +31,12 @@ from .linalg import dim_of
 
 SPEC_FORMAT = "zecap-channel/1"
 REPORT_FORMAT = "zecap-report/1"
+# the top-level fields `describe_channel` writes, per channel kind; a spec
+# may hold no others, so a misspelt optional field is refused, not ignored
+_SPEC_FIELDS = {
+    kind: {"format", "name", "kind", "sender_dims", "receiver_dims", *extra}
+    for kind, extra in (("binary-projective", ("subspace_dims", "u_slots", "s0_basis")),
+                        ("cq", ("outputs",)))}
 
 def make_builtin(name: str) -> MultiUserChannel:
     """Channel for a builtin name: e12, e21, em1:<m>, variant34."""
@@ -157,14 +163,17 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
     """Build a channel from a parsed spec dict (or {'builtin': name}).
 
     Every field read is checked first; a malformed one raises a one-line
-    ValueError that names it.
+    ValueError that names it, and so does a field the spec's kind does not have.
     """
     if isinstance(spec, dict) and "builtin" in spec:
+        _refuse_unknown_fields(spec, {"builtin"})
         return make_builtin(str(spec["builtin"]))
     fmt = spec.get("format") if isinstance(spec, dict) else None
     if fmt != SPEC_FORMAT:
         raise ValueError(f"unsupported spec format {fmt!r}")
     kind = spec.get("kind")
+    if kind in _SPEC_FIELDS:
+        _refuse_unknown_fields(spec, _SPEC_FIELDS[kind])
     name = spec.get("name", "custom")
     if not isinstance(name, str):
         raise ValueError(f"name: expected a string, got {name!r}")
@@ -219,6 +228,12 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
             raise ValueError("outputs: no output components given")
         return cq_channel(sender_dims, receiver_dims, outputs, name)
     raise ValueError(f"unsupported channel kind {kind!r} in spec")
+
+
+def _refuse_unknown_fields(spec: dict, known: set[str]) -> None:
+    unknown = sorted(set(spec) - known)
+    if unknown:
+        raise ValueError(f"{unknown[0]}: unknown field")
 
 
 # ---------------------------------------------------------------------------

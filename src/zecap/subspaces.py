@@ -10,8 +10,9 @@ lower bounds on the true maximum product overlap.
 Both read the projector as one real tensor, its coefficients in each
 party's real Hermitian coordinates (`_coefficient_tensor`), and a party's
 factor f as the real row U_d (conj(f) (x) f). The search holds one such row
-per restart and party and updates it in place of f (in closed form on a
-qubit); the grid takes all of a party's grid kets at once.
+per restart and party and updates it in place of f, in closed form on
+parties of 2, 3 and 4 dimensions (`_slot_step`); the grid takes all of a
+party's grid kets at once.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ SYMMETRY_TOL = 1e-9          # largest residual a float symmetry check passes
 GRID_MAX_EVALS = 200_000_000   # largest grid the oracle evaluates
 GRID_CHUNK_VALUES = 4_000_000  # real overlaps held at once by the grid (about 31 MiB)
 
+EIG_RESIDUAL_TOL = 64 * np.finfo(float).eps    # closed-form top eigenpairs with a larger
+                                               # residual, relative to max|h|, go to eigh
+
 _SQRT_HALF = np.sqrt(0.5)
 _SQRT_TWO = np.sqrt(2)
+_TWO_PI_THIRDS = 2 * np.pi / 3
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -180,6 +185,178 @@ def _ket_coordinates(f: np.ndarray) -> np.ndarray:
     return x
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """a[0] + a[1] + ... in that order, so each column sums on its own
+    whatever the number of columns (an axis-0 `sum` may reorder its terms)."""
+    return reduce(np.add, a)
+
+
+@lru_cache(maxsize=None)
+def _cofactor_plan(d: int, entries: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Index tables for the cofactors C_kl, flat index k*d + l in `entries`,
+    of a 3 x 3 or 4 x 4 matrix stored entry-major (entry k*d + l of a stack
+    is row k*d + l): four tables (p, q, r, s) of the 2 x 2 minors used,
+    a_p a_q - a_r a_s, and each cofactor's sign. On d = 3 the minors are the
+    cofactors up to that sign. On d = 4 six more tables (m0, e0, m1, e1, m2,
+    e2) give C_kl = sign (a_e0 m_m0 - a_e1 m_m1 + a_e2 m_m2), the Laplace
+    expansion of its 3 x 3 minor along the row outside the pair (0, 1) or
+    (2, 3)."""
+    minors: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    signs, terms = [], []
+    for kl in entries:
+        k, l = divmod(kl, d)
+        rows = tuple(r for r in range(d) if r != k)
+        cols = tuple(c for c in range(d) if c != l)
+        if d == 3:
+            signs.append((-1) ** (k + l))
+            minors[rows, cols] = len(minors)
+            continue
+        e = next(r for r in rows if tuple(s for s in rows if s != r) in ((0, 1), (2, 3)))
+        pair = tuple(s for s in rows if s != e)
+        signs.append((-1) ** (k + l + rows.index(e)))
+        terms.append([(minors.setdefault((pair, tuple(s for s in cols if s != c)), len(minors)),
+                       e * d + c) for c in cols])
+    quads = [(r0 * d + c0, r1 * d + c1, r0 * d + c1, r1 * d + c0)
+             for (r0, r1), (c0, c1) in minors]
+    tables = [*np.array(quads).T, np.array(signs, dtype=float)[:, None]]
+    if d == 4:
+        tables += [*np.array(terms).transpose(1, 2, 0).reshape(6, -1)]
+    return tuple(_frozen(t) for t in tables)
+
+
+@lru_cache(maxsize=None)
+def _upper_triangle(d: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The flat indices k*d + l, l >= k, of a d x d matrix's upper triangle,
+    row by row; for each (k, l), the place among them of (min, max); and
+    whether l < k, where a Hermitian matrix holds the conjugate."""
+    upper = tuple(k * d + l for k in range(d) for l in range(k, d))
+    where = [[upper.index(min(k, l) * d + max(k, l)) for l in range(d)] for k in range(d)]
+    return upper, _frozen(np.array(where)), _frozen(np.tril(np.ones((d, d), dtype=bool), -1))
+
+
+def _cofactors(a: np.ndarray, d: int, entries: tuple[int, ...]) -> np.ndarray:
+    """The cofactors C_kl, k*d + l in `entries`, of an entry-major (d*d, n)
+    stack of 3 x 3 or 4 x 4 matrices, each column on its own. The terms are
+    summed in place, so besides the minors at most three (len(entries), n)
+    arrays are held."""
+    p, q, r, s, sign, *terms = _cofactor_plan(d, entries)
+    out, tmp = a[p], a[r]
+    out *= a[q]
+    tmp *= a[s]
+    out -= tmp
+    if d == 4:
+        m0, e0, m1, e1, m2, e2 = terms
+        minors, out, tmp = out, a[e0], a[e1]
+        out *= minors[m0]
+        tmp *= minors[m1]
+        out -= tmp
+        np.take(a, e2, axis=0, out=tmp)
+        tmp *= minors[m2]
+        out += tmp
+    out *= sign
+    return out
+
+
+def _traceless_part(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the operators M with real coordinates h: shift = tr M/d, the
+    traceless part B = M - shift I stored entry-major, as a (d*d, n) stack,
+    and tr B^2, each row on its own."""
+    ht = np.ascontiguousarray(h.T)          # entry-major: one row per coordinate
+    i, j = _upper_pairs(d)
+    shift = _sum_rows(ht[:d]) / d
+    bd = ht[:d] - shift
+    bm = np.empty((d * d, len(h)), dtype=complex)
+    bm[np.arange(d) * (d + 1)] = bd
+    bm[i * d + j] = _SQRT_HALF * (ht[d::2] - 1j * ht[d + 1::2])
+    bm[j * d + i] = bm[i * d + j].conj()
+    return shift, bm, _sum_rows(bd * bd) + _sum_rows(ht[d:] * ht[d:])
+
+
+def _top_root(bm: np.ndarray, tr_b2: np.ndarray, d: int) -> np.ndarray:
+    """The largest root t of the characteristic polynomial of each traceless
+    3 x 3 or 4 x 4 B (entry-major), given tr B^2; 0 or NaN where B = 0,
+    which leaves no eigenvector for `_closed_form_top` to accept.
+
+    On d = 3 that is the depressed cubic t^3 - (tr B^2/2) t - det B, solved
+    by its trigonometric form. On d = 4 it is the depressed quartic
+    t^4 + c2 t^2 + c1 t + c0, with c2 = -tr B^2/2, c1 = -tr adj B and
+    c0 = det B. For eigenvalues t1 >= t2 >= t3 >= t4 summing to 0, the
+    resolvent cubic U^3 + 2 c2 U^2 + (c2^2 - 4 c0) U - c1^2 has roots
+    (t1 + t2)^2 >= (t1 + t3)^2 >= (t1 + t4)^2, found by the same
+    trigonometric form. With a and b the roots of the first two (both >= 0)
+    and c = t1 + t4 = -c1/(ab) by Vieta, t1 = (a + b + c)/2.
+    """
+    if d == 3:
+        c = _cofactors(bm, 3, (0, 1, 2))
+        s = np.sqrt(tr_b2 / 6)
+        det = (bm[0] * c[0] + bm[1] * c[1] + bm[2] * c[2]).real
+        return 2 * s * np.cos(_third_angle(det / (2 * s ** 3)))
+    c = _cofactors(bm, 4, (0, 1, 2, 3, 5, 10, 15))         # row 0 and the diagonal
+    c2, c1 = -0.5 * tr_b2, -(c[0] + c[4] + c[5] + c[6]).real
+    c0 = (bm[0] * c[0] + bm[1] * c[1] + bm[2] * c[2] + bm[3] * c[3]).real
+    # the resolvent's roots are mean + 2 s cos(angle - 2 pi j/3)
+    mean = -2 * c2 / 3
+    s = np.sqrt(np.maximum(c2 * c2 / 9 + 4 * c0 / 3, 0.0))   # 0 at a triple root
+    angle = _third_angle((2 * c2 ** 3 / 27 - 8 * c2 * c0 / 3 + c1 * c1) / (2 * s ** 3))
+    a = np.sqrt(mean + 2 * s * np.cos(angle))
+    b = np.sqrt(np.maximum(mean + 2 * s * np.cos(angle - _TWO_PI_THIRDS), 0.0))
+    return 0.5 * (a + b - c1 / (a * b))
+
+
+def _closed_form_top(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top eigenpair of each 3 x 3 or 4 x 4 slot operator M with real
+    coordinates h, in closed form and row by row: the Rayleigh quotient
+    v^dag M v, the coordinates of v v^dag, and whether the row is accepted.
+
+    The top eigenvalue is shift + t (`_traceless_part`, `_top_root`). An
+    eigenvector v is the column of adj(tI - B) with the largest diagonal
+    entry, normalized. A row is accepted when |M v - (v^dag M v) v| <=
+    EIG_RESIDUAL_TOL * max|h|; a flat or degenerate top (no unique top
+    eigenvector to find) fails that test, or leaves a NaN that fails it too.
+    Temporaries are a few (d*d, n) arrays.
+    """
+    n = len(h)
+    shift, bm, tr_b2 = _traceless_part(h, d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = _top_root(bm, tr_b2, d)
+        am = np.negative(bm, out=bm)        # A = tI - B, in B's place
+        am[np.arange(d) * (d + 1)] += t
+        # v_l = C_kl, row k of the cofactors C = adj(A)^T, which is
+        # Hermitian: only its upper triangle is computed
+        upper, where, below = _upper_triangle(d)
+        c = _cofactors(am, d, upper)
+        k = c[where.diagonal()].real.argmax(axis=0)
+        v = c[where[k].T, np.arange(n)]
+        v = np.where(below[k].T, v.conj(), v)
+        v /= np.sqrt(_sum_rows(v.real ** 2 + v.imag ** 2))
+        # A v, and M v - (shift + t - rho) v = -(A v - rho v)
+        av = _sum_rows((am.reshape(d, d, n) * v).transpose(1, 0, 2))
+        rho = _sum_rows(v.real * av.real + v.imag * av.imag)
+        r = av - rho * v
+        ok = (_sum_rows(r.real ** 2 + r.imag ** 2)
+              <= (EIG_RESIDUAL_TOL * np.abs(h).max(axis=1)) ** 2)
+        return shift + t - rho, _ket_coordinates(v.T), ok
+
+
+def _third_angle(cos3: np.ndarray) -> np.ndarray:
+    """theta in [0, pi/3] with cos(3 theta) = cos3 (clipped to [-1, 1]): the
+    roots of W^3 - 3 s^2 W - 2 s^3 cos3 are 2 s cos(theta - 2 pi j/3),
+    largest first. A NaN, from 0/0 where s = 0 and the roots are all 0,
+    gives pi/3 like any other angle would."""
+    return np.arccos(np.fmin(np.fmax(cos3, -1.0), 1.0)) / 3
+
+
+def _hermitian_stack(h: np.ndarray, d: int) -> np.ndarray:
+    """The d x d operators h @ U_d (read row-major), entry by entry: h_a on
+    the diagonal and (h_re - i h_im)/sqrt(2) above it."""
+    a, b = _upper_pairs(d)
+    m = np.zeros((len(h), d, d), dtype=complex)
+    m[:, np.arange(d), np.arange(d)] = h[:, :d]
+    m[:, a, b] = _SQRT_HALF * (h[:, d::2] - 1j * h[:, d + 1::2])
+    m[:, b, a] = m[:, a, b].conj()
+    return m
+
+
 def _slot_step(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue of each slot operator, given by its real coordinates h
     (one row per restart), and the coordinates of a projector onto a top
@@ -189,8 +366,11 @@ def _slot_step(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     (a, h2/sqrt(2), h3/sqrt(2)), the top eigenvalue is (h0 + h1)/2 + R and
     the projector is (1/2 + a/(2R), 1/2 - a/(2R), h2/(2R), h3/(2R)). Where
     R = 0 the operator is a multiple of the identity, and |0><0| is taken.
-    Larger slots rebuild the d x d operator h @ U_d (read row-major) entry by
-    entry, h_a on the diagonal and (h_re - i h_im)/sqrt(2) above it, for `eigh`.
+    A 3- or 4-dim slot is closed form too (`_closed_form_top`), and only the
+    rows it does not accept go to `eigh`, in one call. Larger slots rebuild
+    the d x d operators (`_hermitian_stack`) for `eigh`. Whether a row is
+    accepted depends on that row alone, so its digits do not depend on the
+    batch.
     """
     if d == 2:
         a = 0.5 * (h[:, 0] - h[:, 1])
@@ -206,13 +386,15 @@ def _slot_step(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
         if flat is not None:
             x[flat] = (1.0, 0.0, 0.0, 0.0)
         return 0.5 * (h[:, 0] + h[:, 1]) + r, x
-    a, b = _upper_pairs(d)
-    m = np.zeros((len(h), d, d), dtype=complex)
-    m[:, np.arange(d), np.arange(d)] = h[:, :d]
-    m[:, a, b] = _SQRT_HALF * (h[:, d::2] - 1j * h[:, d + 1::2])
-    m[:, b, a] = m[:, a, b].conj()
-    w, v = np.linalg.eigh(m)
-    return w[:, -1], _ket_coordinates(v[..., -1])
+    if d not in (3, 4):
+        w, v = np.linalg.eigh(_hermitian_stack(h, d))
+        return w[:, -1], _ket_coordinates(v[..., -1])
+    lam, x, ok = _closed_form_top(h, d)
+    if not ok.all():
+        fail = ~ok
+        w, v = np.linalg.eigh(_hermitian_stack(h[fail], d))
+        lam[fail], x[fail] = w[:, -1], _ket_coordinates(v[..., -1])
+    return lam, x
 
 
 def _ket_from_coordinates(x: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:
@@ -237,7 +419,7 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     (`_coefficient_tensor`) with that slot's axis last. A slot step is the
     Kronecker product of the restart's rows for the other parties times that
     matrix, which gives the slot operator's coordinates, and then
-    `_slot_step`, closed form on a qubit slot. The objective never decreases
+    `_slot_step`, closed form on slots of 2 to 4 dimensions. The objective never decreases
     within a restart. Restarts are independent, bit for bit, and run in
     lockstep; the best is merged by (overlap, lowest restart index), so the
     result does not depend on the schedule. The winner's factor kets are

@@ -67,6 +67,26 @@ def test_malformed_field_is_named_in_one_line(name, edit, field, capsys):
     assert err.startswith(f"error: {field}") and err.count("\n") == 1, err
 
 
+def _renamed(doc, old, new):
+    doc = copy.deepcopy(doc)
+    doc[new] = doc.pop(old)
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    # variant34's identities hold on slot B only: with its u_slots misspelt,
+    # the default of every slot would fail each conjugation and twist row @0
+    (_renamed(describe_channel(make_builtin("variant34")), "u_slots", "u_slot"), "u_slot"),
+    ({**DESCRIBED["e12"], "u_slots": [0]}, "u_slots"),
+    ({**DESCRIBED["e21"], "outputs": []}, "outputs"),
+    ({**DESCRIBED["e21"], "Name": "e21", "comment": ""}, "Name"),
+    ({"builtin": "e21", "seed": 3}, "seed"),
+])
+def test_unknown_field_is_refused(doc, field, capsys):
+    assert run_spec(doc, "all") == 3
+    assert capsys.readouterr().err == f"error: {field}: unknown field\n"
+
+
 @pytest.mark.parametrize("builtin, suite", [
     *((b, "properties") for b in ("e21", "variant34", "em1:2", "em1:3", "em1:4",
                                   "em1:5", "em1:6")),

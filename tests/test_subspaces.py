@@ -34,6 +34,7 @@ from zecap.subspaces import (
     PRODUCT_FOUND_TOL,
     SWEEP_GAIN_TOL,
     Subspace,
+    _closed_form_top,
     _coefficient_tensor,
     _grid_factors,
     _hermitian_coordinates,
@@ -396,16 +397,17 @@ def test_search_on_unequal_party_dimensions():
     assert cand.overlap >= grid_product_overlap(sub, resolution=5) - 1e-9
 
 
-def _qubit_coordinates(m):
-    # the real coordinates h of a stack of 2 x 2 Hermitian m with h @ U_2 = m
-    return np.einsum("ij,zj->zi", _hermitian_coordinates(2).conj(), m.reshape(-1, 4)).real
+def _operator_coordinates(m):
+    # the real coordinates h of a stack of d x d Hermitian m with h @ U_d = m
+    d = m.shape[-1]
+    return np.einsum("ij,zj->zi", _hermitian_coordinates(d).conj(), m.reshape(-1, d * d)).real
 
 
 def test_qubit_step_matches_eigh():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
     m = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-    lam, x = _slot_step(_qubit_coordinates(m), 2)
+    lam, x = _slot_step(_operator_coordinates(m), 2)
     w, v = np.linalg.eigh(m)
     assert np.max(np.abs(lam - w[:, -1])) < 1e-14
     assert np.max(np.abs(x - _ket_coordinates(v[..., -1]))) < 1e-12
@@ -437,6 +439,134 @@ def test_qubit_search_runs_no_eigh(em14, monkeypatch):
     assert calls == []
     x = cand.ket()
     assert abs(np.vdot(x, sub.projector @ x).real - cand.overlap) < 1e-12
+
+
+def _dagger(a):
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _random_operators(kind, d, n=400):
+    """A seeded stack of n Hermitian d x d operators of the named kind."""
+    rng = np.random.default_rng([d, len(kind)])
+    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    if kind == "hermitian":
+        return 0.5 * (g + _dagger(g))
+    if kind == "psd":
+        return g @ _dagger(g)
+    if kind == "real":
+        return (g + _dagger(g)).real.astype(complex)
+    if kind in ("rank1", "rank2"):
+        k = g[..., :int(kind[-1])]
+        return k @ _dagger(k)
+    m = np.zeros((n, d, d), dtype=complex)
+    m[:, range(d), range(d)] = rng.normal(size=(n, d))
+    return m
+
+
+KINDS = ("hermitian", "psd", "real", "rank1", "rank2", "diagonal")
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("kind", KINDS)
+def test_closed_form_step_matches_eigh(kind, d):
+    m = _random_operators(kind, d)
+    h = _operator_coordinates(m)
+    w, v = np.linalg.eigh(m)
+    scale = np.abs(m).reshape(len(m), -1).max(axis=1)
+    wide = w[:, -1] - w[:, -2] >= 1e-6 * scale
+    lam, x, ok = _closed_form_top(h, d)
+    assert ok.mean() >= 0.99                 # eigh takes the rest
+    assert np.all(np.abs(lam - w[:, -1])[ok] <= 1e-14 * scale[ok])
+    assert np.max(np.abs(x - _ket_coordinates(v[..., -1]))[ok & wide]) < 1e-12
+    lam, x = _slot_step(h, d)
+    assert np.all(np.abs(lam - w[:, -1]) <= 1e-14 * scale)
+    assert np.max(np.abs(x - _ket_coordinates(v[..., -1]))[wide]) < 1e-12
+
+
+def _near_degenerate(case, d):
+    rng = np.random.default_rng(d)
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    if case == "identity":
+        return 0.3 * np.eye(d)
+    if case == "zero":
+        return np.zeros((d, d))
+    if case in ("double-top", "close-top"):
+        top = 1.0 if case == "double-top" else 1.0 - 1e-9
+        return u @ np.diag([1.0, top, 0.5, 0.2][:d]) @ u.conj().T
+    m = np.diag([2.0, 1.0, 0.5, 0.2][:d]).astype(complex)
+    tiny = {"subnormal": 1e-310, "underflow": 1e-160}[case]
+    m[0, 1], m[1, 0] = tiny * (1 - 1j), tiny * (1 + 1j)
+    return m
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("case", ["identity", "zero", "double-top", "close-top", "subnormal",
+                                  "underflow"])
+def test_closed_form_step_gives_a_unit_projector_near_degeneracy(case, d):
+    m = _near_degenerate(case, d)
+    h = _operator_coordinates(m[None])
+    lam, x = _slot_step(h, d)
+    assert np.all(np.isfinite(x)) and np.isfinite(lam[0])
+    assert abs(np.sum(x[0, :d]) - 1) < 1e-12             # unit trace
+    assert abs(np.sum(x[0] ** 2) - 1) < 1e-12            # tr P^2 = 1: rank one
+    assert abs(x[0] @ h[0] - lam[0]) < 1e-12             # tr(P m) is the eigenvalue
+    assert abs(lam[0] - np.linalg.eigvalsh(m)[-1]) < 1e-14 * max(1.0, np.abs(m).max())
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_a_closed_form_row_does_not_depend_on_its_batch(d):
+    # rows of every kind, flat ones and a degenerate top among them, so that
+    # some go to eigh, and a small close-top row that eigh takes only when
+    # its residual is judged on its own scale; each row keeps its bits alone
+    m = np.concatenate([_random_operators(kind, d, 20) for kind in KINDS]
+                       + [_near_degenerate(c, d)[None] for c in ("identity", "double-top")]
+                       + [1e-4 * _near_degenerate("close-top", d)[None]])
+    h = _operator_coordinates(m)
+    lam, x = _slot_step(h, d)
+    assert not _closed_form_top(h, d)[2].all()
+    for rows in ([[z] for z in range(len(h))]
+                 + [list(range(z, len(h), 9)) for z in (0, 7, len(h) - 2)]):
+        got_lam, got_x = _slot_step(h[rows], d)
+        assert got_lam.tobytes() == lam[rows].tobytes()
+        assert got_x.tobytes() == x[rows].tobytes()
+
+
+@pytest.mark.parametrize("builtin,seed", [("e21", 6), ("variant34", 14)])
+def test_a_restart_on_3_and_4_dim_slots_does_not_depend_on_its_batch(builtin, seed):
+    # restart 0 wins at this seed and its seven rivals are retired on the way
+    sub = make_builtin(builtin).payload.s0
+    batched = max_product_overlap(sub, restarts=8, seed=seed)
+    alone = max_product_overlap(sub, restarts=1, seed=seed)
+    assert batched.restart_index == 0 and batched.retired > 0
+    assert (batched.overlap, batched.sweeps) == (alone.overlap, alone.sweeps)
+    for a, b in zip(batched.factors, alone.factors):
+        assert np.array_equal(a, b)
+
+
+def test_a_qutrit_search_sends_no_row_to_eigh(s0_v34, monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *r, **k: shapes.append(a.shape) or eigh(a, *r, **k))
+    cand = max_product_overlap(s0_v34, seed=0)
+    assert all(s[-1] != 3 for s in shapes)
+    assert abs(cand.overlap - V34_MAX_OVERLAP) < 1e-6
+
+
+def test_a_rank_one_slot_search_sends_no_row_to_eigh(monkeypatch):
+    # on a 1-dim S0 every slot operator has rank one, so its three bottom
+    # eigenvalues meet in a triple root of the resolvent cubic
+    rng = np.random.default_rng(0)
+    ket = rng.normal(size=16) + 1j * rng.normal(size=16)
+    sub = Subspace.from_span([4, 4], [ket])
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    cand = max_product_overlap(sub, restarts=200, seed=0)
+    assert calls == []
+    # the best product overlap of one ket is its top Schmidt coefficient squared
+    top = np.linalg.svd(ket.reshape(4, 4) / np.linalg.norm(ket), compute_uv=False)[0]
+    assert abs(cand.overlap - top ** 2) < 1e-12
 
 
 def test_converged_search_reports_convergence(s0_e21):
