@@ -38,14 +38,14 @@ class Coeff(NamedTuple):
                        float(self.c) + float(self.d) * _SQRT2)
 
 
-def _product(x, y, op, shape: tuple[int, ...], dtype=object) -> np.ndarray:
+def _product(x, y, op, shape: tuple[int, ...]) -> np.ndarray:
     """Components of x * y, where op multiplies one component of x by one of y.
 
     Component k carries sqrt(2) when bit 0 of k is set and i when bit 1 is,
     so e_j e_k = e_(j^k), doubled when both carry sqrt(2) and negated when
     both carry i. All-zero components are skipped.
     """
-    out = np.zeros((4,) + shape, dtype=dtype)
+    out = np.zeros((4,) + shape, dtype=object)
     for j in range(4):
         if not np.any(x[j]):
             continue
@@ -155,29 +155,10 @@ def vector_terms(v: ExactMatrix) -> list[tuple[int, Coeff]]:
             for i in range(col.shape[1]) if col[:, i].any()]
 
 
-def _as_int64(num: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """num as int64 and its largest magnitude, or (None, 0) past int64."""
-    try:
-        small = num.astype(np.int64)
-    except OverflowError:
-        return None, 0
-    return small, max(int(small.max(initial=0)), -int(small.min(initial=0)))
-
-
 def exact_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """a @ b. The component matmuls run in int64 when no sum can wrap: an
-    entry of a component sums at most four products of `inner` terms, one
-    doubled by sqrt(2)^2, so 8 inner max|a| max|b| < 2^63 bounds it; the
-    result is then turned back into Python ints. Otherwise they run on
-    Python ints."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    shape = (a.shape[0], b.shape[1])
-    (x, x_max), (y, y_max) = _as_int64(a.num), _as_int64(b.num)
-    if x is not None and y is not None and 8 * a.shape[1] * x_max * y_max < 2 ** 63:
-        num = _product(x, y, np.matmul, shape, np.int64).astype(object)
-    else:
-        num = _product(a.num, b.num, np.matmul, shape)
+    num = _product(a.num, b.num, np.matmul, (a.shape[0], b.shape[1]))
     return ExactMatrix.reduced(num, a.den * b.den)
 
 

@@ -182,7 +182,7 @@ def min_output_rank_search(channel: MultiUserChannel,
     The result is then the best rank found before the stop.
     """
     d = channel.in_dim
-    rng = None              # the walk's start padding stream, made on its first draw
+    rng = np.random.default_rng([seed, 0x5eed])
     pool: list[np.ndarray] = [s / np.linalg.norm(s) for s in
                               (structured_rank_seeds(channel) if seeds is None else list(seeds))]
     spectra = _output_spectra(channel, np.array(pool, dtype=complex))
@@ -204,8 +204,6 @@ def min_output_rank_search(channel: MultiUserChannel,
         found = None
         starts = [psi for r, _, _, psi in scored if r <= target + 2][:refine_per_rank]
         while len(starts) < refine_per_rank:
-            if rng is None:
-                rng = np.random.default_rng([seed, 0x5eed])
             starts.append(haar_ket(d, rng))
         for x_start in starts:
             x0 = np.concatenate([x_start.real, x_start.imag])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -31,12 +31,12 @@ from .linalg import dim_of
 
 SPEC_FORMAT = "zecap-channel/1"
 REPORT_FORMAT = "zecap-report/1"
-# the top-level fields `describe_channel` writes, per channel kind; a spec
-# may hold no others, so a misspelt optional field is refused, not ignored
-_SPEC_FIELDS = {
-    kind: {"format", "name", "kind", "sender_dims", "receiver_dims", *extra}
-    for kind, extra in (("binary-projective", ("subspace_dims", "u_slots", "s0_basis")),
-                        ("cq", ("outputs",)))}
+# the top-level fields of a spec, per channel kind, in the order
+# `describe_channel` writes them; a spec may hold no others, so a misspelt
+# optional field is refused, not ignored
+_COMMON_FIELDS = ("format", "name", "kind", "sender_dims", "receiver_dims")
+_SPEC_FIELDS = {"binary-projective": _COMMON_FIELDS + ("subspace_dims", "u_slots", "s0_basis"),
+                "cq": _COMMON_FIELDS + ("outputs",)}
 
 def make_builtin(name: str) -> MultiUserChannel:
     """Channel for a builtin name: e12, e21, em1:<m>, variant34."""
@@ -138,25 +138,27 @@ def describe_channel(channel: MultiUserChannel) -> dict:
             or (pl is not None and len(channel.sender_dims) > len(pl.s0.dims)):
         raise ValueError("only channels built from exact data can be described, "
                          "not tensor powers or trivial-party extensions")
-    base: dict[str, Any] = {
+    kind = "cq" if pl is None else "binary-projective"
+    fields: dict[str, Any] = {
         "format": SPEC_FORMAT,
         "name": channel.name,
-        "kind": "cq" if pl is None else "binary-projective",
+        "kind": kind,
         "sender_dims": list(channel.sender_dims),
         "receiver_dims": list(channel.receiver_dims),
     }
     if pl is not None:
-        base["subspace_dims"] = [pl.s0.dim, pl.s1.dim]
-        base["u_slots"] = list(pl.u_slots)
-        base["s0_basis"] = [_terms_to_json(vector_terms(v))
-                            for v in pl.exact_s0]
-        return base
-    base["outputs"] = [
-        {"input": k, "components": [{"weight": _frac_to_json(w),
-                                     "ket": _terms_to_json(terms)}
-                                    for w, terms in comps]}
-        for k, comps in enumerate(outputs)]
-    return base
+        fields["subspace_dims"] = [pl.s0.dim, pl.s1.dim]
+        fields["u_slots"] = list(pl.u_slots)
+        fields["s0_basis"] = [_terms_to_json(vector_terms(v))
+                              for v in pl.exact_s0]
+    else:
+        fields["outputs"] = [
+            {"input": k, "components": [{"weight": _frac_to_json(w),
+                                         "ket": _terms_to_json(terms)}
+                                        for w, terms in comps]}
+            for k, comps in enumerate(outputs)]
+    # written through _SPEC_FIELDS, the same list the refusal reads
+    return {f: fields[f] for f in _SPEC_FIELDS[kind]}
 
 
 def channel_from_spec(spec: dict) -> MultiUserChannel:
@@ -166,7 +168,7 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
     ValueError that names it, and so does a field the spec's kind does not have.
     """
     if isinstance(spec, dict) and "builtin" in spec:
-        _refuse_unknown_fields(spec, {"builtin"})
+        _refuse_unknown_fields(spec, ("builtin",))
         return make_builtin(str(spec["builtin"]))
     fmt = spec.get("format") if isinstance(spec, dict) else None
     if fmt != SPEC_FORMAT:
@@ -230,8 +232,8 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
     raise ValueError(f"unsupported channel kind {kind!r} in spec")
 
 
-def _refuse_unknown_fields(spec: dict, known: set[str]) -> None:
-    unknown = sorted(set(spec) - known)
+def _refuse_unknown_fields(spec: dict, known: Sequence[str]) -> None:
+    unknown = sorted(set(spec).difference(known))
     if unknown:
         raise ValueError(f"{unknown[0]}: unknown field")
 

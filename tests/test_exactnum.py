@@ -4,8 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import zecap.exactnum
-
 from zecap.channels import e21_spanning_terms
 from zecap.exactnum import (
     Coeff,
@@ -137,40 +135,3 @@ def test_exact_projector_of_a_complex_span():
     float_span = [ket_from_terms([8], [(k, complex(c)) for k, c in t]) for t in terms]
     p_float = Subspace.from_span([8], float_span).projector
     assert max_abs(p.to_complex() - p_float) < 1e-12
-
-
-def _bounded(rng, shape, top):
-    """Integer numerators in [-top, top] in all four components, with top
-    itself reached."""
-    num = rng.integers(-top, top + 1, size=(4, *shape)).astype(object)
-    num[1, 0, 0] = top
-    return num
-
-
-@pytest.mark.parametrize("inner, x_max, y_max, fast", [
-    (2, 2 ** 29, 2 ** 29, True),        # 8 * 2 * 2^58 = 2^62: int64
-    (2, 2 ** 29, 2 ** 30 - 1, True),    # just below 2^63
-    (2, 2 ** 29, 2 ** 30, False),       # exactly 2^63: Python ints
-    (2, 2 ** 29, 2 ** 30 + 1, False),   # just past
-    (3, 2 ** 31, 2 ** 31, False),       # int64 would wrap
-    (2, 2 ** 70, 1, False),             # past int64 itself
-])
-def test_int64_products_equal_python_int_products(inner, x_max, y_max, fast, monkeypatch):
-    rng = np.random.default_rng(inner)
-    a = ExactMatrix(_bounded(rng, (3, inner), x_max) if x_max < 2 ** 62 else
-                    np.full((4, 3, inner), x_max, dtype=object), 3)
-    b = ExactMatrix(_bounded(rng, (inner, 2), y_max), 5)
-    dtypes = []
-    product = zecap.exactnum._product
-    monkeypatch.setattr(zecap.exactnum, "_product",
-                        lambda *args: dtypes.append(args[4:]) or product(*args))
-    got = exact_matmul(a, b)
-    want = ExactMatrix.reduced(product(a.num, b.num, np.matmul, (3, 2)), 15)
-    assert dtypes == [(np.int64,) if fast else ()]
-    assert got.den == want.den and np.array_equal(got.num, want.num)
-    assert all(type(v) is int for v in got.num.flat)
-    if (inner, x_max) == (3, 2 ** 31):
-        # the guard matters here: the same products in int64 wrap around
-        wrapped = product(a.num.astype(np.int64), b.num.astype(np.int64), np.matmul,
-                          (3, 2), np.int64)
-        assert not np.array_equal(wrapped.astype(object), product(a.num, b.num, np.matmul, (3, 2)))

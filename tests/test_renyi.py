@@ -450,28 +450,19 @@ def test_an_uncertified_complement_runs_the_pool_and_the_walk(e21, calls):
     assert report.two_use_result.best_rank == E21_TWO_USE_RANK
 
 
-def test_the_walk_makes_its_start_stream_only_when_it_pads(e21, monkeypatch):
-    made, padded = [], []
-    default_rng, haar = np.random.default_rng, zecap.renyi.haar_ket
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda *a, **k: made.append(a) or default_rng(*a, **k))
-    monkeypatch.setattr(zecap.renyi, "haar_ket", lambda *a: padded.append(1) or haar(*a))
-    # a decided gap scores the seeds and stops: no walk, no stream
-    assert additivity_gap_at_zero(e21.payload.s0, budget=5000, seed=0).verdict == "gap-found"
-    assert made == [] and padded == []
-    # this walk pads its starts at both targets from one stream, as it did
-    # when the stream was made up front (values frozen from that code)
-    sub = Subspace.from_span([2, 2], [max_entangled_ket(2), basis_ket([2, 2], 1)])
-    res = min_output_rank_search(tensor_power(make_cj_channel(sub), 2), restarts=20, seed=0)
-    assert made == [([0, 0x5eed],)] and len(padded) > 1
-    assert res.best_rank == 1
-    assert res.tried_ranks == {2: 3.7815246736389457e-16, 1: 3.3602050698874804e-09}
-    assert res.second_eigenvalue == 3.0744958810833104e-09
-
-
 def test_rank_search_refuses_a_negative_seed():
     with pytest.raises(ValueError, match="non-negative"):
         min_output_rank_search(identity_channel(), restarts=3, seed=-1)
+
+
+def test_rank_search_refuses_a_negative_seed_its_seeds_would_decide(e21):
+    # the structured seeds reach rank 15 < 16 and stop the search before any
+    # draw; the seed is refused all the same
+    two = tensor_power(make_cj_channel(e21.payload.s0), 2)
+    assert min_output_rank_search(two, restarts=3, seed=0, stop_below=16).best_rank \
+        == E21_TWO_USE_RANK
+    with pytest.raises(ValueError, match="non-negative"):
+        min_output_rank_search(two, restarts=3, seed=-1, stop_below=16)
 
 
 def test_gap_rejects_complex_basis():
