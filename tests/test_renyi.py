@@ -450,14 +450,11 @@ def test_an_uncertified_complement_runs_the_pool_and_the_walk(e21, calls):
     assert report.two_use_result.best_rank == E21_TWO_USE_RANK
 
 
-def test_rank_search_refuses_a_negative_seed():
+def test_rank_search_refuses_a_negative_seed(e21):
     with pytest.raises(ValueError, match="non-negative"):
         min_output_rank_search(identity_channel(), restarts=3, seed=-1)
-
-
-def test_rank_search_refuses_a_negative_seed_its_seeds_would_decide(e21):
-    # the structured seeds reach rank 15 < 16 and stop the search before any
-    # draw; the seed is refused all the same
+    # here the structured seeds reach rank 15 < 16 and stop the search
+    # before any draw; the seed is refused all the same
     two = tensor_power(make_cj_channel(e21.payload.s0), 2)
     assert min_output_rank_search(two, restarts=3, seed=0, stop_below=16).best_rank \
         == E21_TWO_USE_RANK
