@@ -69,7 +69,10 @@ def slot_index(channel: MultiUserChannel, slot: int | str) -> int:
         if label is None:
             raise ValueError(f"slot {slot!r} is not a sender letter followed by "
                              "primes, like A or B'")
-        idx = len(label[2]) * m + ord(label[1].upper()) - ord("A")
+        letter = ord(label[1].upper()) - ord("A")
+        if letter >= m:
+            raise ValueError(f"slot {slot!r} names no sender of {m}")
+        idx = len(label[2]) * m + letter
     if not 0 <= idx < 2 * m:
         raise ValueError(f"slot {slot!r} out of range for {m} senders, 2 uses")
     return idx

@@ -35,7 +35,8 @@ ASCENT_TOL = 1e-9            # a slot step lowering an overlap by more than this
 REAL_TOL = 1e-12             # largest imaginary projector entry of a real subspace
 SYMMETRY_TOL = 1e-9          # largest residual a float symmetry check passes
 GRID_MAX_EVALS = 200_000_000   # largest grid the oracle evaluates
-GRID_CHUNK_VALUES = 4_000_000  # real overlaps held at once by the grid (about 31 MiB)
+GRID_CHUNK_VALUES = 4_000_000  # grid points one chunk covers; it holds their prefix rows
+GRID_PRUNE_SLACK = 1e-9        # a grid row whose bound is this far below the best is skipped
 
 EIG_RESIDUAL_TOL = 64 * np.finfo(float).eps    # closed-form top eigenpairs with a larger
                                                # residual, relative to max|h|, go to eigh
@@ -612,10 +613,21 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     <g|P|g> for a product g is P's real coefficient tensor
     (`_coefficient_tensor`) contracted with each party's row
     U_d (conj(g_t) (x) g_t), so all grid points of a party are absorbed by
-    one real matrix product. The party with the most grid kets (the first
-    of equals) is moved first and its grid built in chunks of at most
-    GRID_CHUNK_VALUES results and 4,096 kets, and only one chunk is held at
-    a time.
+    one real matrix product. A 1-dim party's one row is [1], so it is left
+    out. The party with the most grid kets (the first of equals) is moved
+    first and its grid built in chunks of at most 4,096 kets, each covering
+    at most GRID_CHUNK_VALUES grid points, and only one chunk is held at a
+    time.
+
+    Each chunk is contracted with every party but the last, leaving a prefix
+    row h per grid point of those parties: the coordinates of a Hermitian M
+    on the last party, with tr M the sum of h's first d entries and
+    |M|_F = |h|. Its grid values <g|M|g> are at most lambda_max(M) <= tr M/d
+    + sqrt((d - 1)/d) |M - tr M/d|_F, as the traceless part's eigenvalues sum
+    to zero (exact on qubits). A row whose bound is more than GRID_PRUNE_SLACK
+    below the best value so far is skipped; the rest go through a two-operand
+    einsum, which sums each value on its own (a BLAS product does not), so
+    the maximum is the full enumeration's to the bit.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -628,15 +640,29 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
         raise ValueError(
             f"grid of {total} product states exceeds the {GRID_MAX_EVALS} evaluation "
             f"budget; use max_product_overlap (alternating search) instead")
-    big = int(np.argmax(sizes))
-    order = [big, *(t for t in range(len(dims)) if t != big)]
-    coeffs = _coefficient_tensor(subspace)[0].transpose(order)
+    parties = [t for t, d in enumerate(dims) if d > 1] or [0]
+    big = max(parties, key=sizes.__getitem__)
+    order = [big, *(t for t in parties if t != big)]
+    coeffs = _coefficient_tensor(subspace)[0].reshape(
+        [dims[t] ** 2 for t in parties]).transpose([parties.index(t) for t in order])
     # row n of a party's matrix is U_d (conj(g_n) (x) g_n) for its n-th grid ket
     rest = [_ket_coordinates(_grid_factors(dims[t], resolution)) for t in order[1:]]
+    d = dims[order[-1]]
     chunk = max(1, min(sizes[big], GRID_CHUNK_VALUES // (total // sizes[big]), 4096))
-    return max(float(np.max(contract_factors(coeffs, [_ket_coordinates(
-        _grid_factors(dims[big], resolution, start, start + chunk)), *rest])))
-               for start in range(0, sizes[big], chunk))
+    best = -np.inf
+    for start in range(0, sizes[big], chunk):
+        mats = [_ket_coordinates(_grid_factors(dims[big], resolution, start, start + chunk)),
+                *rest]
+        h = contract_factors(coeffs, mats[:-1]).reshape(d * d, -1).T
+        last = np.ascontiguousarray(mats[-1].T)
+        trace = h[:, :d].sum(axis=1)
+        spread = (d - 1) / d * (np.einsum("zi,zi->z", h, h) - trace ** 2 / d)
+        bound = trace / d + np.sqrt(np.maximum(spread, 0.0))
+        # the row with the top bound sets the first threshold
+        best = float(np.max(np.einsum("zi,ij->zj", h[[np.argmax(bound)]], last), initial=best))
+        keep = bound >= best - GRID_PRUNE_SLACK
+        best = float(np.max(np.einsum("zi,ij->zj", h[keep], last), initial=best))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_a_carried_over_s1_reports_s0s_grid_value(builtin, from_spec, tmp_path):
     run(["verify", *source, "--suite", "ce", "--restarts", "100", "--out", str(out)])
     checks = _checks(out)
     assert checks["ce/S1/grid"]["value"] == checks["ce/S0/grid"]["value"]
-    # S1's own grid agrees to rounding (em1:3's differs in the last bit)
+    # S1's own grid agrees to rounding
     payload = make_builtin(builtin).payload
     res = _GRID_RESOLUTIONS[2 * len(payload.s0.dims)]
     assert abs(checks["ce/S1/grid"]["value"] - grid_product_overlap(payload.s1, res)) <= 1e-12
@@ -683,6 +683,7 @@ E21_PROPERTIES = ["verify", "--builtin", "e21", "--suite", "properties"]
     pytest.param(E21_PROPERTIES + ["--slots", ","], True, id="slots-comma"),
     pytest.param(E21_PROPERTIES + ["--slots", ""], True, id="slots-empty"),
     pytest.param(E21_PROPERTIES + ["--slots", "A,A"], True, id="slots-repeated"),
+    pytest.param(E21_PROPERTIES + ["--slots", "C"], True, id="slots-C"),
     pytest.param(["verify", "--builtin", "e21", "--suite", ""], True, id="suite-empty"),
     pytest.param(["verify", "--builtin", "e21", "--suite", ","], True, id="suite-comma"),
     pytest.param(["verify", "--builtin", "e21", "--suite", "ce,"], True, id="suite-ce-comma"),

@@ -20,7 +20,9 @@ from zecap.exactnum import (
     exact_projector,
     exact_vector,
 )
+from zecap.cli import _GRID_RESOLUTIONS
 from zecap.linalg import (
+    contract_factors,
     dim_of,
     keyed_haar_kets,
     ket_from_terms,
@@ -606,14 +608,19 @@ def test_grid_oracle_on_unequal_party_dimensions(variant34):
     assert abs(grid_product_overlap(s0, resolution=3) - direct) < 1e-12
 
 
+def _random_span(dims):
+    """A seeded complex 2-dim span."""
+    rng = np.random.default_rng(sum(dims) * len(dims))
+    total = int(np.prod(dims))
+    return Subspace.from_span(dims, [rng.normal(size=total) + 1j * rng.normal(size=total)
+                                     for _ in range(2)])
+
+
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 3)])
 def test_grid_oracle_on_a_complex_span(dims):
     # a real span's projector has a zero coefficient on every Im coordinate,
     # so only a complex span shows a slip in those coordinates
-    rng = np.random.default_rng(sum(dims) * len(dims))
-    total = int(np.prod(dims))
-    sub = Subspace.from_span(dims, [rng.normal(size=total) + 1j * rng.normal(size=total)
-                                    for _ in range(2)])
+    sub = _random_span(dims)
     kets = np.ones((1, 1), dtype=complex)
     for d in dims:
         g = _grid_factors(d, 4)
@@ -623,16 +630,50 @@ def test_grid_oracle_on_a_complex_span(dims):
 
 
 def test_grid_oracle_holds_one_chunk_at_a_time(em14):
-    # one chunk of em1:4 S0 at resolution 8 is about 31 MiB of real overlaps;
-    # complex overlaps peak at about 60 MiB, and a loop that kept the previous
-    # chunk alive at twice the chunk, so either breaks the bound
+    # em1:4 S0 at resolution 8 has 26.9 M grid points in chunks of 10 first-
+    # party kets; a chunk's prefix rows are about 1.6 MiB and the pruned oracle
+    # peaks near 5 MiB, while evaluating a whole chunk's 3.7 M overlaps at once
+    # peaks near 30 MiB, so any return to whole-chunk overlaps breaks the bound
     tracemalloc.start()
     try:
         grid_product_overlap(em14.payload.s0, resolution=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 45 * 2 ** 20
+    assert peak < 8 * 2 ** 20
+
+
+def _enumerated_grid_maximum(sub, resolution):
+    """The grid maximum with every grid value evaluated: the oracle's party
+    order and prefix rows, over the first party's whole grid, each row times
+    the last party's rows by the same two-operand einsum."""
+    dims = sub.dims
+    rows = [_ket_coordinates(_grid_factors(d, resolution)) for d in dims]
+    big = int(np.argmax([len(r) for r in rows]))
+    order = [big, *(t for t in range(len(dims)) if t != big)]
+    d = dims[order[-1]]
+    prefix = contract_factors(_coefficient_tensor(sub)[0].transpose(order),
+                              [rows[t] for t in order[:-1]]).reshape(d * d, -1).T
+    last = np.ascontiguousarray(rows[order[-1]].T)
+    return max(float(np.max(np.einsum("zi,ij->zj", prefix[i:i + 20_000].copy(), last)))
+               for i in range(0, len(prefix), 20_000))
+
+
+# em1:2's S0 and S1 hold product states, so their maximum 1 is reached at
+# several grid points; the random spans put a 3- or 4-dim party last
+@pytest.mark.parametrize("builtin, part, resolution", [
+    *(pytest.param(f"em1:{m}", part, _GRID_RESOLUTIONS[2 * m], id=f"em1:{m}-{part}")
+      for m in (2, 3, 4) for part in ("s0", "s1")),
+    pytest.param("variant34", "s0", 3, id="variant34-s0"),
+    *(pytest.param(None, dims, res, id=f"span{dims}")
+      for dims, res in (((4, 3), 4), ((3, 4), 4), ((2, 4, 3), 3), ((4, 4), 3))),
+])
+def test_grid_oracle_equals_its_full_enumeration_bit_for_bit(builtin, part, resolution):
+    # the oracle skips every prefix row whose eigenvalue bound cannot reach
+    # the best value; the values it does evaluate are summed row by row, so
+    # its maximum is the enumeration's to the last bit
+    sub = getattr(make_builtin(builtin).payload, part) if builtin else _random_span(part)
+    assert grid_product_overlap(sub, resolution) == _enumerated_grid_maximum(sub, resolution)
 
 
 def test_grid_oracle_builds_the_first_party_one_chunk_at_a_time():
@@ -646,8 +687,8 @@ def test_grid_oracle_builds_the_first_party_one_chunk_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-    # with a 1-dim party first, the 4-dim party is still the one chunked: it
-    # is moved first, and the [1, 4] grid gives the [4] grid's value
+    # a 1-dim party is left out of the contraction, so the [1, 4] grid takes
+    # the [4] grid's route and gives its value to the bit
     wide = Subspace.from_span([1, 4], [np.array([1, 1j, 0, 1]) / np.sqrt(3)])
     tracemalloc.start()
     try:
