@@ -10,7 +10,6 @@ built from: `payload` for flag-output channels, `cq_outputs` for cq ones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -333,7 +332,7 @@ def make_variant34() -> MultiUserChannel:
 
 def make_em1(m: int) -> MultiUserChannel:
     """m qubit senders, one qubit receiver; conjugation identity on every slot."""
-    check_input_dim(itertools.repeat(2, m))
+    check_input_dim(2 for _ in range(m))     # itertools.repeat overflows past a C ssize_t
     return binary_projective_channel([2] * m, em1_spanning_terms(m), tuple(range(m)),
                                      f"em1:{m}")
 

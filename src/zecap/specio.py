@@ -10,6 +10,7 @@ that constructor kept, so a description re-ingests bit-exactly.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
@@ -70,7 +71,11 @@ def _frac_from_json(pair: Any, where: str) -> Fraction:
         raise ValueError(f"{where}: {pair!r} is not a [numerator, denominator] pair")
     if pair[1] == 0:
         raise ValueError(f"{where}: zero denominator in exact coefficient")
-    return Fraction(*pair)
+    frac = Fraction(*pair)
+    # float() raises past the largest float and gives 0.0 below the least
+    if frac and not 2.0 ** -1074 <= abs(frac) <= sys.float_info.max:
+        raise ValueError(f"{where}: a [numerator, denominator] pair outside the float range")
+    return frac
 
 
 def _coeff_to_json(c: Coeff) -> dict:
@@ -87,7 +92,10 @@ def _coeff_from_json(obj: Any, where: str) -> Coeff:
         if not isinstance(pair, dict):
             raise ValueError(f"{where}: coefficient {obj!r} is not a {{re, im}} object")
         fracs += [_frac_from_json(pair.get(k, [0, 1]), where) for k in ("r", "s")]
-    return Coeff(*fracs)
+    coeff = Coeff(*fracs)
+    if not np.isfinite(complex(coeff)):
+        raise ValueError(f"{where}: coefficient r + s sqrt(2) outside the float range")
+    return coeff
 
 
 def _terms_to_json(terms: list[tuple[int, Coeff]]) -> list[dict]:

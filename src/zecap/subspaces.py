@@ -11,7 +11,8 @@ Both read the projector as one real tensor, its coefficients in each
 party's real Hermitian coordinates (`_coefficient_tensor`), and a party's
 factor f as the real row U_d (conj(f) (x) f). The search holds one such row
 per restart and party and updates it in place of f, in closed form on
-parties of 2, 3 and 4 dimensions (`_slot_step`); the grid takes all of a
+parties of 2, 3 and 4 dimensions (`_slot_step`; on 3 and 4 from the
+characteristic polynomial of the slot operator); the grid takes all of a
 party's grid kets at once.
 """
 
@@ -192,72 +193,6 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return reduce(np.add, a)
 
 
-@lru_cache(maxsize=None)
-def _cofactor_plan(d: int, entries: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Index tables for the cofactors C_kl, flat index k*d + l in `entries`,
-    of a 3 x 3 or 4 x 4 matrix stored entry-major (entry k*d + l of a stack
-    is row k*d + l): four tables (p, q, r, s) of the 2 x 2 minors used,
-    a_p a_q - a_r a_s, and each cofactor's sign. On d = 3 the minors are the
-    cofactors up to that sign. On d = 4 six more tables (m0, e0, m1, e1, m2,
-    e2) give C_kl = sign (a_e0 m_m0 - a_e1 m_m1 + a_e2 m_m2), the Laplace
-    expansion of its 3 x 3 minor along the row outside the pair (0, 1) or
-    (2, 3)."""
-    minors: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    signs, terms = [], []
-    for kl in entries:
-        k, l = divmod(kl, d)
-        rows = tuple(r for r in range(d) if r != k)
-        cols = tuple(c for c in range(d) if c != l)
-        if d == 3:
-            signs.append((-1) ** (k + l))
-            minors[rows, cols] = len(minors)
-            continue
-        e = next(r for r in rows if tuple(s for s in rows if s != r) in ((0, 1), (2, 3)))
-        pair = tuple(s for s in rows if s != e)
-        signs.append((-1) ** (k + l + rows.index(e)))
-        terms.append([(minors.setdefault((pair, tuple(s for s in cols if s != c)), len(minors)),
-                       e * d + c) for c in cols])
-    quads = [(r0 * d + c0, r1 * d + c1, r0 * d + c1, r1 * d + c0)
-             for (r0, r1), (c0, c1) in minors]
-    tables = [*np.array(quads).T, np.array(signs, dtype=float)[:, None]]
-    if d == 4:
-        tables += [*np.array(terms).transpose(1, 2, 0).reshape(6, -1)]
-    return tuple(_frozen(t) for t in tables)
-
-
-@lru_cache(maxsize=None)
-def _upper_triangle(d: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The flat indices k*d + l, l >= k, of a d x d matrix's upper triangle,
-    row by row; for each (k, l), the place among them of (min, max); and
-    whether l < k, where a Hermitian matrix holds the conjugate."""
-    upper = tuple(k * d + l for k in range(d) for l in range(k, d))
-    where = [[upper.index(min(k, l) * d + max(k, l)) for l in range(d)] for k in range(d)]
-    return upper, _frozen(np.array(where)), _frozen(np.tril(np.ones((d, d), dtype=bool), -1))
-
-
-def _cofactors(a: np.ndarray, d: int, entries: tuple[int, ...]) -> np.ndarray:
-    """The cofactors C_kl, k*d + l in `entries`, of an entry-major (d*d, n)
-    stack of 3 x 3 or 4 x 4 matrices, each column on its own. The terms are
-    summed in place, so besides the minors at most three (len(entries), n)
-    arrays are held."""
-    p, q, r, s, sign, *terms = _cofactor_plan(d, entries)
-    out, tmp = a[p], a[r]
-    out *= a[q]
-    tmp *= a[s]
-    out -= tmp
-    if d == 4:
-        m0, e0, m1, e1, m2, e2 = terms
-        minors, out, tmp = out, a[e0], a[e1]
-        out *= minors[m0]
-        tmp *= minors[m1]
-        out -= tmp
-        np.take(a, e2, axis=0, out=tmp)
-        tmp *= minors[m2]
-        out += tmp
-    out *= sign
-    return out
-
-
 def _traceless_part(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For the operators M with real coordinates h: shift = tr M/d, the
     traceless part B = M - shift I stored entry-major, as a (d*d, n) stack,
@@ -273,28 +208,22 @@ def _traceless_part(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.n
     return shift, bm, _sum_rows(bd * bd) + _sum_rows(ht[d:] * ht[d:])
 
 
-def _top_root(bm: np.ndarray, tr_b2: np.ndarray, d: int) -> np.ndarray:
+def _top_root(c2: np.ndarray, c1: np.ndarray, c0: np.ndarray | None) -> np.ndarray:
     """The largest root t of the characteristic polynomial of each traceless
-    3 x 3 or 4 x 4 B (entry-major), given tr B^2; 0 or NaN where B = 0,
+    3 x 3 (c0 None) or 4 x 4 B, given its coefficients; 0 or NaN where B = 0,
     which leaves no eigenvector for `_closed_form_top` to accept.
 
-    On d = 3 that is the depressed cubic t^3 - (tr B^2/2) t - det B, solved
-    by its trigonometric form. On d = 4 it is the depressed quartic
-    t^4 + c2 t^2 + c1 t + c0, with c2 = -tr B^2/2, c1 = -tr adj B and
-    c0 = det B. For eigenvalues t1 >= t2 >= t3 >= t4 summing to 0, the
-    resolvent cubic U^3 + 2 c2 U^2 + (c2^2 - 4 c0) U - c1^2 has roots
-    (t1 + t2)^2 >= (t1 + t3)^2 >= (t1 + t4)^2, found by the same
+    On d = 3 that is the depressed cubic t^3 + c2 t + c1, solved by its
+    trigonometric form. On d = 4 it is the depressed quartic
+    t^4 + c2 t^2 + c1 t + c0. For eigenvalues t1 >= t2 >= t3 >= t4 summing
+    to 0, the resolvent cubic U^3 + 2 c2 U^2 + (c2^2 - 4 c0) U - c1^2 has
+    roots (t1 + t2)^2 >= (t1 + t3)^2 >= (t1 + t4)^2, found by the same
     trigonometric form. With a and b the roots of the first two (both >= 0)
     and c = t1 + t4 = -c1/(ab) by Vieta, t1 = (a + b + c)/2.
     """
-    if d == 3:
-        c = _cofactors(bm, 3, (0, 1, 2))
-        s = np.sqrt(tr_b2 / 6)
-        det = (bm[0] * c[0] + bm[1] * c[1] + bm[2] * c[2]).real
-        return 2 * s * np.cos(_third_angle(det / (2 * s ** 3)))
-    c = _cofactors(bm, 4, (0, 1, 2, 3, 5, 10, 15))         # row 0 and the diagonal
-    c2, c1 = -0.5 * tr_b2, -(c[0] + c[4] + c[5] + c[6]).real
-    c0 = (bm[0] * c[0] + bm[1] * c[1] + bm[2] * c[2] + bm[3] * c[3]).real
+    if c0 is None:
+        s = np.sqrt(-c2 / 3)
+        return 2 * s * np.cos(_third_angle(-c1 / (2 * s ** 3)))
     # the resolvent's roots are mean + 2 s cos(angle - 2 pi j/3)
     mean = -2 * c2 / 3
     s = np.sqrt(np.maximum(c2 * c2 / 9 + 4 * c0 / 3, 0.0))   # 0 at a triple root
@@ -309,34 +238,50 @@ def _closed_form_top(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.
     coordinates h, in closed form and row by row: the Rayleigh quotient
     v^dag M v, the coordinates of v v^dag, and whether the row is accepted.
 
-    The top eigenvalue is shift + t (`_traceless_part`, `_top_root`). An
-    eigenvector v is the column of adj(tI - B) with the largest diagonal
-    entry, normalized. A row is accepted when |M v - (v^dag M v) v| <=
-    EIG_RESIDUAL_TOL * max|h|; a flat or degenerate top (no unique top
-    eigenvector to find) fails that test, or leaves a NaN that fails it too.
-    Temporaries are a few (d*d, n) arrays.
+    For the traceless part B (`_traceless_part`), one product B^2 gives
+    diag B^3 and tr B^4 = |B^2|_F^2, and Newton's identities the
+    characteristic polynomial p: c2 = -tr B^2/2, c1 = -tr B^3/3 and, on
+    d = 4, c0 = (tr B^2)^2/8 - tr B^4/4. For its top root t (`_top_root`),
+    q(B) = p(B)/(B - t) = adj(tI - B) is a multiple of the top
+    eigenprojector; v is its column j with the largest diagonal entry, both
+    by Horner's rule: q(B) = B^2 + tB + (t^2 + c2) I on d = 3, and B times
+    that plus (t^3 + c2 t + c1) I on d = 4. A row is accepted when v's norm
+    is finite and nonzero and |M v - (v^dag M v) v| <= EIG_RESIDUAL_TOL *
+    max|h| for the unit v, which a flat or degenerate top fails (or leaves
+    a NaN that fails it). Products are entry by entry and sums run over k
+    in order, so a row's digits do not depend on its batch.
     """
-    n = len(h)
+    n, cols, diagonal = len(h), np.arange(len(h)), np.arange(d) * (d + 1)
     shift, bm, tr_b2 = _traceless_part(h, d)
+    b = bm.reshape(d, d, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = _top_root(bm, tr_b2, d)
-        am = np.negative(bm, out=bm)        # A = tI - B, in B's place
-        am[np.arange(d) * (d + 1)] += t
-        # v_l = C_kl, row k of the cofactors C = adj(A)^T, which is
-        # Hermitian: only its upper triangle is computed
-        upper, where, below = _upper_triangle(d)
-        c = _cofactors(am, d, upper)
-        k = c[where.diagonal()].real.argmax(axis=0)
-        v = c[where[k].T, np.arange(n)]
-        v = np.where(below[k].T, v.conj(), v)
-        v /= np.sqrt(_sum_rows(v.real ** 2 + v.imag ** 2))
-        # A v, and M v - (shift + t - rho) v = -(A v - rho v)
-        av = _sum_rows((am.reshape(d, d, n) * v).transpose(1, 0, 2))
-        rho = _sum_rows(v.real * av.real + v.imag * av.imag)
-        r = av - rho * v
-        ok = (_sum_rows(r.real ** 2 + r.imag ** 2)
-              <= (EIG_RESIDUAL_TOL * np.abs(h).max(axis=1)) ** 2)
-        return shift + t - rho, _ket_coordinates(v.T), ok
+        q = b[:, 0, None] * b[None, 0]      # B^2
+        for k in range(1, d):
+            q += b[:, k, None] * b[None, k]
+        # (B^3)_ii = sum_k Re(B_ik conj(B^2)_ik); traces sum over k, then i
+        b3 = _sum_rows((b.real * q.real + b.imag * q.imag).transpose(1, 0, 2))
+        c2, c1 = -0.5 * tr_b2, -_sum_rows(b3) / 3
+        tr_b4 = _sum_rows(_sum_rows(q.real ** 2 + q.imag ** 2)) if d == 4 else None
+        t = _top_root(c2, c1, None if d == 3 else 0.125 * tr_b2 * tr_b2 - 0.25 * tr_b4)
+        k2 = t * t + c2
+        b1, b2 = bm[diagonal].real, q.reshape(d * d, n)[diagonal].real
+        # diag q(B) less its constant term, then column j of q(B)
+        j = (b2 + t * b1 if d == 3 else b3 + t * b2 + k2 * b1).argmax(axis=0)
+        v = q[:, j, cols] + t * b[:, j, cols]
+        del q                               # freed before the products with B below
+        v[j, cols] += k2
+        if d == 4:
+            v = _sum_rows((b * v).transpose(1, 0, 2))       # B v, summed over k in order
+            v[j, cols] += t * k2 + c1
+        norm = np.sqrt(_sum_rows(v.real ** 2 + v.imag ** 2))
+        v /= norm
+        bv = _sum_rows((b * v).transpose(1, 0, 2))
+        rho = _sum_rows(v.real * bv.real + v.imag * bv.imag)
+        r = bv - rho * v
+        # an infinite norm leaves v = 0, which passes the residual test
+        ok = (norm < np.inf) & (_sum_rows(r.real ** 2 + r.imag ** 2)
+                                <= (EIG_RESIDUAL_TOL * np.abs(h).max(axis=1)) ** 2)
+        return shift + rho, _ket_coordinates(v.T), ok
 
 
 def _third_angle(cos3: np.ndarray) -> np.ndarray:
@@ -367,11 +312,12 @@ def _slot_step(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     (a, h2/sqrt(2), h3/sqrt(2)), the top eigenvalue is (h0 + h1)/2 + R and
     the projector is (1/2 + a/(2R), 1/2 - a/(2R), h2/(2R), h3/(2R)). Where
     R = 0 the operator is a multiple of the identity, and |0><0| is taken.
-    A 3- or 4-dim slot is closed form too (`_closed_form_top`), and only the
-    rows it does not accept go to `eigh`, in one call. Larger slots rebuild
-    the d x d operators (`_hermitian_stack`) for `eigh`. Whether a row is
-    accepted depends on that row alone, so its digits do not depend on the
-    batch.
+    A 3- or 4-dim slot is closed form too (`_closed_form_top`: for the top
+    root t of the characteristic polynomial p of the traceless part B, a
+    column of p(B)/(B - t) = adj(tI - B)), and only the rows it does not
+    accept go to `eigh`, in one call. Larger slots rebuild the d x d
+    operators (`_hermitian_stack`) for `eigh`. Whether a row is accepted
+    depends on that row alone, so its digits do not depend on the batch.
     """
     if d == 2:
         a = 0.5 * (h[:, 0] - h[:, 1])

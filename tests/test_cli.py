@@ -156,6 +156,9 @@ def test_oversized_input_is_usage_error_before_allocation(tmp_path, monkeypatch)
     monkeypatch.setattr(zecap.channels, "ket_from_terms", refuse)
     assert run(["verify", "--builtin", "em1:40", "--suite", "ce"]) == 3
     assert run(["describe", "em1:40"]) == 3
+    # past the largest C ssize_t, where itertools.repeat overflows
+    assert run(["describe", "em1:99999999999999999999"]) == 3
+    assert run(["verify", "--builtin", "em1:99999999999999999999", "--suite", "ce"]) == 3
     spec = {"format": "zecap-channel/1", "kind": "binary-projective",
             "sender_dims": [1000, 1000], "receiver_dims": [2],
             "s0_basis": [[{"index": 0, "coeff": {}}]]}

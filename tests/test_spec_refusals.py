@@ -41,6 +41,10 @@ def _first_weight(doc, value):
     doc["outputs"][1]["components"][0]["weight"] = value
 
 
+def _first_coeff(doc, r, s=(0, 1)):
+    doc["s0_basis"][0][0]["coeff"]["re"] = {"r": r, "s": list(s)}
+
+
 @pytest.mark.parametrize("name, edit, field", [
     ("e21", lambda d: d.pop("sender_dims"), "sender_dims"),
     ("e21", lambda d: d.pop("s0_basis"), "s0_basis"),
@@ -58,6 +62,13 @@ def _first_weight(doc, value):
     ("e21", lambda d: _set(d, "name", None), "name"),
     ("e12", lambda d: _set(d, "name", {"a": 1}), "name"),
     ("e21", lambda d: _set(d, "name", 21), "name"),
+    # a fraction past the largest float, or nonzero but rounding to 0.0, and
+    # r + s sqrt(2) past the largest float
+    ("e21", lambda d: _first_coeff(d, [10 ** 400, 1]), "s0_basis[0]"),
+    ("e21", lambda d: _first_coeff(d, [1, 10 ** 400]), "s0_basis[0]"),
+    ("e21", lambda d: _first_coeff(d, [10 ** 308, 1], [10 ** 308, 1]), "s0_basis[0]"),
+    ("e12", lambda d: _first_weight(d, [10 ** 400, 1]), "outputs[input 1]"),
+    ("e12", lambda d: _first_weight(d, [1, 10 ** 400]), "outputs[input 1]"),
 ])
 def test_malformed_field_is_named_in_one_line(name, edit, field, capsys):
     doc = copy.deepcopy(DESCRIBED[name])

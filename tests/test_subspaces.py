@@ -471,18 +471,21 @@ KINDS = ("hermitian", "psd", "real", "rank1", "rank2", "diagonal")
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("kind", KINDS)
 def test_closed_form_step_matches_eigh(kind, d):
-    m = _random_operators(kind, d)
-    h = _operator_coordinates(m)
-    w, v = np.linalg.eigh(m)
-    scale = np.abs(m).reshape(len(m), -1).max(axis=1)
-    wide = w[:, -1] - w[:, -2] >= 1e-6 * scale
-    lam, x, ok = _closed_form_top(h, d)
-    assert ok.mean() >= 0.99                 # eigh takes the rest
-    assert np.all(np.abs(lam - w[:, -1])[ok] <= 1e-14 * scale[ok])
-    assert np.max(np.abs(x - _ket_coordinates(v[..., -1]))[ok & wide]) < 1e-12
-    lam, x = _slot_step(h, d)
-    assert np.all(np.abs(lam - w[:, -1]) <= 1e-14 * scale)
-    assert np.max(np.abs(x - _ket_coordinates(v[..., -1]))[wide]) < 1e-12
+    # far from unit scale, where q(B) or its norm leaves the float range, the
+    # closed form may refuse every row but must accept no wrong one
+    for factor in (1.0, 1e60, 1e-60, 1e100, 1e-100):
+        m = factor * _random_operators(kind, d)
+        h = _operator_coordinates(m)
+        w, v = np.linalg.eigh(m)
+        scale = np.abs(m).reshape(len(m), -1).max(axis=1)
+        wide = w[:, -1] - w[:, -2] >= 1e-6 * scale
+        lam, x, ok = _closed_form_top(h, d)
+        assert ok.mean() >= 0.99 or factor != 1.0      # eigh takes the rest
+        assert np.all(np.abs(lam - w[:, -1])[ok] <= 1e-14 * scale[ok])
+        assert np.all(np.abs(x - _ket_coordinates(v[..., -1]))[ok & wide] < 1e-12)
+        lam, x = _slot_step(h, d)
+        assert np.all(np.abs(lam - w[:, -1]) <= 1e-14 * scale)
+        assert np.max(np.abs(x - _ket_coordinates(v[..., -1]))[wide]) < 1e-12
 
 
 def _near_degenerate(case, d):
