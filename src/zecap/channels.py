@@ -289,12 +289,21 @@ def binary_projective_channel(sender_dims: Sequence[int],
     its complement, and emit the outcome as a flag qubit: one Kraus operator
     |l><e| per orthonormal basis vector e of S_l."""
     total = dim_of(sender_dims)
-    s0 = Subspace.from_span(sender_dims, [_float_ket(total, t) for t in spanning_terms])
+    kets = [_float_ket(total, t) for t in spanning_terms]
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(np.linalg.norm(np.reshape(kets, (-1, total)), axis=1)))
+    if bad.size:
+        raise ValueError(f"s0_basis[{bad[0]}]: the vector's norm overflows a float")
+    s0 = Subspace.from_span(sender_dims, kets)
     if not spanning_terms or s0.dim < len(spanning_terms):
         raise ValueError(f"s0_basis: {len(spanning_terms)} vectors span {s0.dim} "
                          "dimensions; give one or more linearly independent vectors")
+    s1 = s0.complement()
+    if s0.dim + s1.dim != total:
+        raise ValueError(f"s0_basis: S0 and its complement have {s0.dim} + {s1.dim} "
+                         f"dimensions, not {total}")
     payload = BinaryProjectivePayload(
-        s0=s0, s1=s0.complement(), u_slots=tuple(u_slots),
+        s0=s0, s1=s1, u_slots=tuple(u_slots),
         exact_s0=[exact_vector(total, t) for t in spanning_terms])
     b0, b1 = payload.s0.basis, payload.s1.basis
     ops = np.zeros((len(b0) + len(b1), 2, total), dtype=complex)

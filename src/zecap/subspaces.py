@@ -13,7 +13,8 @@ factor f as the real row U_d (conj(f) (x) f). The search holds one such row
 per restart and party and updates it in place of f, in closed form on
 parties of 2, 3 and 4 dimensions (`_slot_step`; on 3 and 4 from the
 characteristic polynomial of the slot operator); the grid takes all of a
-party's grid kets at once.
+party's grid kets at once. After SNAP_SWEEP sweeps the search rounds its
+factors to SNAP_SET once, which ends a crawl to a maximum there (em1:4's 7/8).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ DEFAULT_CE_GAP = 1e-3        # certified-CE needs an overlap <= 1 - this
 MIN_CERT_RESTARTS = 100      # fewer restarts than this certify nothing
 SWEEP_GAIN_TOL = 1e-12       # a restart stops when a sweep gains less than this
 MAX_SWEEPS = 500             # ... or after this many sweeps
+SNAP_SWEEP = 10              # ... or at its snapped point, tried once after this sweep
 ASCENT_TOL = 1e-9            # a slot step lowering an overlap by more than this raises
 REAL_TOL = 1e-12             # largest imaginary projector entry of a real subspace
 SYMMETRY_TOL = 1e-9          # largest residual a float symmetry check passes
@@ -45,6 +47,12 @@ EIG_RESIDUAL_TOL = 64 * np.finfo(float).eps    # closed-form top eigenpairs with
 _SQRT_HALF = np.sqrt(0.5)
 _SQRT_TWO = np.sqrt(2)
 _TWO_PI_THIRDS = 2 * np.pi / 3
+
+# the values a snapped factor's entries are rounded to: r u, (+-1 +- i)/2 and 0,
+# last, so that an entry halfway between 0 and another value is kept
+SNAP_SET = np.array([r * u for r in (1, _SQRT_HALF, 0.5) for u in (1, -1, 1j, -1j)]
+                    + [(a + b) / 2 for a in (1, -1) for b in (1j, -1j)] + [0])
+SNAP_SET.setflags(write=False)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -107,6 +115,7 @@ class ProductCandidate:
     sweeps: int = 0
     converged: bool = True     # the winner's last sweep gained less than SWEEP_GAIN_TOL
     retired: int = 0           # restarts stopped early by the retirement rule
+    snapped: bool = False      # the winner stopped at its snapped point
 
     def ket(self) -> np.ndarray:
         out = self.factors[0]
@@ -352,6 +361,47 @@ def _ket_from_coordinates(x: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:
     return ff[:, k] / np.linalg.norm(ff[:, k])
 
 
+def _sweep(live: list[np.ndarray], dims: Sequence[int], mats: Sequence[np.ndarray],
+           cur: np.ndarray) -> np.ndarray:
+    """One sweep of slot steps over the parties, from the rows `live` (one per
+    restart and party, replaced in the list) at overlaps `cur`; returns the
+    overlaps after it. Raises if a step lowers an overlap by more than ASCENT_TOL."""
+    for slot, (d, mat) in enumerate(zip(dims, mats)):
+        others = [x for t, x in enumerate(live) if t != slot]
+        # one party has no others: its row product is a column of ones
+        rows = reduce(_row_kron, others) if others else np.ones((len(cur), 1))
+        # a two-operand einsum without `optimize` sums each row on its own
+        # (a BLAS `rows @ mat` does not), so a restart's digits do not
+        # depend on which other restarts are still alive
+        new, live[slot] = _slot_step(np.einsum("zi,ij->zj", rows, mat), d)
+        if (new - cur).min() < -ASCENT_TOL:
+            raise RuntimeError("alternating maximization decreased")
+        cur = new
+    return cur
+
+
+def _snap(rows: list[np.ndarray], dims: Sequence[int], units: Sequence[np.ndarray],
+          mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The snapped rows and their overlaps, row by row. Each factor f is read
+    back from its coordinates x as column k of x U_d = f f^dagger over
+    sqrt(x_k), k where x_k = |f_k|^2 is largest, so f_k is real and positive;
+    every entry goes to the nearest value of SNAP_SET, and f is renormalized.
+    The overlap is the last slot's row contraction, as in a slot step, times
+    the last party's row."""
+    snapped = []
+    for x, d, u in zip(rows, dims, units):
+        n, k = len(x), x[:, :d].argmax(axis=1)
+        f = np.einsum("zi,ij->zj", x, u).reshape(n, d, d)[np.arange(n), :, k]
+        f = SNAP_SET[np.abs((f / np.sqrt(x[np.arange(n), k])[:, None])[..., None]
+                            - SNAP_SET).argmin(axis=-1)]
+        norm = np.sqrt(_sum_rows((f.real ** 2 + f.imag ** 2).T))
+        with np.errstate(invalid="ignore"):     # a factor of d > 16 may round to 0: NaN
+            snapped.append(_ket_coordinates(f / norm[:, None]))
+    others = reduce(_row_kron, snapped[:-1]) if len(dims) > 1 else np.ones((len(rows[0]), 1))
+    h = np.einsum("zi,ij->zj", others, mats[-1])
+    return snapped, _sum_rows((h * snapped[-1]).T)
+
+
 def max_product_overlap(subspace: Subspace, restarts: int | None = None,
                         seed: int = 0) -> ProductCandidate:
     """Best product state found by alternating eigenvector maximization.
@@ -366,11 +416,13 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     (`_coefficient_tensor`) with that slot's axis last. A slot step is the
     Kronecker product of the restart's rows for the other parties times that
     matrix, which gives the slot operator's coordinates, and then
-    `_slot_step`, closed form on slots of 2 to 4 dimensions. The objective never decreases
-    within a restart. Restarts are independent, bit for bit, and run in
-    lockstep; the best is merged by (overlap, lowest restart index), so the
-    result does not depend on the schedule. The winner's factor kets are
-    read back from its coordinates once, at the end.
+    `_slot_step`, closed form on slots of 2 to 4 dimensions. The objective
+    never decreases within a restart. Restarts run in lockstep, and each
+    step is row by row, so a restart's bits do not depend on its batch; they
+    are independent up to the snap below, which only the leader's snapped
+    overlap enables. The best is merged by (overlap, lowest restart index),
+    so the result does not depend on the schedule. The winner's factor kets
+    are read back from its coordinates once, at the end.
 
     A restart stops when a sweep gains less than SWEEP_GAIN_TOL, or after
     MAX_SWEEPS sweeps. After each sweep the leader is the restart with the
@@ -378,14 +430,24 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     restart is retired when it cannot change the answer: either its current
     per-sweep gain, kept up over the sweeps left, would not reach the
     leader, or it already sits within PRODUCT_FOUND_TOL of the leader, whose
-    own sweeps refine the same level. The leader is never retired and stops by the first rule
-    only, while a retired restart stays frozen at or below the leader, so
-    the winner is a restart that ran to its own stop. The rule reads only
-    overlaps, so the result stays a pure function of (subspace, restarts,
-    seed). Rows are written back, and the running set compacted, only after
-    a sweep in which some restart stopped or was retired. Once the leader is
-    the only restart running, the rule is not evaluated: there is nothing
-    else to retire, and the leader's rising overlap keeps it the leader.
+    own sweeps refine the same level. The leader is never retired and stops
+    by the first rule only, while a retired restart stays frozen at or below
+    the leader, so the winner is a restart that ran to its own stop.
+
+    After sweep SNAP_SWEEP the best restart that ran it is snapped (`_snap`).
+    Only if that does not lower its overlap (the leader gate) are all the
+    restarts that ran the sweep snapped. One stops at its snapped point, as
+    `converged` and `snapped` with that point's overlap, when the snap does
+    not lower its overlap and one sweep from there gains less than
+    SWEEP_GAIN_TOL: a fixed point of the ascent. The others run on unchanged
+    and are retired against the new best.
+
+    The rules read only overlaps, so the result stays a pure function of
+    (subspace, restarts, seed). Rows are written back, and the running set
+    compacted, only after a sweep in which some restart stopped or was
+    retired. Once the leader is the only restart running, the retirement
+    rule is not evaluated: there is nothing else to retire, and the leader's
+    rising overlap keeps it the leader.
     """
     if restarts is None:
         restarts = default_restarts(subspace.dims)
@@ -402,27 +464,29 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     obj = np.zeros(restarts)
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
+    snapped = np.zeros(restarts, dtype=bool)
     retired = 0
     alive = np.arange(restarts)
     lone = False            # the leader is the only restart still running
     for sweep in range(1, MAX_SWEEPS + 1):
         prev_sweep = obj[alive]
-        cur = prev_sweep
-        for slot, (d, mat) in enumerate(zip(dims, mats)):
-            others = [x for t, x in enumerate(live) if t != slot]
-            # one party has no others: its row product is a column of ones
-            rows = reduce(_row_kron, others) if others else np.ones((len(alive), 1))
-            # a two-operand einsum without `optimize` sums each row on its own
-            # (a BLAS `rows @ mat` does not), so a restart's digits do not
-            # depend on which other restarts are still alive
-            new, live[slot] = _slot_step(np.einsum("zi,ij->zj", rows, mat), d)
-            if (new - cur).min() < -ASCENT_TOL:
-                raise RuntimeError("alternating maximization decreased")
-            cur = new
+        cur = _sweep(live, dims, mats, prev_sweep)
         obj[alive] = cur
         sweeps[alive] = sweep
         gain = cur - prev_sweep
         running = keep = gain >= SWEEP_GAIN_TOL
+        if sweep == SNAP_SWEEP:
+            # the leader gate: snap the best restart that ran this sweep first
+            top = int(np.argmax(cur))
+            if _snap([x[[top]] for x in live], dims, units, mats)[1][0] >= cur[top]:
+                rows, v = _snap(live, dims, units, mats)
+                at = np.flatnonzero(v >= cur)
+                # the restarts whose snapped point is a fixed point of the ascent
+                at = at[_sweep([x[at] for x in rows], dims, mats, v[at]) - v[at] < SWEEP_GAIN_TOL]
+                for x, y in zip(live, rows):    # rows from the slot steps, not `coords`
+                    x[at] = y[at]
+                obj[alive[at]], snapped[alive[at]] = v[at], True
+                running = keep = running & ~snapped[alive]
         # a lone leader cannot be retired, and its rising overlap keeps it the leader
         if not lone:
             leader = int(np.argmax(obj))        # ties resolve to the lowest index
@@ -449,7 +513,8 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
                     for x, d, u in zip(coords, dims, units)]
     return ProductCandidate(best_factors, float(obj[best_idx]),
                             restart_index=best_idx, sweeps=int(sweeps[best_idx]),
-                            converged=bool(converged[best_idx]), retired=retired)
+                            converged=bool(converged[best_idx]), retired=retired,
+                            snapped=bool(snapped[best_idx]))
 
 
 def certify_completely_entangled(subspace: Subspace, restarts: int | None = None,

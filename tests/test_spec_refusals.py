@@ -41,6 +41,11 @@ def _first_weight(doc, value):
     doc["outputs"][1]["components"][0]["weight"] = value
 
 
+def _unsized(doc):
+    del doc["subspace_dims"]
+    return doc
+
+
 def _first_coeff(doc, r, s=(0, 1)):
     doc["s0_basis"][0][0]["coeff"]["re"] = {"r": r, "s": list(s)}
 
@@ -67,6 +72,9 @@ def _first_coeff(doc, r, s=(0, 1)):
     ("e21", lambda d: _first_coeff(d, [10 ** 400, 1]), "s0_basis[0]"),
     ("e21", lambda d: _first_coeff(d, [1, 10 ** 400]), "s0_basis[0]"),
     ("e21", lambda d: _first_coeff(d, [10 ** 308, 1], [10 ** 308, 1]), "s0_basis[0]"),
+    # a coefficient that fits a float, but the vector's norm does not
+    ("e21", lambda d: _first_coeff(_unsized(d), [10 ** 300, 1]), "s0_basis[0]"),
+    ("e21", lambda d: _first_coeff(_unsized(d), [10 ** 160, 1]), "s0_basis[0]"),
     ("e12", lambda d: _first_weight(d, [10 ** 400, 1]), "outputs[input 1]"),
     ("e12", lambda d: _first_weight(d, [1, 10 ** 400]), "outputs[input 1]"),
 ])

@@ -34,6 +34,8 @@ from zecap.linalg import (
 from zecap.subspaces import (
     MAX_SWEEPS,
     PRODUCT_FOUND_TOL,
+    SNAP_SET,
+    SNAP_SWEEP,
     SWEEP_GAIN_TOL,
     Subspace,
     _closed_form_top,
@@ -254,22 +256,21 @@ def test_certify_inconclusive_below_min_restarts(s0_e21):
 
 
 def test_em1_m4_search_keeps_its_winner_while_retiring_stragglers():
-    # every restart creeps toward the degenerate maximum 7/8 and none meets
-    # tol; the winner and its digits are those of the search without
-    # retirement, which ran all 100 restarts for all 500 sweeps
+    # every restart creeps toward the degenerate maximum 7/8; at SNAP_SWEEP
+    # the leader's snapped point reaches it, every snapped restart there is
+    # a fixed point of the ascent and stops, and the rest are retired
     sub = subspace_from_terms([2] * 4, em1_spanning_terms(4))
     cand = max_product_overlap(sub, restarts=100, seed=0)
-    assert cand.overlap == 0.8749999764783232
-    assert cand.restart_index == 51
-    assert cand.sweeps == 500
-    assert not cand.converged
+    assert abs(cand.overlap - EM14_MAX_OVERLAP) <= 1e-12
+    assert cand.sweeps == SNAP_SWEEP
+    assert cand.converged and cand.snapped
     assert cand.retired > 0
     # the qubit factors are read back from their projector coordinates
     x = cand.ket()
     assert abs(np.vdot(x, sub.projector @ x).real - cand.overlap) < 1e-12
     cert = certify_completely_entangled(sub, restarts=100, seed=0)
     assert cert.verdict == "certified-CE"
-    assert (cert.witness.converged, cert.witness.retired) == (False, cand.retired)
+    assert (cert.witness.snapped, cert.witness.retired) == (True, cand.retired)
 
 
 def test_a_restart_does_not_depend_on_the_batch_it_runs_in(em14):
@@ -299,11 +300,37 @@ def _reference_qubit_step(h):
     return 0.5 * (h[:, 0] + h[:, 1]) + r, x
 
 
-def _reference_search(sub, restarts, seed):
+def _reference_sweep(live, dims, mats, cur):
+    for slot, (d, mat) in enumerate(zip(dims, mats)):
+        others = [x for t, x in enumerate(live) if t != slot]
+        rows = reduce(_row_kron, others) if others else np.ones((len(cur), 1))
+        h = np.einsum("zi,ij->zj", rows, mat)
+        new, live[slot] = _reference_qubit_step(h) if d == 2 else _slot_step(h, d)
+        if float(np.min(new - cur)) < -1e-9:
+            raise RuntimeError("alternating maximization decreased")
+        cur = new
+    return cur
+
+
+def _reference_snap(rows, dims, units, mats):
+    """One restart's rows snapped entry by entry, and their overlap."""
+    snapped = []
+    for x, d, u in zip(rows, dims, units):
+        k = int(np.argmax(x[0, :d]))
+        col = np.einsum("zi,ij->zj", x, u)[0].reshape(d, d)[:, k] / np.sqrt(x[0, k])
+        f = np.array([min(SNAP_SET, key=lambda s: abs(e - s)) for e in col])
+        norm = np.sqrt(sum(e.real ** 2 + e.imag ** 2 for e in f))
+        snapped.append(_ket_coordinates(f[None] / norm))
+    h = np.einsum("zi,ij->zj", reduce(_row_kron, snapped[:-1]), mats[-1])
+    return snapped, sum(h[0] * snapped[-1][0])
+
+
+def _reference_search(sub, restarts, seed, snap_sweep=SNAP_SWEEP):
     """The alternating search's sweep loop as first written, which writes
-    every row back, compacts and tests retirement after every sweep. Returns
-    its candidate fields, the factors, and whether the last running restart
-    was ever not the leader."""
+    every row back, compacts and tests retirement after every sweep, and
+    snaps one restart at a time (no snap with `snap_sweep` None). Returns its
+    candidate fields, the factors, and whether the last running restart was
+    ever not the leader."""
     dims = sub.dims
     coeffs, units = _coefficient_tensor(sub)
     mats = [np.moveaxis(coeffs, s, -1).reshape(-1, d * d) for s, d in enumerate(dims)]
@@ -312,23 +339,27 @@ def _reference_search(sub, restarts, seed):
     obj = np.zeros(restarts)
     sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
+    snapped = np.zeros(restarts, dtype=bool)
     retired, straggler = 0, False
     alive = np.arange(restarts)
     for sweep in range(1, MAX_SWEEPS + 1):
         prev_sweep = obj[alive]
-        cur = prev_sweep
-        for slot, (d, mat) in enumerate(zip(dims, mats)):
-            others = [x for t, x in enumerate(live) if t != slot]
-            rows = reduce(_row_kron, others) if others else np.ones((len(alive), 1))
-            h = np.einsum("zi,ij->zj", rows, mat)
-            new, live[slot] = _reference_qubit_step(h) if d == 2 else _slot_step(h, d)
-            if float(np.min(new - cur)) < -1e-9:
-                raise RuntimeError("alternating maximization decreased")
-            cur = new
+        cur = _reference_sweep(live, dims, mats, prev_sweep)
         obj[alive] = cur
         sweeps[alive] = sweep
         gain = cur - prev_sweep
         running = gain >= SWEEP_GAIN_TOL
+        if sweep == snap_sweep:
+            top = int(np.argmax(cur))
+            if _reference_snap([x[[top]] for x in live], dims, units, mats)[1] >= cur[top]:
+                for z in range(len(alive)):
+                    rows, v = _reference_snap([x[[z]] for x in live], dims, units, mats)
+                    if v >= cur[z] and _reference_sweep(
+                            list(rows), dims, mats, np.array([v]))[0] - v < SWEEP_GAIN_TOL:
+                        for x, y in zip(live, rows):
+                            x[z] = y[0]
+                        obj[alive[z]], snapped[alive[z]] = v, True
+                running &= ~snapped[alive]
         converged[alive[~running]] = True
         leader = int(np.argmax(obj))
         best = obj[leader]
@@ -345,36 +376,85 @@ def _reference_search(sub, restarts, seed):
         if alive.size == 0:
             break
     b = int(np.argmax(obj))
-    fields = (float(obj[b]), b, int(sweeps[b]), bool(converged[b]), retired)
+    fields = (float(obj[b]), b, int(sweeps[b]), bool(converged[b]), retired, bool(snapped[b]))
     factors = [_ket_from_coordinates(x[b], d, u) for x, d, u in zip(coords, dims, units)]
     return fields, factors, straggler
 
 
+def _fields(cand):
+    return (cand.overlap, cand.restart_index, cand.sweeps, cand.converged, cand.retired,
+            cand.snapped)
+
+
+def _locally_rotated(sub, seed):
+    """sub under a fixed random unitary on each party: the same product overlaps."""
+    rng = np.random.default_rng(seed)
+    u = reduce(np.kron, [np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                         for d in sub.dims])
+    return Subspace.from_span(sub.dims, list(sub.basis @ u.T))
+
+
 def test_the_sweep_loop_matches_its_reference_bit_for_bit(em14):
-    # random spans of 1, 2 and 3 vectors and of half the space, plus em1:4,
-    # whose restarts run to MAX_SWEEPS; the loop writes rows back and tests
-    # retirement only when it must, and every field and factor keeps its bits
-    subs = [em14.payload.s0]
+    # random spans of 1, 2 and 3 vectors and of half the space, em1:4, whose
+    # restarts stop at their snapped point, and em1:4 under a random local
+    # unitary, whose maximum 7/8 is at no snap point, so its restarts run to
+    # MAX_SWEEPS; the loop writes rows back and tests retirement only when it
+    # must, snaps all its restarts at once, and every field and factor keeps
+    # its bits
+    subs = [em14.payload.s0, _locally_rotated(em14.payload.s0, 7)]
     for dims in ([2, 2, 2, 2], [2, 3, 2], [4, 4], [3, 4]):
         total = dim_of(dims)
         for k in (1, 2, 3, total // 2):
             rng = np.random.default_rng([k, total])
             subs.append(Subspace.from_span(dims, list(
                 rng.normal(size=(k, total)) + 1j * rng.normal(size=(k, total)))))
-    stragglers = capped = 0
+    stragglers = capped = snaps = 0
     for sub in subs:
         for restarts, seed in ((1, 0), (7, 3), (30, 11)):
             fields, factors, straggler = _reference_search(sub, restarts, seed)
             cand = max_product_overlap(sub, restarts=restarts, seed=seed)
-            assert (cand.overlap, cand.restart_index, cand.sweeps, cand.converged,
-                    cand.retired) == fields
+            assert _fields(cand) == fields
             for a, b in zip(cand.factors, factors):
                 assert a.tobytes() == b.tobytes()
             stragglers += straggler
             capped += cand.sweeps == MAX_SWEEPS
-    # the last running restart was not the leader in some searches, and some
-    # winners were still running at MAX_SWEEPS
-    assert stragglers > 0 and capped > 0
+            snaps += cand.snapped
+    # the last running restart was not the leader in some searches, some
+    # winners were still running at MAX_SWEEPS, and some stopped snapped
+    assert stragglers > 0 and capped > 0 and snaps > 0
+
+
+# (exact maximum, restarts, seeds of 0-15 whose winner stops at its snapped point)
+EM1_MAXIMA = {"em1:3": (EM13_MAX_OVERLAP, 100, 0), "em1:4": (EM14_MAX_OVERLAP, 100, 16),
+              "em1:5": (15 / 16, 200, 15), "em1:6": (31 / 32, 200, 0)}
+
+
+@pytest.mark.parametrize("builtin", EM1_MAXIMA)
+def test_em1_searches_reach_the_exact_maximum(builtin, monkeypatch):
+    # em1:3 and em1:6 converge before SNAP_SWEEP; em1:4 and em1:5 stop at
+    # their snapped point, except em1:5 at seed 15, where every restart has
+    # stopped by then; the snap never lowers the unsnapped loop's value
+    exact, restarts, snaps = EM1_MAXIMA[builtin]
+    sub = make_builtin(builtin).payload.s0
+    found = [max_product_overlap(sub, restarts=restarts, seed=seed) for seed in range(16)]
+    assert sum(cand.snapped for cand in found) == snaps
+    monkeypatch.setattr(zecap.subspaces, "SNAP_SWEEP", MAX_SWEEPS + 1)
+    for seed, cand in enumerate(found):
+        assert abs(cand.overlap - exact) <= 1e-12
+        assert cand.overlap >= max_product_overlap(sub, restarts=restarts, seed=seed).overlap
+
+
+@pytest.mark.parametrize("builtin", ["e21", "variant34"])
+def test_bipartite_searches_are_the_unsnapped_loop_bit_for_bit(builtin):
+    # the leader's snapped point lowers its overlap, so no restart is snapped
+    pl = make_builtin(builtin).payload
+    for sub in (pl.s0, pl.s1):
+        for seed in range(4):
+            fields, factors, _ = _reference_search(sub, 1000, seed, snap_sweep=None)
+            cand = max_product_overlap(sub, restarts=1000, seed=seed)
+            assert _fields(cand) == fields
+            for a, b in zip(cand.factors, factors):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_the_qubit_step_matches_its_reference_with_flat_rows():
