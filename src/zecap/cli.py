@@ -145,7 +145,7 @@ def _applicable_suites(channel: MultiUserChannel) -> list[str]:
 def _suite_properties(channel, report: Report, slots: list[int] | None) -> None:
     pl = channel.payload
     use_slots = slots if slots is not None else list(pl.u_slots)
-    checks = symmetry_checks(pl.s0, pl.s1, use_slots).checks if use_slots else []
+    checks = symmetry_checks(pl.s0, pl.s1, use_slots).checks
     # the slot-independent transpose/orthogonality rows go around the first slot's
     for check in sorted(checks, key=lambda c: c.slot not in (None, use_slots[0])):
         tag = f"@{check.slot}" if check.slot is not None else ""

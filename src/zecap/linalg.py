@@ -164,9 +164,11 @@ def max_entangled_ket(d: int) -> np.ndarray:
     return psi
 
 
-def parity_phase(dim: int) -> np.ndarray:
-    """diag(+1, -1, +1, ...) on a single factor."""
-    return np.diag([(-1.0) ** k for k in range(dim)]).astype(complex)
+def parity_signs(dims: Sequence[int], slot: int) -> np.ndarray:
+    """The +-1 diagonal of I x ... x D x ... x I, D = diag(+1, -1, +1, ...)
+    on factor `slot` of `dims`: -1 where that factor's digit is odd."""
+    digits = np.arange(dim_of(dims)) // dim_of(dims[slot + 1:]) % dims[slot]
+    return 1 - 2 * (digits % 2)
 
 
 def haar_ket(dim: int, rng: np.random.Generator) -> np.ndarray:

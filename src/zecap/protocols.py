@@ -17,10 +17,8 @@ from .linalg import (
     dim_of,
     max_abs,
     max_entangled_ket,
-    parity_phase,
+    parity_signs,
     partial_trace,
-    permute_factors,
-    tensor,
 )
 from .subspaces import (CECertificate, certify_completely_entangled, conjugated_certificate,
                         parity_conjugate_slot)
@@ -79,36 +77,21 @@ def slot_index(channel: MultiUserChannel, slot: int | str) -> int:
 
 
 def build_two_use_code(channel: MultiUserChannel, slot: int | str) -> CodeBook:
-    """Two-codeword book: every sender shares a maximally entangled state
-    between its two uses; the message slot gets an alternating phase flip.
-
-    Input factors are laid out use-major (use-1 factors, then use-2 factors).
+    """Two-codeword book: every sender shares a maximally entangled pair
+    between its two uses. Input factors are laid out use-major (use-1
+    factors, then use-2 factors), so the pairs' product is the maximally
+    entangled ket Phi between the two uses' joint inputs; codeword 1 is Phi
+    with the message slot's parity flipped (`linalg.parity_signs`).
     """
     if channel.payload is None:
         raise ValueError("two-use codes are built for one use of a flag-output channel")
-    sender_dims = channel.sender_dims
-    m = len(sender_dims)
+    m = len(channel.sender_dims)
     idx = slot_index(channel, slot)
-    total = dim_of(sender_dims)
-    # product of per-sender pair states in sender-major order (s, s') ...
-    pair_states = [max_entangled_ket(d) for d in sender_dims]
-    psi_sender_major = tensor(*pair_states)
-    # ... permuted to use-major order (all use-1 factors, then all use-2)
-    sender_major_dims = [d for d in sender_dims for _ in range(2)]
-    perm = [2 * s for s in range(m)] + [2 * s + 1 for s in range(m)]
-    psi0 = permute_factors(psi_sender_major, sender_major_dims, perm)
-    dims = tuple(sender_dims) * 2
-    u = parity_phase(dims[idx])
-    psi1 = _apply_on_slot(psi0, dims, u, idx)
+    dims = tuple(channel.sender_dims) * 2
+    psi0 = max_entangled_ket(channel.in_dim)
+    psi1 = psi0 * parity_signs(dims, idx)
     partition = tuple((s, m + s) for s in range(m))
     return CodeBook(dims=dims, inputs=[psi0, psi1], sender_partition=partition)
-
-
-def _apply_on_slot(psi: np.ndarray, dims: Sequence[int], op: np.ndarray,
-                   slot: int) -> np.ndarray:
-    t = psi.reshape(dims)
-    t = np.tensordot(op, t, axes=([1], [slot]))
-    return np.moveaxis(t, 0, slot).reshape(-1)
 
 
 def basis_codebook(channel: MultiUserChannel, uses: int,

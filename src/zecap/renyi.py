@@ -29,7 +29,7 @@ from .channels import (
     tensor_power,
     to_kraus,
 )
-from .linalg import dagger, haar_ket, keyed_haar_kets, max_entangled_ket, parity_phase
+from .linalg import dagger, haar_ket, keyed_haar_kets, max_entangled_ket, parity_signs
 from .subspaces import CECertificate, Subspace, certify_completely_entangled, check_certificate
 
 RANK_THRESHOLD_RATIO = 1e-7   # eigenvalues below this fraction of the top count as zero
@@ -107,18 +107,19 @@ def _output_spectrum(channel: MultiUserChannel, psi: np.ndarray) -> np.ndarray:
 def structured_rank_seeds(channel: MultiUserChannel) -> list[np.ndarray]:
     """Deterministic seeds tried before random restarts.
 
-    For tensor squares of subspace channels these include the maximally
-    entangled state across the two input copies and its single-slot
-    phase-twisted variants, which are exactly the inputs whose two-use
+    For tensor squares of subspace channels these are the maximally
+    entangled state phi across the two input copies and its parity flip
+    (D x I) phi, D = diag(+1, -1, +1, ...): exactly the inputs whose two-use
     outputs are forced rank-deficient by the transpose/conjugation
-    symmetries of the underlying subspaces.
+    symmetries of the underlying subspaces. (I x D) phi = (D x I) phi, as
+    phi has equal digits on both copies, so it is not tried again.
     """
     d = channel.in_dim
     seeds = [np.concatenate([np.ones(1), np.zeros(d - 1)]).astype(complex)]
     root = int(round(np.sqrt(d)))
     if root * root == d:
-        phi, twist = max_entangled_ket(root), parity_phase(root)
-        seeds += [phi, np.kron(twist, np.eye(root)) @ phi, np.kron(np.eye(root), twist) @ phi]
+        phi = max_entangled_ket(root)
+        seeds += [phi, phi * parity_signs((root, root), 0)]
     return seeds
 
 

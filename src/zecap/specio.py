@@ -196,6 +196,8 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
                              f"one flag qubit, [2], not {list(receiver_dims)}")
         u_slots = _list_field(spec.get("u_slots", list(range(len(sender_dims)))),
                               "u_slots")
+        if not u_slots:
+            raise ValueError("u_slots: [] names no slot; name at least one")
         if not all(type(s) is int and 0 <= s < len(sender_dims) for s in u_slots):
             raise ValueError(f"u_slots: {u_slots!r} names a slot outside "
                              f"0..{len(sender_dims) - 1}")

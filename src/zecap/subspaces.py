@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .exactnum import ExactMatrix, exact_all_zero, exact_matmul, exact_projector
-from .linalg import contract_factors, dim_of, gram_schmidt, keyed_haar_kets, max_abs, paired
+from .linalg import (contract_factors, dim_of, gram_schmidt, keyed_haar_kets, max_abs, paired,
+                     parity_signs)
 
 PRODUCT_FOUND_TOL = 1e-6     # overlap >= 1 - this counts as a product state
 DEFAULT_CE_GAP = 1e-3        # certified-CE needs an overlap <= 1 - this
@@ -550,7 +551,7 @@ def parity_conjugate_slot(dims: Sequence[int], exact_spanning: Sequence[ExactMat
     v = ExactMatrix(np.concatenate([x.num for x in exact_spanning], axis=2))
     if 2 * v.shape[1] == dim_of(dims):
         for u in slots:
-            if _sign_form_vanishes(v.dagger(), v, _parity_signs(dims, u)):
+            if _sign_form_vanishes(v.dagger(), v, parity_signs(dims, u)):
                 return u
     return None
 
@@ -561,7 +562,7 @@ def conjugated_certificate(cert: CECertificate, s1: Subspace, slot: int,
     keeps product states product, so S1's best overlap is S0's, at S0's
     witness with factor `slot`'s odd amplitudes negated. RuntimeError unless
     that witness gives it on S1's float projector within SYMMETRY_TOL."""
-    witness = replace(cert.witness, factors=[f * _parity_signs(f.shape, 0) if t == slot
+    witness = replace(cert.witness, factors=[f * parity_signs(f.shape, 0) if t == slot
                                              else f for t, f in enumerate(cert.witness.factors)])
     ket = witness.ket()
     if abs(np.vdot(ket, s1.projector @ ket).real - cert.max_overlap_found) > SYMMETRY_TOL:
@@ -715,12 +716,12 @@ def symmetry_checks(s0: Subspace, s1: Subspace, slots: Sequence[int]) -> Symmetr
       conjugation:     P_l - D^i P_{1-l} D^i
       orthogonality:   P_l^T P_{1-l}
       twist:           P_l^T D^i P_l D^i
-    D^i is diagonal with the signs s = `_parity_signs(dims, i)`, so D^i P D^i
-    is P with entry (a, b) times s_a s_b, and X D^i is X with column b times
-    s_b. Both are exact sign flips, and a trailing D^i does not change a
-    max-norm, so the twist residual is that of (P_l^T with column b times
-    s_b) P_l. Slots restrict which parties are tested (some constructions
-    satisfy the conjugation identities only on one slot).
+    D^i is diagonal with the signs s = `linalg.parity_signs(dims, i)`, so
+    D^i P D^i is P with entry (a, b) times s_a s_b, and X D^i is X with
+    column b times s_b. Both are exact sign flips, and a trailing D^i does
+    not change a max-norm, so the twist residual is that of (P_l^T with
+    column b times s_b) P_l. Slots restrict which parties are tested (some
+    constructions satisfy the conjugation identities only on one slot).
     """
     if s0.dims != s1.dims:
         raise ValueError(f"dims mismatch: {s0.dims} vs {s1.dims}")
@@ -730,7 +731,7 @@ def symmetry_checks(s0: Subspace, s1: Subspace, slots: Sequence[int]) -> Symmetr
     checks = [SymmetryCheck(f"transpose[{ell}]", None, max_abs(projs[ell] - transposed[ell]))
               for ell in (0, 1)]
     for slot in slots:
-        s = _parity_signs(s0.dims, slot)
+        s = parity_signs(s0.dims, slot)
         checks += [SymmetryCheck(f"conjugation[{ell}]", slot, max_abs(
             projs[ell] - s[:, None] * projs[1 - ell] * s)) for ell in (0, 1)]
         checks += [SymmetryCheck(f"twist[{ell}]", slot, max_abs(
@@ -743,11 +744,6 @@ def symmetry_checks(s0: Subspace, s1: Subspace, slots: Sequence[int]) -> Symmetr
 # ---------------------------------------------------------------------------
 # exact-arithmetic variant of the symmetry checks
 # ---------------------------------------------------------------------------
-
-def _parity_signs(dims: Sequence[int], slot: int) -> np.ndarray:
-    digits = np.unravel_index(np.arange(dim_of(dims)), tuple(dims))[slot]
-    return 1 - 2 * (digits % 2)
-
 
 def _sign_form_vanishes(left: ExactMatrix, v: ExactMatrix, signs: np.ndarray) -> bool:
     """Whether left diag(signs) v = 0 exactly, the signs applied to v's rows."""
@@ -773,7 +769,7 @@ def exact_symmetry_checks(dims: Sequence[int],
     Otherwise no conjugation row holds, and the other rows are read off the
     exact projector.
     """
-    signs = {slot: _parity_signs(dims, slot) for slot in slots}
+    signs = {slot: parity_signs(dims, slot) for slot in slots}
     found = parity_conjugate_slot(dims, exact_spanning, range(len(dims)))
     if found is None:
         p0 = exact_projector(exact_spanning)
@@ -785,7 +781,7 @@ def exact_symmetry_checks(dims: Sequence[int],
                         for p in projs] for slot in slots}
     else:
         v = ExactMatrix(np.concatenate([x.num for x in exact_spanning], axis=2))
-        transpose = orthogonality = [_sign_form_vanishes(v.T, v, _parity_signs(dims, found))] * 2
+        transpose = orthogonality = [_sign_form_vanishes(v.T, v, parity_signs(dims, found))] * 2
         conjugation = {slot: _sign_form_vanishes(v.dagger(), v, signs[slot]) for slot in slots}
         twist = {slot: [_sign_form_vanishes(v.T, v, signs[slot])] * 2 for slot in slots}
     results: dict[str, bool] = {}

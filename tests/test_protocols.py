@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import basis_ket
+from conftest import SPEC_CASES, basis_ket, case_channel
 from zecap.channels import (
     apply_channel,
     apply_channel_to_ket,
@@ -9,8 +9,10 @@ from zecap.channels import (
     tensor_power,
 )
 from zecap.linalg import (
+    dim_of,
     max_abs,
     max_entangled_ket,
+    permute_factors,
     tensor,
     trace_distance,
 )
@@ -25,6 +27,7 @@ from zecap.protocols import (
     teleportation_decode,
     verify_orthogonal_outputs,
 )
+from zecap.specio import make_builtin
 from zecap.subspaces import certify_completely_entangled
 
 EXPECTED_SAME = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
@@ -51,6 +54,28 @@ def test_two_use_code_is_locally_preparable(e21, em13):
             for psi in code.inputs:
                 assert check_local_preparability(psi, code.dims,
                                                  code.sender_partition)
+
+
+@pytest.mark.parametrize("case", ["e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5",
+                                  "em1:6", *SPEC_CASES, "e21+trivial"])
+def test_two_use_codewords_are_sign_flips_of_one_maximally_entangled_ket(case):
+    ch = (extend_trivial_parties(make_builtin("e21"), [2], [2]) if case == "e21+trivial"
+          else case_channel(case))
+    m, total = len(ch.sender_dims), dim_of(ch.sender_dims)
+    # the per-sender pairs in sender-major order (s, s'), regrouped use-major
+    pairs = tensor(*(max_entangled_ket(d) for d in ch.sender_dims))
+    regrouped = permute_factors(pairs, [d for d in ch.sender_dims for _ in range(2)],
+                                [2 * s for s in range(m)] + [2 * s + 1 for s in range(m)])
+    for slot in range(2 * m):
+        code = build_two_use_code(ch, slot)
+        psi0, psi1 = code.inputs
+        assert max_abs(psi0 - regrouped) <= 1e-15
+        assert np.all(psi0[psi0 != 0] == 1 / np.sqrt(total))
+        # D = diag(+1, -1, +1, ...) written out on the slot's axis, with the
+        # factors before and after it as identities
+        left, right = dim_of(code.dims[:slot]), dim_of(code.dims[slot + 1:])
+        d = np.diag([(-1.0) ** k for k in range(code.dims[slot])])
+        assert np.array_equal(psi1, (d @ psi0.reshape(left, -1, right)).reshape(-1))
 
 
 def test_local_preparability_rejects_entangled_cut():

@@ -56,6 +56,8 @@ def _first_coeff(doc, r, s=(0, 1)):
     ("e12", lambda d: d.pop("outputs"), "outputs"),
     ("e21", lambda d: _set(d, "sender_dims", "44"), "sender_dims"),
     ("e21", lambda d: _set(d, "u_slots", [7]), "u_slots"),
+    pytest.param("e21", lambda d: _set(d, "u_slots", []), "u_slots",
+                 id="e21-<lambda>-u_slots-empty"),
     ("e21", lambda d: _set(d, "receiver_dims", [3]), "receiver_dims"),
     ("e12", lambda d: _set(d, "sender_dims", [3]), "outputs"),
     ("e12", lambda d: _first_weight(d, [-1, 3]), "outputs"),

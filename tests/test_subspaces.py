@@ -28,7 +28,7 @@ from zecap.linalg import (
     ket_from_terms,
     max_abs,
     max_entangled_ket,
-    parity_phase,
+    parity_signs,
     tensor,
 )
 from zecap.subspaces import (
@@ -44,7 +44,6 @@ from zecap.subspaces import (
     _hermitian_coordinates,
     _ket_coordinates,
     _ket_from_coordinates,
-    _parity_signs,
     _row_kron,
     _slot_step,
     certify_completely_entangled,
@@ -825,9 +824,10 @@ def test_symmetry_trivial_counterexample():
 
 
 def _dense_parity(dims, slot):
-    """I x ... x parity_phase x ... x I on the factors `dims`."""
+    """I x ... x diag(+1, -1, +1, ...) x ... x I on the factors `dims`."""
     left, right = int(np.prod(dims[:slot])), int(np.prod(dims[slot + 1:]))
-    return np.kron(np.kron(np.eye(left), parity_phase(dims[slot])), np.eye(right))
+    d = np.diag([(-1.0) ** k for k in range(dims[slot])])
+    return np.kron(np.kron(np.eye(left), d), np.eye(right))
 
 
 @pytest.mark.parametrize("dims, terms", [
@@ -846,7 +846,7 @@ def test_symmetry_residuals_have_the_digits_of_the_dense_parity_products(dims, t
     t = {ell: p[ell].T.copy() for ell in (0, 1)}
     for slot in slots:
         d = _dense_parity(dims, slot).astype(complex)
-        assert np.array_equal(_parity_signs(dims, slot), d.diagonal().real)
+        assert np.array_equal(parity_signs(dims, slot), d.diagonal().real)
         for ell in (0, 1):
             assert report.residual(f"conjugation[{ell}]", slot) == max_abs(
                 p[ell] - d @ p[1 - ell] @ d)
@@ -883,7 +883,7 @@ def projector_route(dims, exact_spanning, slots):
         rows[f"orthogonality[{ell}]"] = exact_all_zero(
             exact_matmul(projs[ell].T, projs[1 - ell]))
     for slot in slots:
-        signs = _parity_signs(dims, slot)
+        signs = parity_signs(dims, slot)
         for ell in (0, 1):
             rows[f"conjugation[{ell}]@{slot}"] = exact_all_zero(
                 projs[ell] - projs[1 - ell].sign_conjugate(signs))
@@ -930,7 +930,7 @@ def conjugate_pair_span(rng, dims, slot, real):
     `slot` and U a permutation onto its odd sector with phases in {+-1, +-i}
     ({+-1} and real x when `real`). D_slot maps x + U x to x - U x, which is
     orthogonal to every y + U y, so S1 = D_slot S0."""
-    signs = _parity_signs(dims, slot)
+    signs = parity_signs(dims, slot)
     even, odd = np.flatnonzero(signs > 0), rng.permutation(np.flatnonzero(signs < 0))
     phases = rng.choice([1, -1] if real else [1, -1, 1j, -1j], size=len(even))
     while True:
@@ -994,7 +994,7 @@ def test_carried_over_witness_reproduces_its_overlap_on_p1(builtin):
     assert c1.witness.restart_index == c0.witness.restart_index
     assert c1.witness.sweeps == c0.witness.sweeps
     for t, (f0, f1) in enumerate(zip(c0.witness.factors, c1.witness.factors)):
-        assert np.array_equal(f1, f0 * _parity_signs(f0.shape, 0) if t == slot else f0)
+        assert np.array_equal(f1, f0 * parity_signs(f0.shape, 0) if t == slot else f0)
 
 
 def test_carried_over_witness_off_its_slot_fails_loudly():
