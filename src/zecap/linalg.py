@@ -9,6 +9,7 @@ reshape convention.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Iterable, Sequence
 
@@ -21,7 +22,7 @@ DENSITY_EIG_TOL = 1e-8  # most negative eigenvalue a density operator may have
 
 
 def dim_of(dims: Sequence[int]) -> int:
-    return int(np.prod(dims)) if len(dims) else 1
+    return math.prod(map(int, dims))
 
 
 def ket_from_terms(dims: Sequence[int], terms: Iterable[tuple[int, complex]]) -> np.ndarray:
@@ -32,19 +33,6 @@ def ket_from_terms(dims: Sequence[int], terms: Iterable[tuple[int, complex]]) ->
             raise ValueError(f"index {idx} out of range for dimension {v.size}")
         v[idx] += coeff
     return v
-
-
-def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of kets (1-D) or operators (2-D), big-endian order."""
-    if not factors:
-        raise ValueError("tensor() needs at least one factor")
-    nd = factors[0].ndim
-    if any(f.ndim != nd for f in factors):
-        raise ValueError("cannot mix kets and operators in a tensor product")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -127,23 +115,6 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
         t = np.trace(t, axis1=ax, axis2=ax + (n - offset))
     d_keep = dim_of([dims[k] for k in keep])
     return t.reshape(d_keep, d_keep)
-
-
-def permute_factors(a: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors so new factor k is old factor perm[k]."""
-    dims = list(dims)
-    n = len(dims)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm {perm} is not a permutation of range({n})")
-    new_dims = [dims[p] for p in perm]
-    if a.ndim == 1:
-        return a.reshape(dims).transpose(perm).reshape(dim_of(new_dims))
-    total = dim_of(dims)
-    if a.shape != (total, total):
-        raise ValueError(f"operator shape {a.shape} does not match dims {dims}")
-    t = a.reshape(*dims, *dims)
-    axes = list(perm) + [n + p for p in perm]
-    return t.transpose(axes).reshape(total, total)
 
 
 def ket_to_matrix(psi: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

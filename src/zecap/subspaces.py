@@ -19,6 +19,7 @@ factors to SNAP_SET once, which ends a crawl to a maximum there (em1:4's 7/8).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -39,8 +40,8 @@ ASCENT_TOL = 1e-9            # a slot step lowering an overlap by more than this
 REAL_TOL = 1e-12             # largest imaginary projector entry of a real subspace
 SYMMETRY_TOL = 1e-9          # largest residual a float symmetry check passes
 GRID_MAX_EVALS = 200_000_000   # largest grid the oracle evaluates
-GRID_CHUNK_VALUES = 4_000_000  # grid points one chunk covers; it holds their prefix rows
-GRID_PRUNE_SLACK = 1e-9        # a grid row whose bound is this far below the best is skipped
+GRID_CHUNK_VALUES = 4_000_000  # values a grid block's contraction holds; points a batch covers
+GRID_PRUNE_SLACK = 1e-9        # a grid prefix whose bound is this far below the best is dropped
 
 EIG_RESIDUAL_TOL = 64 * np.finfo(float).eps    # closed-form top eigenpairs with a larger
                                                # residual, relative to max|h|, go to eigh
@@ -154,10 +155,11 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_frozen(i) for i in np.triu_indices(d, 1))
 
 
+@lru_cache(maxsize=None)
 def _hermitian_coordinates(d: int) -> np.ndarray:
     """Unitary U_d on C^(d*d) taking a Hermitian d x d matrix M, flattened
     row-major, to real coordinates: the d diagonal entries, then sqrt(2) Re
-    and sqrt(2) Im of each entry above the diagonal."""
+    and sqrt(2) Im of each entry above the diagonal; made once per d."""
     u = np.zeros((d * d, d * d), dtype=complex)
     u[np.arange(d), np.arange(d) * (d + 1)] = 1.0
     a, b = _upper_pairs(d)
@@ -165,7 +167,7 @@ def _hermitian_coordinates(d: int) -> np.ndarray:
     upper, lower = a * d + b, b * d + a
     u[re, upper] = u[re, lower] = _SQRT_HALF
     u[re + 1, upper], u[re + 1, lower] = -1j * _SQRT_HALF, 1j * _SQRT_HALF
-    return u
+    return _frozen(u)
 
 
 def _coefficient_tensor(subspace: Subspace) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -600,7 +602,7 @@ def _grid_factors(dim: int, resolution: int, start: int = 0,
     phis = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
     grids = [thetas] * (dim - 1) + [phis] * (dim - 1)
     shape = tuple(len(g) for g in grids)
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     rows = np.arange(start, size if stop is None else min(stop, size))
     flat = [g[i] for g, i in zip(grids, np.unravel_index(rows, shape) if shape else ())]
     mags = np.zeros((len(rows), dim))
@@ -615,6 +617,15 @@ def _grid_factors(dim: int, resolution: int, start: int = 0,
     return out
 
 
+def _top_bound(x: np.ndarray, diagonal: np.ndarray, d: int) -> np.ndarray:
+    """tr M/d + sqrt((d - 1)/d) |M - tr M/d|_F >= lambda_max(M), as the traceless
+    part's eigenvalues sum to zero (exact on qubits), for each Hermitian M on d
+    dimensions whose orthonormal real coordinates are a column of x; tr M = diagonal @ x."""
+    trace = diagonal @ x
+    spread = (d - 1) / d * (np.einsum("ij,ij->j", x, x) - trace ** 2 / d)
+    return trace / d + np.sqrt(np.maximum(spread, 0.0))
+
+
 def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     """Exhaustive product-overlap maximum over the gauge-fixed grid.
 
@@ -623,31 +634,24 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     would be astronomically large; the alternating search has no such limit.
 
     <g|P|g> for a product g is P's real coefficient tensor
-    (`_coefficient_tensor`) contracted with each party's row
-    U_d (conj(g_t) (x) g_t), so all grid points of a party are absorbed by
-    one real matrix product. A 1-dim party's one row is [1], so it is left
-    out. The party with the most grid kets (the first of equals) is moved
-    first and its grid built in chunks of at most 4,096 kets, each covering
-    at most GRID_CHUNK_VALUES grid points, and only one chunk is held at a
-    time.
-
-    Each chunk is contracted with every party but the last, leaving a prefix
-    row h per grid point of those parties: the coordinates of a Hermitian M
-    on the last party, with tr M the sum of h's first d entries and
-    |M|_F = |h|. Its grid values <g|M|g> are at most lambda_max(M) <= tr M/d
-    + sqrt((d - 1)/d) |M - tr M/d|_F, as the traceless part's eigenvalues sum
-    to zero (exact on qubits). A row whose bound is more than GRID_PRUNE_SLACK
-    below the best value so far is skipped; the rest go through a two-operand
-    einsum, which sums each value on its own (a BLAS product does not), so
-    the maximum is the full enumeration's to the bit.
+    (`_coefficient_tensor`) contracted with each party's rows
+    U_d (conj(g_t) (x) g_t), one real matrix product per party; 1-dim
+    parties are left out. The party with the most grid kets goes first, in
+    blocks of at most 4,096 kets whose contraction holds at most
+    GRID_CHUNK_VALUES values; the rest follow one by one. A prefix (one grid
+    ket per party so far) whose `_top_bound` on the parties to come is more
+    than GRID_PRUNE_SLACK below the floor is dropped. A dive down the
+    top-bound prefixes, then each batch's top-bound last row, raise the floor
+    to grid values; a block's kets go top bound first, in batches covering
+    at most GRID_CHUNK_VALUES grid points. The last party's values go through
+    a two-operand einsum, which sums each value on its own (a BLAS product
+    does not), so the maximum is the full enumeration's to the bit.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     dims = subspace.dims
     sizes = [(resolution + 1) ** (d - 1) * resolution ** (d - 1) for d in dims]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(sizes)
     if total > GRID_MAX_EVALS:
         raise ValueError(
             f"grid of {total} product states exceeds the {GRID_MAX_EVALS} evaluation "
@@ -655,25 +659,47 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
     parties = [t for t, d in enumerate(dims) if d > 1] or [0]
     big = max(parties, key=sizes.__getitem__)
     order = [big, *(t for t in parties if t != big)]
-    coeffs = _coefficient_tensor(subspace)[0].reshape(
-        [dims[t] ** 2 for t in parties]).transpose([parties.index(t) for t in order])
+    coeffs = _coefficient_tensor(subspace)[0].reshape([dims[t] ** 2 for t in parties]).transpose(
+        [parties.index(t) for t in order]).reshape(-1, 1)
     # row n of a party's matrix is U_d (conj(g_n) (x) g_n) for its n-th grid ket
-    rest = [_ket_coordinates(_grid_factors(dims[t], resolution)) for t in order[1:]]
-    d = dims[order[-1]]
-    chunk = max(1, min(sizes[big], GRID_CHUNK_VALUES // (total // sizes[big]), 4096))
-    best = -np.inf
-    for start in range(0, sizes[big], chunk):
-        mats = [_ket_coordinates(_grid_factors(dims[big], resolution, start, start + chunk)),
-                *rest]
-        h = contract_factors(coeffs, mats[:-1]).reshape(d * d, -1).T
-        last = np.ascontiguousarray(mats[-1].T)
-        trace = h[:, :d].sum(axis=1)
-        spread = (d - 1) / d * (np.einsum("zi,zi->z", h, h) - trace ** 2 / d)
-        bound = trace / d + np.sqrt(np.maximum(spread, 0.0))
-        # the row with the top bound sets the first threshold
-        best = float(np.max(np.einsum("zi,ij->zj", h[[np.argmax(bound)]], last), initial=best))
-        keep = bound >= best - GRID_PRUNE_SLACK
-        best = float(np.max(np.einsum("zi,ij->zj", h[keep], last), initial=best))
+    grids = {dims[t]: _ket_coordinates(_grid_factors(dims[t], resolution)) for t in order[1:]}
+    rest = [grids[dims[t]] for t in order[1:]]
+    # tails[k]: `_top_bound`'s (diagonal, d) for the parties order[k + 1:] still to come
+    tails = [(reduce(np.multiply.outer, [np.arange(dims[t] ** 2) < dims[t] for t in order[k:]])
+              .ravel() * 1.0, math.prod(dims[t] for t in order[k:])) for k in range(1, len(order))]
+    block = max(1, min(sizes[big], 4096, GRID_CHUNK_VALUES * dims[big] ** 2 // coeffs.size))
+    batch = max(1, GRID_CHUNK_VALUES // (total // sizes[big]))
+    best = floor = -np.inf
+    for start in range(0, sizes[big], block):
+        # a block of the whole first grid is an equal party's rows, built once
+        first = (grids[dims[big]] if block == sizes[big] and dims[big] in grids else
+                 _ket_coordinates(_grid_factors(dims[big], resolution, start, start + block)))
+        last = np.ascontiguousarray((rest[-1] if rest else first).T)
+        if not rest:
+            best = float(np.max(np.einsum("zi,ij->zj", coeffs.T, last), initial=best))
+            continue
+        x = contract_factors(coeffs, [first]).reshape(len(tails[0][0]), -1)
+        bound = _top_bound(x, *tails[0])
+        # the dive's grid value is a floor: the prunes keep its prefixes and evaluate it again
+        col = x[:, [np.argmax(bound)]]
+        for m, (diagonal, d) in zip(rest[:-1], tails[1:]):
+            col = contract_factors(col, [m]).reshape(len(diagonal), -1)
+            col = col[:, [np.argmax(_top_bound(col, diagonal, d))]]
+        floor = max(floor, np.einsum("zi,ij->zj", col.T, last).max())
+        # the block's kets, top bound first, in batches of at most GRID_CHUNK_VALUES grid points
+        picks = ([slice(None)] if x.shape[1] <= batch else
+                 np.split(np.argsort(-bound, kind="stable"), range(batch, x.shape[1], batch)))
+        for pick in picks:
+            h, b, cut = x[:, pick], bound[pick], max(best, floor) - GRID_PRUNE_SLACK
+            if b.max() < cut:
+                break
+            for m, (diagonal, d) in zip(rest[:-1], tails[1:]):
+                h = contract_factors(h[:, b >= cut], [m]).reshape(len(diagonal), -1)
+                b = _top_bound(h, diagonal, d)
+            if len(rest) > 1 and b.size:  # the top row lifts the floor (the dive's, on 2 parties)
+                floor = max(floor, np.einsum("zi,ij->zj", h.T[[np.argmax(b)]], last).max())
+                cut = max(best, floor) - GRID_PRUNE_SLACK
+            best = float(np.max(np.einsum("zi,ij->zj", h.T[b >= cut], last), initial=best))
     return best
 
 

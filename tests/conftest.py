@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zecap.channels import make_e12, make_e21, make_em1, make_variant34
+from zecap.linalg import dim_of
 from zecap.specio import channel_from_spec, describe_channel, make_builtin
 
 
@@ -49,6 +50,36 @@ def basis_ket(dims, index):
     v = np.zeros(int(np.prod(dims)), dtype=complex)
     v[index] = 1.0
     return v
+
+
+def tensor(*factors):
+    """Kronecker product of kets (1-D) or operators (2-D), big-endian order."""
+    if not factors:
+        raise ValueError("tensor() needs at least one factor")
+    nd = factors[0].ndim
+    if any(f.ndim != nd for f in factors):
+        raise ValueError("cannot mix kets and operators in a tensor product")
+    out = np.asarray(factors[0], dtype=complex)
+    for f in factors[1:]:
+        out = np.kron(out, np.asarray(f, dtype=complex))
+    return out
+
+
+def permute_factors(a, dims, perm):
+    """Reorder tensor factors so new factor k is old factor perm[k]."""
+    dims = list(dims)
+    n = len(dims)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm {perm} is not a permutation of range({n})")
+    new_dims = [dims[p] for p in perm]
+    if a.ndim == 1:
+        return a.reshape(dims).transpose(perm).reshape(dim_of(new_dims))
+    total = dim_of(dims)
+    if a.shape != (total, total):
+        raise ValueError(f"operator shape {a.shape} does not match dims {dims}")
+    t = a.reshape(*dims, *dims)
+    axes = list(perm) + [n + p for p in perm]
+    return t.transpose(axes).reshape(total, total)
 
 
 def e21_with_01_spec():

@@ -640,6 +640,24 @@ def test_missing_channel_argument_is_usage_error():
     assert run(["verify", "--suite", "properties"]) == 3
 
 
+def test_two_use_checks_psi0_once(tmp_path, monkeypatch):
+    # psi0 is every slot's first codeword: em1:4's 8 slots take one check of
+    # psi0 and one of each slot's flipped codeword, 9 where 16 were made
+    checked = []
+    check = zecap.cli.check_local_preparability
+
+    def counting(state, dims, partition):
+        checked.append(state)
+        return check(state, dims, partition)
+
+    monkeypatch.setattr(zecap.cli, "check_local_preparability", counting)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--builtin", "em1:4", "--suite", "two-use", "--out", str(out)]) == 0
+    assert len(checked) == 9
+    local = [c for name, c in _checks(out).items() if name.endswith("/local")]
+    assert len(local) == 8 and all(c["value"] is True for c in local)
+
+
 def test_seed_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("ZECAP_SEED", "123")
     out = tmp_path / "r.json"

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import basis_ket, gram_rank
+from conftest import basis_ket, gram_rank, permute_factors, tensor
 from zecap import linalg
 from zecap.channels import e21_spanning_terms, make_e21
 from zecap.cli import MAX_RESTARTS
 from zecap.subspaces import Subspace, max_product_overlap
 from zecap.linalg import (
     contract_factors,
+    dim_of,
     gram_schmidt,
     haar_ket,
     ket_from_terms,
@@ -16,10 +17,8 @@ from zecap.linalg import (
     max_abs,
     max_entangled_ket,
     partial_trace,
-    permute_factors,
     random_density,
     random_hermitian,
-    tensor,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -28,6 +27,13 @@ SQ2 = np.sqrt(2.0)
 def e21_span_vectors():
     return [ket_from_terms([16], [(i, complex(c)) for i, c in terms])
             for terms in e21_spanning_terms()]
+
+
+def test_dim_of_is_an_exact_integer_product():
+    # an int64 product wraps past 2**63; numpy integer dims give a Python int
+    assert dim_of([]) == 1
+    assert dim_of([2] * 70) == 2 ** 70
+    assert type(dim_of(np.array([3, 4]))) is int and dim_of(np.array([3, 4])) == 12
 
 
 def test_tensor_basis_case():

@@ -1,12 +1,13 @@
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
 
 import zecap.subspaces
-from conftest import CONJUGATE_BUILTINS, SPEC_CASES, basis_ket, case_channel, gram_rank
+from conftest import (CONJUGATE_BUILTINS, SPEC_CASES, basis_ket, case_channel, gram_rank,
+                      tensor)
 from zecap.channels import (
     e21_spanning_terms,
     em1_spanning_terms,
@@ -29,7 +30,6 @@ from zecap.linalg import (
     max_abs,
     max_entangled_ket,
     parity_signs,
-    tensor,
 )
 from zecap.subspaces import (
     MAX_SWEEPS,
@@ -690,12 +690,12 @@ def test_grid_oracle_on_unequal_party_dimensions(variant34):
     assert abs(grid_product_overlap(s0, resolution=3) - direct) < 1e-12
 
 
-def _random_span(dims):
-    """A seeded complex 2-dim span."""
+def _random_span(dims, rank=2):
+    """A seeded complex span of `rank` dimensions."""
     rng = np.random.default_rng(sum(dims) * len(dims))
     total = int(np.prod(dims))
     return Subspace.from_span(dims, [rng.normal(size=total) + 1j * rng.normal(size=total)
-                                     for _ in range(2)])
+                                     for _ in range(rank)])
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 3)])
@@ -741,21 +741,67 @@ def _enumerated_grid_maximum(sub, resolution):
                for i in range(0, len(prefix), 20_000))
 
 
+def _payload_part(builtin, part):
+    return getattr(make_builtin(builtin).payload, part)
+
+
+def _rotated_em14_s0():
+    """em1:4's S0 under a fixed random unitary on each qubit: its product
+    overlaps are S0's, but its maximum 7/8 sits on no grid point."""
+    rng = np.random.default_rng(44)
+    local = tensor(*(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                     for _ in range(4)))
+    s0 = make_builtin("em1:4").payload.s0
+    return Subspace.from_span(s0.dims, list(s0.basis @ local.T))
+
+
 # em1:2's S0 and S1 hold product states, so their maximum 1 is reached at
-# several grid points; the random spans put a 3- or 4-dim party last
-@pytest.mark.parametrize("builtin, part, resolution", [
-    *(pytest.param(f"em1:{m}", part, _GRID_RESOLUTIONS[2 * m], id=f"em1:{m}-{part}")
+# several grid points; the rank-2 random spans put a 3- or 4-dim party last,
+# and the spans of every rank on three and four parties are pruned at every
+# level; em1:4's S0 under local unitaries has no symmetric grid maximum, and
+# at resolution 8 its first party's 72 kets are expanded in batches of 10
+@pytest.mark.parametrize("subspace, resolution", [
+    *(pytest.param(partial(_payload_part, f"em1:{m}", part), _GRID_RESOLUTIONS[2 * m],
+                   id=f"em1:{m}-{part}")
       for m in (2, 3, 4) for part in ("s0", "s1")),
-    pytest.param("variant34", "s0", 3, id="variant34-s0"),
-    *(pytest.param(None, dims, res, id=f"span{dims}")
+    pytest.param(partial(_payload_part, "variant34", "s0"), 3, id="variant34-s0"),
+    *(pytest.param(partial(_random_span, dims), res, id=f"span{dims}")
       for dims, res in (((4, 3), 4), ((3, 4), 4), ((2, 4, 3), 3), ((4, 4), 3))),
+    *(pytest.param(partial(_random_span, dims, rank), res, id=f"span{dims}-rank{rank}")
+      for dims, res in (((2, 2, 2), 6), ((2, 2, 2, 2), 4), ((2, 2, 3), 4))
+      for rank in range(1, dim_of(dims) + 1)),
+    pytest.param(_rotated_em14_s0, 8, id="em1:4-s0-rotated"),
 ])
-def test_grid_oracle_equals_its_full_enumeration_bit_for_bit(builtin, part, resolution):
-    # the oracle skips every prefix row whose eigenvalue bound cannot reach
-    # the best value; the values it does evaluate are summed row by row, so
-    # its maximum is the enumeration's to the last bit
-    sub = getattr(make_builtin(builtin).payload, part) if builtin else _random_span(part)
+def test_grid_oracle_equals_its_full_enumeration_bit_for_bit(subspace, resolution):
+    # the oracle drops every prefix whose eigenvalue bound cannot reach the
+    # best value; the values it does evaluate are summed row by row, so its
+    # maximum is the enumeration's to the last bit
+    sub = subspace()
     assert grid_product_overlap(sub, resolution) == _enumerated_grid_maximum(sub, resolution)
+
+
+@pytest.mark.parametrize("builtin, resolution, fewer_than", [
+    ("em1:4", 8, 40_000),
+    ("em1:3", 14, 44_100),
+])
+def test_grid_oracle_prunes_prefixes_at_every_level(monkeypatch, builtin, resolution,
+                                                    fewer_than):
+    # em1:4 at resolution 8 has 373,248 prefixes over its first three qubits,
+    # and em1:3 at resolution 14 has 44,100 over its first two, all of which
+    # a last-level-only prune contracts; pruned at every level, em1:4 builds
+    # about 28,500 and em1:3 about 26,500
+    contract, built = zecap.subspaces.contract_factors, []
+
+    def counting(x, mats, stack=1):
+        out = contract(x, mats, stack)
+        if len(x) == mats[0].shape[1] * 4:      # x's columns hold the last two qubits
+            built.append(out.size // 4)
+        return out
+
+    monkeypatch.setattr(zecap.subspaces, "contract_factors", counting)
+    sub = make_builtin(builtin).payload.s0
+    assert grid_product_overlap(sub, resolution) == _enumerated_grid_maximum(sub, resolution)
+    assert 0 < sum(built) < fewer_than
 
 
 def test_grid_oracle_builds_the_first_party_one_chunk_at_a_time():
