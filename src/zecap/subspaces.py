@@ -304,17 +304,6 @@ def _third_angle(cos3: np.ndarray) -> np.ndarray:
     return np.arccos(np.fmin(np.fmax(cos3, -1.0), 1.0)) / 3
 
 
-def _hermitian_stack(h: np.ndarray, d: int) -> np.ndarray:
-    """The d x d operators h @ U_d (read row-major), entry by entry: h_a on
-    the diagonal and (h_re - i h_im)/sqrt(2) above it."""
-    a, b = _upper_pairs(d)
-    m = np.zeros((len(h), d, d), dtype=complex)
-    m[:, np.arange(d), np.arange(d)] = h[:, :d]
-    m[:, a, b] = _SQRT_HALF * (h[:, d::2] - 1j * h[:, d + 1::2])
-    m[:, b, a] = m[:, a, b].conj()
-    return m
-
-
 def _slot_step(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue of each slot operator, given by its real coordinates h
     (one row per restart), and the coordinates of a projector onto a top
@@ -328,7 +317,7 @@ def _slot_step(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     root t of the characteristic polynomial p of the traceless part B, a
     column of p(B)/(B - t) = adj(tI - B)), and only the rows it does not
     accept go to `eigh`, in one call. Larger slots rebuild the d x d
-    operators (`_hermitian_stack`) for `eigh`. Whether a row is accepted
+    operators h @ U_d for `eigh`. Whether a row is accepted
     depends on that row alone, so its digits do not depend on the batch.
     """
     if d == 2:
@@ -346,12 +335,12 @@ def _slot_step(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
             x[flat] = (1.0, 0.0, 0.0, 0.0)
         return 0.5 * (h[:, 0] + h[:, 1]) + r, x
     if d not in (3, 4):
-        w, v = np.linalg.eigh(_hermitian_stack(h, d))
+        w, v = np.linalg.eigh((h @ _hermitian_coordinates(d)).reshape(-1, d, d))
         return w[:, -1], _ket_coordinates(v[..., -1])
     lam, x, ok = _closed_form_top(h, d)
     if not ok.all():
         fail = ~ok
-        w, v = np.linalg.eigh(_hermitian_stack(h[fail], d))
+        w, v = np.linalg.eigh((h[fail] @ _hermitian_coordinates(d)).reshape(-1, d, d))
         lam[fail], x[fail] = w[:, -1], _ket_coordinates(v[..., -1])
     return lam, x
 

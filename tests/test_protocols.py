@@ -76,6 +76,22 @@ def test_two_use_codewords_are_sign_flips_of_one_maximally_entangled_ket(case):
         assert np.array_equal(psi1, (d @ psi0.reshape(left, -1, right)).reshape(-1))
 
 
+@pytest.mark.parametrize("case", ["e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5",
+                                  "em1:6", *SPEC_CASES, "e21+trivial"])
+def test_flipped_codewords_are_as_preparable_as_psi0(case):
+    # the reference for `verify`, which checks psi0 alone: each flip is a
+    # diagonal unitary inside one sender group and keeps every cut's
+    # Schmidt coefficients
+    ch = (extend_trivial_parties(make_builtin("e21"), [2], [2]) if case == "e21+trivial"
+          else case_channel(case))
+    code = build_two_use_code(ch, 0)
+    psi0_ok = check_local_preparability(code.inputs[0], code.dims, code.sender_partition)
+    for slot in range(2 * len(ch.sender_dims)):
+        code = build_two_use_code(ch, slot)
+        assert check_local_preparability(code.inputs[1], code.dims,
+                                         code.sender_partition) == psi0_ok
+
+
 def test_local_preparability_rejects_entangled_cut():
     alpha = max_entangled_ket(2)
     assert not check_local_preparability(alpha, [2, 2], [(0,), (1,)])
