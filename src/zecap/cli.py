@@ -28,9 +28,12 @@ from .protocols import (
     build_two_use_code,
     certify_alpha_local_one,
     check_local_preparability,
-    privacy_check,
+    orthogonality_certificate,
+    privacy_check,  # no caller here; bench/tracer.py wraps this binding
+    privacy_verdict,
     slot_index,
     teleportation_decode,
+    two_use_outputs,
     verify_orthogonal_outputs,
 )
 from .renyi import additivity_gap_at_zero
@@ -180,25 +183,22 @@ def _suite_ce(channel, report: Report, alpha: AlphaLocalCertificate) -> None:
                alpha.alpha_local_one, None, alpha.alpha_local_one)
 
 
-def _suite_two_use(channel, report: Report, slots: list[int] | None) -> None:
+def _suite_two_use(channel, report: Report, slots: list[int] | None, output) -> None:
     power = tensor_power(channel, 2)
     m = len(channel.sender_dims)
     labels = _slot_labels(channel)
-    all_slots = list(range(2 * m))
-    wanted = slots if slots is not None else [s for s in all_slots
+    wanted = slots if slots is not None else [s for s in range(2 * m)
                                               if (s % m) in channel.payload.u_slots]
     # codeword 1 is psi0 times `parity_signs` on one slot, a diagonal unitary
     # inside that slot's sender group, so every sender cut keeps psi0's
     # Schmidt coefficients, and psi0's one check stands for every slot
-    prep_ok = None
+    code = build_two_use_code(channel, 0)
+    prep_ok = check_local_preparability(code.inputs[0], code.dims, code.sender_partition)
     for s in wanted:
         label = labels[s % m] + ("'" if s >= m else "")
-        code = build_two_use_code(channel, s)
-        if prep_ok is None:
-            prep_ok = check_local_preparability(code.inputs[0], code.dims, code.sender_partition)
         report.add(f"two-use/{label}/local", "codewords are product across senders",
                    prep_ok, None, prep_ok)
-        cert = verify_orthogonal_outputs(power, code)
+        cert = orthogonality_certificate(power, [output(None), output(s)])
         off = float(np.max(np.abs(cert.overlaps - np.diag(np.diag(cert.overlaps)))))
         report.add(f"two-use/{label}/orthogonal",
                    "two-use outputs for the two messages are orthogonal",
@@ -227,12 +227,12 @@ def _suite_teleport(channel, report: Report) -> None:
                "not verified here)", True, None, True, informational=True)
 
 
-def _suite_privacy(channel, report: Report) -> None:
+def _suite_privacy(channel, report: Report, output) -> None:
     m = len(channel.sender_dims)
     labels = _slot_labels(channel)
     for i in range(m):
         for j in range(i + 1, m):
-            ok, details = privacy_check(channel, (i, j))
+            ok, details = privacy_verdict(output(None), output(i), output(j))
             report.add(f"privacy/{labels[i]}{labels[j]}",
                        "the channel output does not reveal which sender signalled",
                        details["output_difference"], ORTHO_OVERLAP_TOL, ok)
@@ -294,6 +294,8 @@ def cmd_verify(args) -> int:
     if "ce" in suites or "renyi" in suites and parity_conjugate_slot(
             pl.s0.dims, pl.exact_s0, pl.u_slots) is not None:
         alpha = certify_alpha_local_one(channel, restarts=args.restarts, seed=seed)
+    # psi0's and each sender's flipped output, shared by the two-use and privacy suites
+    output = two_use_outputs(channel) if pl is not None else None
     report = Report(command="verify", channel=channel.name or "custom", seed=seed)
     report.extra["suites"] = ",".join(suites)
     tp = check_trace_preserving(channel)
@@ -307,11 +309,11 @@ def cmd_verify(args) -> int:
         elif suite == "ce":
             _suite_ce(channel, report, alpha)
         elif suite == "two-use":
-            _suite_two_use(channel, report, slots)
+            _suite_two_use(channel, report, slots, output)
         elif suite == "teleport":
             _suite_teleport(channel, report)
         elif suite == "privacy":
-            _suite_privacy(channel, report)
+            _suite_privacy(channel, report, output)
         elif suite == "renyi":
             _suite_renyi(channel, report, seed, args.budget, args.restarts, alpha)
     report.finalize()

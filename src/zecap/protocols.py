@@ -4,11 +4,12 @@ one-shot no-transmission certificates, the teleportation decoder and privacy.
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from dataclasses import dataclass
 from math import log2
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -94,6 +95,15 @@ def build_two_use_code(channel: MultiUserChannel, slot: int | str) -> CodeBook:
     return CodeBook(dims=dims, inputs=[psi0, psi1], sender_partition=partition)
 
 
+def two_use_outputs(channel: MultiUserChannel) -> Callable[[int | None], np.ndarray]:
+    """The two-use output of Phi (slot None) or of a slot's codeword 1, each distinct
+    ket applied once: Phi's digits agree on both uses, so slots s and s + m share one."""
+    power, m = tensor_power(channel, 2), len(channel.sender_dims)
+    output = functools.cache(lambda sender: apply_channel_to_ket(
+        power, build_two_use_code(channel, sender or 0).inputs[0 if sender is None else 1]))
+    return lambda slot: output(None if slot is None else slot_index(channel, slot) % m)
+
+
 def basis_codebook(channel: MultiUserChannel, uses: int,
                    codewords: Sequence[Sequence[int]]) -> CodeBook:
     """Computational-basis codewords for k uses (classical preparation).
@@ -152,20 +162,19 @@ def verify_orthogonal_outputs(channel: MultiUserChannel,
     only: a single receiver distinguishes orthogonal outputs by a projective
     measurement, and for the qubit-pair-output channel used twice the
     teleportation decoder is run on every codeword. No general local-protocol
-    search is attempted.
+    search is attempted. `apply_channel_to_ket` refuses a codeword whose
+    length is not the channel's input dimension.
     """
-    outputs = []
-    for psi in code.inputs:
-        if psi.size != channel.in_dim:
-            raise ValueError(
-                f"codeword of dimension {psi.size} does not match channel "
-                f"input dimension {channel.in_dim}")
-        outputs.append(apply_channel_to_ket(channel, psi))
+    return orthogonality_certificate(channel, [apply_channel_to_ket(channel, psi)
+                                               for psi in code.inputs])
+
+
+def orthogonality_certificate(channel: MultiUserChannel,
+                              outputs: list[np.ndarray]) -> DistinguishabilityCertificate:
+    """`verify_orthogonal_outputs` on the channel's outputs already made."""
     n = len(outputs)
-    overlaps = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            overlaps[i, j] = float(np.real(np.trace(outputs[i] @ outputs[j])))
+    overlaps = np.array([[np.real(np.trace(a @ b)) for b in outputs] for a in outputs],
+                        dtype=float).reshape(n, n)
     off = max((abs(overlaps[i, j]) for i in range(n) for j in range(n) if i != j),
               default=0.0)
     orthogonal = off <= ORTHO_OVERLAP_TOL
@@ -336,21 +345,18 @@ def privacy_check(channel: MultiUserChannel,
     i, j = (slot_index(channel, s) for s in slot_pair)
     if i == j:
         raise ValueError("privacy check needs two distinct slots")
-    power = tensor_power(channel, 2)
-    code_i = build_two_use_code(channel, i)
-    code_j = build_two_use_code(channel, j)
-    out0 = apply_channel_to_ket(power, code_i.inputs[0])
-    out_i = apply_channel_to_ket(power, code_i.inputs[1])
-    out_j = apply_channel_to_ket(power, code_j.inputs[1])
+    output = two_use_outputs(channel)
+    return privacy_verdict(output(None), output(i), output(j))
+
+
+def privacy_verdict(out0: np.ndarray, out_i: np.ndarray,
+                    out_j: np.ndarray) -> tuple[bool, dict[str, float]]:
+    """`privacy_check` on the two-use outputs of codeword 0 and of codeword 1
+    for each slot."""
     same = max_abs(out_i - out_j)
-    cross_i = abs(float(np.real(np.trace(out_i @ out0))))
-    cross_j = abs(float(np.real(np.trace(out_j @ out0))))
-    tol = ORTHO_OVERLAP_TOL
-    passed = same <= tol and cross_i <= tol and cross_j <= tol
-    details = {"output_difference": same,
-               "overlap_slot_i": cross_i,
-               "overlap_slot_j": cross_j}
-    return passed, details
+    cross_i, cross_j = (abs(float(np.real(np.trace(out @ out0)))) for out in (out_i, out_j))
+    details = {"output_difference": same, "overlap_slot_i": cross_i, "overlap_slot_j": cross_j}
+    return all(v <= ORTHO_OVERLAP_TOL for v in details.values()), details
 
 
 def capacity_lower_bound(uses: int, distinguishable: int) -> float:

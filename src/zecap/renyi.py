@@ -263,7 +263,9 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
     to full rank: the single-use rank is then d_B (floor <= rank <= out_dim),
     and only without that certificate is it searched for. The verdict
     gap-found means the best two-use rank found is strictly below the square
-    of that certified floor, which only ever understates the true gap.
+    of that certified floor, which only ever understates the true gap. A
+    single-use rank of 1 at the searched x fixes no-gap, and no two-use
+    search runs: two_use_result is x (x) x, whose rank 1 * 1 is checked.
 
     With a certified floor, the two-use search is passed floor^2 as its
     `stop_below` and ends once that verdict is fixed: two_use_rank is then
@@ -314,12 +316,20 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
         notes = ("complement contains a product state; no rank floor; "
                  if cert.verdict == "product-state-found"
                  else "complement certification inconclusive; ")
-    # the verdict is gap-found as soon as a two-use rank is below floor^2;
-    # without a certificate the floor is 1, no rank is below 1, and the
-    # two-use search runs in full
-    two = min_output_rank_search(tensor_power(channel, 2), restarts=min(budget, 2000),
-                                 seed=seed + 1, refine_per_rank=max(8, budget // 200),
-                                 stop_below=floor * floor)
+    if single_rank == 1:
+        # rank 1 at x gives rank 1 * 1 at x (x) x, and no rank is below 1
+        xx = np.kron(single.achiever, single.achiever)
+        spec = _output_spectrum(tensor_power(channel, 2), xx)
+        if spectrum_rank(spec) != 1:
+            raise RuntimeError("the two-use output at x (x) x is not rank 1")
+        two = RankSearchResult(1, xx, spec, float(spec[1]) if len(spec) > 1 else 0.0)
+    else:
+        # the verdict is gap-found as soon as a two-use rank is below floor^2;
+        # without a certificate the floor is 1, no rank is below 1, and the
+        # two-use search runs in full
+        two = min_output_rank_search(tensor_power(channel, 2), restarts=min(budget, 2000),
+                                     seed=seed + 1, refine_per_rank=max(8, budget // 200),
+                                     stop_below=floor * floor)
 
     if single_rank == 1:
         verdict = "no-gap"

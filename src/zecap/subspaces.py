@@ -205,11 +205,12 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return reduce(np.add, a)
 
 
-def _traceless_part(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _traceless_part(h: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
     """For the operators M with real coordinates h: shift = tr M/d, the
     traceless part B = M - shift I stored entry-major, as a (d*d, n) stack,
-    and tr B^2, each row on its own."""
+    tr B^2 and max|h|, each row on its own."""
     ht = np.ascontiguousarray(h.T)          # entry-major: one row per coordinate
+    scale = np.abs(ht).max(axis=0)
     i, j = _upper_pairs(d)
     shift = _sum_rows(ht[:d]) / d
     bd = ht[:d] - shift
@@ -217,7 +218,7 @@ def _traceless_part(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.n
     bm[np.arange(d) * (d + 1)] = bd
     bm[i * d + j] = _SQRT_HALF * (ht[d::2] - 1j * ht[d + 1::2])
     bm[j * d + i] = bm[i * d + j].conj()
-    return shift, bm, _sum_rows(bd * bd) + _sum_rows(ht[d:] * ht[d:])
+    return shift, bm, _sum_rows(bd * bd) + _sum_rows(ht[d:] * ht[d:]), scale
 
 
 def _top_root(c2: np.ndarray, c1: np.ndarray, c0: np.ndarray | None) -> np.ndarray:
@@ -264,7 +265,7 @@ def _closed_form_top(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.
     in order, so a row's digits do not depend on its batch.
     """
     n, cols, diagonal = len(h), np.arange(len(h)), np.arange(d) * (d + 1)
-    shift, bm, tr_b2 = _traceless_part(h, d)
+    shift, bm, tr_b2, scale = _traceless_part(h, d)
     b = bm.reshape(d, d, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q = b[:, 0, None] * b[None, 0]      # B^2
@@ -292,7 +293,7 @@ def _closed_form_top(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.
         r = bv - rho * v
         # an infinite norm leaves v = 0, which passes the residual test
         ok = (norm < np.inf) & (_sum_rows(r.real ** 2 + r.imag ** 2)
-                                <= (EIG_RESIDUAL_TOL * np.abs(h).max(axis=1)) ** 2)
+                                <= (EIG_RESIDUAL_TOL * scale) ** 2)
         return shift + rho, _ket_coordinates(v.T), ok
 
 
@@ -779,8 +780,9 @@ def exact_symmetry_checks(dims: Sequence[int],
     stacked spanning vectors, and every row is a k x k product: conj(S0) =
     S0 iff N^dag conj(V) = conj(V^T D_b V) = 0, conjugation@u is
     `parity_conjugate_slot`'s test on u, and twist@w is V^T D_w V = 0 for
-    either l, as N^T D_w N = V^T D_w V. That route takes k = dim S0, so the
-    vectors must be independent, as `binary_projective_channel` demands.
+    either l, as N^T D_w N = V^T D_w V; twist@b is the transpose row, and the
+    in-order search for b decided conjugation@u for u <= b. That route takes
+    k = dim S0, so the vectors must be independent, as `binary_projective_channel` demands.
     Otherwise no conjugation row holds, and the other rows are read off the
     exact projector.
     """
@@ -797,8 +799,10 @@ def exact_symmetry_checks(dims: Sequence[int],
     else:
         v = ExactMatrix(np.concatenate([x.num for x in exact_spanning], axis=2))
         transpose = orthogonality = [_sign_form_vanishes(v.T, v, parity_signs(dims, found))] * 2
-        conjugation = {slot: _sign_form_vanishes(v.dagger(), v, signs[slot]) for slot in slots}
-        twist = {slot: [_sign_form_vanishes(v.T, v, signs[slot])] * 2 for slot in slots}
+        conjugation = {u: u == found if u <= found else
+                       _sign_form_vanishes(v.dagger(), v, signs[u]) for u in slots}
+        twist = {u: [transpose[0] if u == found else _sign_form_vanishes(v.T, v, signs[u])] * 2
+                 for u in slots}
     results: dict[str, bool] = {}
     for ell in (0, 1):
         results[f"transpose[{ell}]"] = transpose[ell]

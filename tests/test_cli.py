@@ -10,6 +10,7 @@ import pytest
 
 import zecap.channels
 import zecap.cli
+import zecap.protocols
 import zecap.specio
 import zecap.subspaces
 from conftest import (
@@ -306,6 +307,27 @@ def test_golden_report_digests(tmp_path, capsys):
         text = spec.read_text() if "--out" in argv else capsys.readouterr().out
         digests[label] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == GOLDEN_DIGESTS
+
+
+# sha256 of `verify --spec em1:2 --suite all` at three seeds, pinned before
+# the two-use rank search was skipped at single-use rank 1: the skip leaves
+# every verify byte as it was
+EM1_2_DIGESTS = {
+    0: "8485260a62958cdfc2b3747b598d0d7f1e14e4ffa650bb3734d35a72fae083bc",
+    1: "39087a619f11e779a0a8b5aed7bec6a4a00cfe12fbe870410126a1675184b791",
+    7: "a1cfceda717474f5d9ab89fbb999ec14c7603e37eeaf4cdb3b1895cf845b0fde",
+}
+
+
+def test_skipping_em1_2s_two_use_search_keeps_its_reports(tmp_path, capsys):
+    spec = tmp_path / "em1_2.json"
+    assert run(["describe", "em1:2", "--out", str(spec)]) == 0
+    digests = {}
+    for seed in EM1_2_DIGESTS:
+        capsys.readouterr()
+        assert run(["verify", "--spec", str(spec), "--suite", "all", "--seed", str(seed)]) == 1
+        digests[seed] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == EM1_2_DIGESTS
 
 
 def test_renyi_gap_e21(tmp_path):
@@ -659,6 +681,26 @@ def test_two_use_checks_psi0_once(tmp_path, monkeypatch):
     assert len(checked) == 1
     local = [c for name, c in _checks(out).items() if name.endswith("/local")]
     assert len(local) == 8 and all(c["value"] is True for c in local)
+
+
+@pytest.mark.parametrize("builtin, senders", [("e21", 2), ("em1:3", 3), ("em1:4", 4)])
+def test_two_use_and_privacy_apply_each_distinct_codeword_once(builtin, senders, tmp_path,
+                                                               monkeypatch):
+    # psi0 and one flip per sender: slot s + m flips the ket of slot s, and
+    # every privacy pair reuses the two-use suite's outputs
+    applied = []
+    apply = zecap.protocols.apply_channel_to_ket
+
+    def counting(channel, psi):
+        applied.append(psi)
+        return apply(channel, psi)
+
+    monkeypatch.setattr(zecap.protocols, "apply_channel_to_ket", counting)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--builtin", builtin, "--suite", "two-use,privacy",
+                "--out", str(out)]) == 0
+    assert len(applied) == senders + 1
+    assert len(_checks(out)) == 1 + 2 * 2 * senders + senders * (senders - 1) // 2
 
 
 def test_seed_env_default(tmp_path, monkeypatch):

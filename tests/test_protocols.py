@@ -23,6 +23,7 @@ from zecap.protocols import (
     slot_index,
     teleport_qubit,
     teleportation_decode,
+    two_use_outputs,
     verify_orthogonal_outputs,
 )
 from zecap.specio import make_builtin
@@ -126,6 +127,22 @@ def test_two_use_outputs_all_slots(e21):
         assert cert.orthogonal
         assert cert.decoder == "single-receiver-projective"
         assert max_abs(cert.overlaps - cert.overlaps.T) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5",
+                                  "em1:6", *SPEC_CASES])
+def test_flips_on_either_use_of_a_sender_give_equal_outputs(case):
+    # the reason `two_use_outputs` gives slots s and s + m one output
+    ch = case_channel(case)
+    m, power = len(ch.sender_dims), tensor_power(ch, 2)
+    output = two_use_outputs(ch)
+    for s in range(m):
+        outs = [apply_channel_to_ket(power, build_two_use_code(ch, u).inputs[1])
+                for u in (s, s + m)]
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(output(s), outs[0]) and output(s + m) is output(s)
+    assert np.array_equal(output(None), apply_channel_to_ket(
+        power, build_two_use_code(ch, 0).inputs[0]))
 
 
 def test_two_use_outputs_em1(em13, em14):

@@ -7,6 +7,7 @@ from zecap.channels import (
     MultiUserChannel,
     apply_channel_to_ket,
     make_cj_channel,
+    make_em1,
     tensor_power,
     to_kraus,
 )
@@ -379,11 +380,42 @@ def test_single_use_search_runs_without_a_certified_complement(e21, rank_searche
     sub = Subspace.from_span([2, 2], [max_entangled_ket(2),
                                       basis_ket([2, 2], 1)])
     assert additivity_gap_at_zero(sub, budget=100, seed=0).single_use_rank == 1
-    assert rank_searches == [2, 4]
+    assert rank_searches == [2]
     starved = additivity_gap_at_zero(e21.payload.s0, budget=50, seed=0,
                                      ce_restarts=2)
     assert starved.single_result.best_rank == starved.single_use_rank
-    assert rank_searches == [2, 4, 4, 16]
+    assert rank_searches == [2, 4, 16]
+
+
+def _rank_one_subspace(case):
+    if case == "em1:2":
+        return make_em1(2).payload.s0
+    return Subspace.from_span([2, 2], [max_entangled_ket(2), basis_ket([2, 2], 1)])
+
+
+@pytest.mark.parametrize("case", ["rank-1", "em1:2"])
+def test_single_use_rank_one_runs_no_two_use_search(case, rank_searches):
+    # rank 1 at x makes the two-use rank at x (x) x exactly 1 * 1
+    report = additivity_gap_at_zero(_rank_one_subspace(case), budget=800, seed=0)
+    assert rank_searches == [2]
+    assert report.single_use_rank == 1
+    assert (report.verdict, report.two_use_rank, report.two_use_bits) == ("no-gap", 1, 0.0)
+    x = report.single_result.achiever
+    assert np.array_equal(report.two_use_result.achiever, np.kron(x, x))
+    assert spectrum_rank(report.two_use_result.output_spectrum) == 1
+    assert report.two_use_result.tried_ranks == {}
+
+
+def test_a_rank_one_witness_whose_square_misses_rank_one_fails_loudly(monkeypatch):
+    spectrum = zecap.renyi._output_spectrum
+
+    def flat_on_two_uses(channel, psi):
+        w = spectrum(channel, psi)
+        return np.full_like(w, 1 / len(w)) if channel.uses == 2 else w
+
+    monkeypatch.setattr(zecap.renyi, "_output_spectrum", flat_on_two_uses)
+    with pytest.raises(RuntimeError, match="not rank 1"):
+        additivity_gap_at_zero(_rank_one_subspace("rank-1"), budget=100, seed=0)
 
 
 @pytest.fixture

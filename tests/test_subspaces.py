@@ -963,6 +963,55 @@ def test_exact_rows_from_the_span_equal_the_projector_route(case, projector_call
     assert len(projector_calls) == (2 if case in ("e21+01", "e21-last") else 0)
 
 
+def span_route(dims, exact_spanning, slots):
+    """Every exact symmetry row as its own k x k product over the stacked
+    spanning vectors V when S1 = D_b S0 for a first party b, else the
+    projector route, in `exact_symmetry_checks`' key order."""
+    b = parity_conjugate_slot(dims, exact_spanning, range(len(dims)))
+    if b is None:
+        return projector_route(dims, exact_spanning, slots)
+    v = ExactMatrix(np.concatenate([x.num for x in exact_spanning], axis=2))
+
+    def vanishes(left, slot):
+        signs = parity_signs(dims, slot)
+        return exact_all_zero(exact_matmul(left, ExactMatrix(
+            np.where(signs[:, None] < 0, -v.num, v.num))))
+
+    rows = {}
+    for ell in (0, 1):
+        rows[f"transpose[{ell}]"] = vanishes(v.T, b)
+        rows[f"orthogonality[{ell}]"] = vanishes(v.T, b)
+    for slot in slots:
+        for ell in (0, 1):
+            rows[f"conjugation[{ell}]@{slot}"] = vanishes(v.dagger(), slot)
+            rows[f"twist[{ell}]@{slot}"] = vanishes(v.T, slot)
+    return rows
+
+
+@pytest.mark.parametrize("case", [*CONJUGATE_BUILTINS, "em1:6", *SPEC_CASES])
+def test_exact_rows_reuse_the_products_the_party_search_decided(case, monkeypatch):
+    # the search for b decides conjugation@u for u <= b, and twist@b is the
+    # transpose row; every other row costs one exact product
+    products = []
+    matmul = zecap.subspaces.exact_matmul
+
+    def counting(a, b):
+        products.append(a.shape)
+        return matmul(a, b)
+
+    monkeypatch.setattr(zecap.subspaces, "exact_matmul", counting)
+    pl = case_channel(case).payload
+    dims = pl.s0.dims
+    b = parity_conjugate_slot(dims, pl.exact_s0, range(len(dims)))
+    for slots in (list(pl.u_slots), list(range(len(dims)))):
+        products.clear()
+        rows = exact_symmetry_checks(dims, pl.exact_s0, slots)
+        made = len(products)
+        assert list(rows.items()) == list(span_route(dims, pl.exact_s0, slots).items())
+        if b is not None:
+            assert made == b + 2 + sum(u != b for u in slots) + sum(u > b for u in slots)
+
+
 def _times_phase(c, phase):
     """c times phase, for a phase in {1, -1, 1j, -1j}."""
     # times i, (a + b sqrt2) + i (c + d sqrt2) becomes -(c + d sqrt2) + i (a + b sqrt2)
