@@ -30,9 +30,10 @@ from .linalg import (
 from .subspaces import Subspace
 
 # largest joint sender dimension of a flag-output channel, and largest joint
-# sender or receiver dimension of a cq spec. With it lifted, `verify --suite
-# all` takes 1.2 s on em1:7 and 5.6 s on em1:8 (2-CPU VM, one BLAS thread,
-# 107 MB peak), spread over every suite and no longer mostly `properties`
+# sender or receiver dimension of a cq spec. With it at 256, `verify --suite
+# all --seed 0` takes 0.47-0.52 s at 56 MB peak on em1:7 and 2.14-2.21 s at
+# 108 MB on em1:8 (in process, import included, one BLAS thread, 2-CPU Xeon
+# VM, three runs), spread over every suite and no longer mostly `properties`
 MAX_INPUT_DIM = 64
 TRACE_TOL = 1e-9      # largest residual of sum K^dag K - I that counts as trace preserving
 

@@ -134,8 +134,8 @@ def _applicable_suites(channel: MultiUserChannel) -> list[str]:
     if len(channel.sender_dims) >= 2 and len(set(channel.sender_dims)) == 1 \
             and len(channel.payload.u_slots) == len(channel.sender_dims):
         suites.append("privacy")
-    if len(channel.sender_dims) == 2 and channel.payload.s0.is_real():
-        suites.append("renyi")      # the rank floor needs a real S0 basis
+    if len(channel.sender_dims) == 2:
+        suites.append("renyi")
     return suites
 
 

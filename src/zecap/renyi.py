@@ -2,11 +2,12 @@
 additivity gap for channels built from bipartite subspaces.
 
 The p=0 quantity is the log of the minimum output rank. For a channel whose
-Kraus operators reshape an orthonormal basis of a real bipartite subspace S,
-the output support at input x is {K x : K in span}, and a dimension-counting
-duality identifies rank deficiency at x with product states x (x) eta in the
-orthogonal complement of S. A completely-entangled complement therefore pins
-the single-use minimum output rank at the full output dimension.
+Kraus operators reshape an orthonormal basis of a bipartite subspace S, the
+output support at input x is {K x : K in span}, and eta is orthogonal to it
+exactly when conj(x) (x) eta is orthogonal to S: an output of rank below d_B
+at x puts the product state conj(x) (x) eta in the orthogonal complement of
+S. A completely-entangled complement therefore pins the single-use minimum
+output rank at the full output dimension d_B, whether or not S is real.
 
 scipy is imported only by the rank search's L-BFGS walk, on its first run.
 """
@@ -241,12 +242,12 @@ class AdditivityGapReport:
     verdict: str                       # gap-found | no-gap | inconclusive
     single_use_rank: int               # d_B if the complement is certified, else best found
     single_use_floor: int              # certified lower bound
-    two_use_rank: int
+    two_use_rank: int                  # single_use_rank^2 when no two-use search ran
     single_use_bits: float
     two_use_bits: float
     complement_certificate: CECertificate | None
     single_result: RankSearchResult | None  # None when single_use_rank is certified
-    two_use_result: RankSearchResult | None
+    two_use_result: RankSearchResult | None  # None when no two-use search ran
     notes: str = ""
 
 
@@ -257,23 +258,25 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
     """Compare the minimum output rank of the subspace channel against two
     parallel uses of it.
 
-    The single-use floor: for a real-coefficient subspace S, an output of rank
-    at most out_dim - 1 at input x requires a product state x (x) eta in the
-    complement of S, so a completely-entangled complement forces every output
-    to full rank: the single-use rank is then d_B (floor <= rank <= out_dim),
-    and only without that certificate is it searched for. The verdict
-    gap-found means the best two-use rank found is strictly below the square
-    of that certified floor, which only ever understates the true gap. A
-    single-use rank of 1 at the searched x fixes no-gap, and no two-use
-    search runs: two_use_result is x (x) x, whose rank 1 * 1 is checked.
+    The single-use floor: an output of rank below d_B at input x requires
+    the product state conj(x) (x) eta in the complement of S, for any
+    complex S, so a completely-entangled complement forces every output to
+    full rank and fixes the single-use rank at d_B. Then the two-use search
+    runs, passed d_B^2 as its `stop_below`, and ends once the verdict is
+    fixed: gap-found means the best two-use rank found is below d_B^2,
+    which only ever understates the true gap, and two_use_rank is the best
+    rank found before the stop (for e21 and variant34, rank 15 at the
+    maximally entangled seed, with no random pool and no L-BFGS run), not a
+    search for the lowest reachable rank. `budget` caps that search:
+    min(budget, 2000) random restarts and max(8, budget // 200) L-BFGS
+    starts per target rank, spent only while the verdict is open.
 
-    With a certified floor, the two-use search is passed floor^2 as its
-    `stop_below` and ends once that verdict is fixed: two_use_rank is then
-    the best rank found before the stop (for e21 and variant34, rank 15 at
-    the maximally entangled seed, with no random pool and no L-BFGS run),
-    not a search for the lowest reachable rank. `budget` caps the two-use
-    search: min(budget, 2000) random restarts and max(8, budget // 200)
-    L-BFGS starts per target rank, spent only while the verdict is open.
+    Without that certificate there is no floor, and only the single-use
+    rank r is searched for: r = 1 fixes no-gap, any other r leaves the
+    verdict inconclusive, and no verdict reads a two-use rank, so no
+    two-use search runs. two_use_rank is then r^2, the rank at x (x) x for
+    the searched x, as ranks multiply on product inputs, and
+    two_use_result is None.
 
     The complement is certified at `seed` with `ce_restarts`. A
     certificate already searched so (a flag-output channel's S1 certificate,
@@ -283,11 +286,6 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
         raise ValueError(f"budget must be >= 1, got {budget}")
     if len(subspace.dims) != 2:
         raise ValueError("the additivity gap check needs a bipartite subspace")
-    if not subspace.is_real():
-        raise ValueError(
-            "the rank-floor certificate requires a conjugation-symmetric "
-            "subspace; supply a basis with real coefficients in the "
-            "computational basis")
     da, db = subspace.dims
     if subspace.dim == da * db:
         return AdditivityGapReport(
@@ -307,42 +305,32 @@ def additivity_gap_at_zero(subspace: Subspace, budget: int = DEFAULT_GAP_BUDGET,
                                  restarts=ce_restarts, seed=seed)
     channel = make_cj_channel(subspace)
     if cert.verdict == "certified-CE":
-        single, single_rank, floor = None, db, db
-        notes = ("complement certified completely entangled: every single-use "
-                 "output has full rank; ")
-    else:
-        single = min_output_rank_search(channel, restarts=min(budget, 200), seed=seed)
-        single_rank, floor = single.best_rank, 1
-        notes = ("complement contains a product state; no rank floor; "
-                 if cert.verdict == "product-state-found"
-                 else "complement certification inconclusive; ")
-    if single_rank == 1:
-        # rank 1 at x gives rank 1 * 1 at x (x) x, and no rank is below 1
-        xx = np.kron(single.achiever, single.achiever)
-        spec = _output_spectrum(tensor_power(channel, 2), xx)
-        if spectrum_rank(spec) != 1:
-            raise RuntimeError("the two-use output at x (x) x is not rank 1")
-        two = RankSearchResult(1, xx, spec, float(spec[1]) if len(spec) > 1 else 0.0)
-    else:
-        # the verdict is gap-found as soon as a two-use rank is below floor^2;
-        # without a certificate the floor is 1, no rank is below 1, and the
-        # two-use search runs in full
+        # the verdict is gap-found as soon as a two-use rank is below d_B^2
         two = min_output_rank_search(tensor_power(channel, 2), restarts=min(budget, 2000),
                                      seed=seed + 1, refine_per_rank=max(8, budget // 200),
-                                     stop_below=floor * floor)
+                                     stop_below=db * db)
+        notes = ("complement certified completely entangled: every single-use "
+                 "output has full rank; ")
+        if two.best_rank < db * db:
+            verdict = "gap-found"
+            notes += (f"two uses reach rank {two.best_rank} < {db * db} = "
+                      f"(certified single-use rank)^2")
+        else:
+            verdict = "inconclusive"
+            notes += "no two-use input with deficient output found within budget"
+        return AdditivityGapReport(verdict, db, db, two.best_rank, log2(db),
+                                   log2(two.best_rank), cert, None, two, notes)
 
-    if single_rank == 1:
+    single = min_output_rank_search(channel, restarts=min(budget, 200), seed=seed)
+    rank = single.best_rank
+    notes = ("complement contains a product state; no rank floor; "
+             if cert.verdict == "product-state-found"
+             else "complement certification inconclusive; ")
+    if rank == 1:
         verdict = "no-gap"
         notes += "single-use rank 1 makes a gap impossible"
-    elif cert.verdict == "certified-CE" and two.best_rank < floor * floor:
-        verdict = "gap-found"
-        notes += (f"two uses reach rank {two.best_rank} < {floor * floor} = "
-                  f"(certified single-use rank)^2")
-    elif cert.verdict != "certified-CE":
-        verdict = "inconclusive"
-        notes += "cannot certify the single-use rank floor"
     else:
         verdict = "inconclusive"
-        notes += "no two-use input with deficient output found within budget"
-    return AdditivityGapReport(verdict, single_rank, floor, two.best_rank, log2(single_rank),
-                               log2(two.best_rank), cert, single, two, notes)
+        notes += "cannot certify the single-use rank floor"
+    return AdditivityGapReport(verdict, rank, 1, rank * rank, log2(rank),
+                               log2(rank * rank), cert, single, None, notes)

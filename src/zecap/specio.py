@@ -91,7 +91,9 @@ def _coeff_from_json(obj: Any, where: str) -> Coeff:
         pair = obj.get(part, {}) if isinstance(obj, dict) else None
         if not isinstance(pair, dict):
             raise ValueError(f"{where}: coefficient {obj!r} is not a {{re, im}} object")
+        _refuse_unknown_fields(pair, ("r", "s"), where)
         fracs += [_frac_from_json(pair.get(k, [0, 1]), where) for k in ("r", "s")]
+    _refuse_unknown_fields(obj, ("re", "im"), where)
     coeff = Coeff(*fracs)
     if not np.isfinite(complex(coeff)):
         raise ValueError(f"{where}: coefficient r + s sqrt(2) outside the float range")
@@ -106,6 +108,7 @@ def _terms_from_json(items: Any, total: int, where: str) -> list[tuple[int, Coef
     out = []
     for item in _list_field(items, where):
         idx = _field(item, "index", where)
+        _refuse_unknown_fields(item, ("index", "coeff"), where)
         if type(idx) is not int or not 0 <= idx < total:
             raise ValueError(f"{where}: basis index {idx!r} out of range for "
                              f"dimension {total}")
@@ -228,10 +231,12 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
         outputs = []
         for k, entry in sorted(zip(inputs, entries), key=lambda pair: pair[0]):
             where = f"outputs[input {k}].components"
+            _refuse_unknown_fields(entry, ("input", "components"), f"outputs[input {k}]")
             outputs.append([])
             for comp in _list_field(_field(entry, "components", f"outputs[input {k}]"),
                                     where):
                 weight = _frac_from_json(_field(comp, "weight", where), where)
+                _refuse_unknown_fields(comp, ("weight", "ket"), where)
                 if weight <= 0:
                     raise ValueError(f"{where}: weight {weight} is not positive")
                 outputs[-1].append(
@@ -242,10 +247,11 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
     raise ValueError(f"unsupported channel kind {kind!r} in spec")
 
 
-def _refuse_unknown_fields(spec: dict, known: Sequence[str]) -> None:
-    unknown = sorted(set(spec).difference(known))
+def _refuse_unknown_fields(obj: dict, known: Sequence[str], where: str = "") -> None:
+    """Refuse a key of obj outside `known`, named as `_field` names a missing one."""
+    unknown = sorted(set(obj).difference(known))
     if unknown:
-        raise ValueError(f"{unknown[0]}: unknown field")
+        raise ValueError(f"{where + '.' if where else ''}{unknown[0]}: unknown field")
 
 
 # ---------------------------------------------------------------------------

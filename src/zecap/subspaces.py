@@ -37,7 +37,6 @@ SWEEP_GAIN_TOL = 1e-12       # a restart stops when a sweep gains less than this
 MAX_SWEEPS = 500             # ... or after this many sweeps
 SNAP_SWEEP = 10              # ... or at its snapped point, tried once after this sweep
 ASCENT_TOL = 1e-9            # a slot step lowering an overlap by more than this raises
-REAL_TOL = 1e-12             # largest imaginary projector entry of a real subspace
 SYMMETRY_TOL = 1e-9          # largest residual a float symmetry check passes
 GRID_MAX_EVALS = 200_000_000   # largest grid the oracle evaluates
 GRID_CHUNK_VALUES = 4_000_000  # values a grid block's contraction holds; points a batch covers
@@ -102,9 +101,6 @@ class Subspace:
         kernel = [v[:, i] for i in range(self.total_dim) if w[i] < 0.5]
         b = np.stack(kernel) if kernel else np.zeros((0, self.total_dim), dtype=complex)
         return Subspace(self.dims, _frozen(b), _frozen(b.T @ b.conj()))
-
-    def is_real(self) -> bool:
-        return max_abs(self.projector.imag) <= REAL_TOL
 
 
 @dataclass

@@ -281,11 +281,16 @@ def test_one_sender_spec_reports_its_product_states(tmp_path):
 # `verify --spec e21` was re-pinned when 3- and 4-dim slot steps became
 # closed form: its ce/S0 and ce/S1 values moved by 1e-15. Both `verify`
 # entries were re-pinned when the rows no channel can change were dropped:
-# e12's report lost teleport/identity and teleport/rate, e21's two-use/rate
+# e12's report lost teleport/identity and teleport/rate, e21's two-use/rate.
+# em1:4's `verify` and variant34's `renyi-gap` (the ce-multiparty and second
+# renyi-gap benchmark operations) were pinned before the uncertified gap
+# runs stopped searching two-use ranks, which leaves both as they were
 GOLDEN_DIGESTS = {
     "describe e12": "f78ba61dc79caf997559707f8b0554815065fd76fc94a151020749652cf9b4d1",
     "describe e21": "d6e18f20e93ced93be7fc9bd0d9d2fe570fbcab3d5916073a9d7827f65c13310",
     "renyi-gap e21": "881e3f283b7eac18681fe7d85014fea7ba70b8194050ef16519fa245f84c73fe",
+    "renyi-gap variant34": "07ede4c30a4e47dfcf1388ac34490e6a7364c5c98d1ef14d8ab2d9de759fe439",
+    "verify --builtin em1:4": "5a8347fa2a16d49c9b6e0233a09ff956b185b79cbefd28f84558a5b9f7036bf0",
     "verify --builtin e12": "0d8129e00d33c19074aba7c7847accea7e0041d7b35280174226649dd54e955f",
     "verify --spec e21": "251a09da9a85a7912cbf72d313981aed73e814c1bfbb93f9379076b9af4bb891",
 }
@@ -299,6 +304,10 @@ def test_golden_report_digests(tmp_path, capsys):
             ("describe e21", ["describe", "e21", "--out", str(spec)]),
             ("renyi-gap e21", ["renyi-gap", "--builtin", "e21", "--budget", "5000",
                                "--seed", "0"]),
+            ("renyi-gap variant34", ["renyi-gap", "--builtin", "variant34",
+                                     "--budget", "5000", "--seed", "0"]),
+            ("verify --builtin em1:4", ["verify", "--builtin", "em1:4", "--suite", "all",
+                                        "--restarts", "100", "--seed", "0"]),
             ("verify --builtin e12", ["verify", "--builtin", "e12", "--seed", "0"]),
             ("verify --spec e21", ["verify", "--spec", str(spec), "--suite", "all",
                                    "--seed", "0"])):
@@ -572,20 +581,27 @@ def test_float_and_exact_property_rows_agree(case, all_slots, tmp_path):
     assert exact and exact == {n: ok for n, ok in rows.items() if "/exact/" not in n}
 
 
-def test_default_suites_leave_out_renyi_for_a_complex_s0(tmp_path, capsys):
-    # the p = 0 rank floor needs a real S0, so `--suite all` runs the other
-    # suites and reports; the two-use code is fixed to the computational
-    # basis, which this local phase breaks, so the verdict is fail
+def test_default_suites_include_renyi_for_a_complex_s0(tmp_path):
+    # the p = 0 rank floor needs no real S0, so `--suite all` runs renyi too;
+    # the two-use code is fixed to the computational basis, which this local
+    # phase breaks, so the verdict is fail
     spec_path = write_locally_phased_e21(tmp_path)
     out = tmp_path / "report.json"
     assert run(["verify", "--spec", str(spec_path), "--suite", "all",
                 "--restarts", "100", "--out", str(out)]) == 1
     doc = read_report(out)
-    assert "renyi" not in doc["extra"]["suites"].split(",")
-    assert not [c for c in doc["checks"] if c["name"].startswith("renyi/")]
-    capsys.readouterr()
-    assert run(["verify", "--spec", str(spec_path), "--suite", "renyi"]) == 3
-    assert "do not apply" in capsys.readouterr().err
+    assert "renyi" in doc["extra"]["suites"].split(",")
+    checks = {c["name"]: c["value"] for c in doc["checks"]}
+    assert [n for n in checks if n.startswith("renyi/")] == [
+        "renyi/single-use-rank", "renyi/two-use-rank", "renyi/verdict"]
+    assert checks["renyi/single-use-rank"] == 4
+    # the complement is certified, but the computational-basis seeds miss
+    # the rank-15 input that e21's maximally entangled seed is
+    assert run(["renyi-gap", "--spec", str(spec_path), "--budget", "300",
+                "--out", str(out)]) == 2
+    doc = read_report(out)
+    assert doc["extra"]["single_use_floor"] == 4
+    assert {c["name"]: c["value"] for c in doc["checks"]}["renyi/verdict"] == "inconclusive"
 
 
 def test_linearly_dependent_s0_basis_is_usage_error(tmp_path, capsys):

@@ -384,7 +384,7 @@ def test_single_use_search_runs_without_a_certified_complement(e21, rank_searche
     starved = additivity_gap_at_zero(e21.payload.s0, budget=50, seed=0,
                                      ce_restarts=2)
     assert starved.single_result.best_rank == starved.single_use_rank
-    assert rank_searches == [2, 4, 16]
+    assert rank_searches == [2, 4]
 
 
 def _rank_one_subspace(case):
@@ -400,22 +400,14 @@ def test_single_use_rank_one_runs_no_two_use_search(case, rank_searches):
     assert rank_searches == [2]
     assert report.single_use_rank == 1
     assert (report.verdict, report.two_use_rank, report.two_use_bits) == ("no-gap", 1, 0.0)
-    x = report.single_result.achiever
-    assert np.array_equal(report.two_use_result.achiever, np.kron(x, x))
-    assert spectrum_rank(report.two_use_result.output_spectrum) == 1
-    assert report.two_use_result.tried_ranks == {}
+    assert report.two_use_result is None
+    assert _rank_at_x_x(_rank_one_subspace(case), report.single_result.achiever) == 1
 
 
-def test_a_rank_one_witness_whose_square_misses_rank_one_fails_loudly(monkeypatch):
-    spectrum = zecap.renyi._output_spectrum
-
-    def flat_on_two_uses(channel, psi):
-        w = spectrum(channel, psi)
-        return np.full_like(w, 1 / len(w)) if channel.uses == 2 else w
-
-    monkeypatch.setattr(zecap.renyi, "_output_spectrum", flat_on_two_uses)
-    with pytest.raises(RuntimeError, match="not rank 1"):
-        additivity_gap_at_zero(_rank_one_subspace("rank-1"), budget=100, seed=0)
+def _rank_at_x_x(subspace, x):
+    """Output rank of two uses of the subspace channel at x (x) x."""
+    two = tensor_power(make_cj_channel(subspace), 2)
+    return spectrum_rank(_output_spectrum(two, np.kron(x, x)))
 
 
 @pytest.fixture
@@ -472,13 +464,17 @@ def test_rank_search_stops_at_the_first_stage_below_the_threshold(calls):
     assert [a for name, a in calls if name == "keyed_haar_kets"] == [[4]] * 3
 
 
-def test_an_uncertified_complement_runs_the_pool_and_the_walk(e21, calls):
+def test_an_uncertified_complement_runs_no_two_use_search(e21, rank_searches, calls):
     report = additivity_gap_at_zero(e21.payload.s0, budget=50, seed=0, ce_restarts=2)
     assert report.complement_certificate.verdict != "certified-CE"
     assert report.verdict == "inconclusive"
-    assert ("keyed_haar_kets", [16]) in calls
-    assert 14 in report.two_use_result.tried_ranks
-    assert report.two_use_result.best_rank == E21_TWO_USE_RANK
+    # the single-use search alone, which draws its pool at input dimension 4
+    assert rank_searches == [4]
+    assert [a for name, a in calls if name == "keyed_haar_kets"] == [[4]]
+    assert report.two_use_result is None
+    # ranks multiply at x (x) x
+    assert report.two_use_rank == report.single_use_rank ** 2 \
+        == _rank_at_x_x(e21.payload.s0, report.single_result.achiever)
 
 
 def test_rank_search_refuses_a_negative_seed(e21):
@@ -493,11 +489,29 @@ def test_rank_search_refuses_a_negative_seed(e21):
         min_output_rank_search(two, restarts=3, seed=-1, stop_below=16)
 
 
-def test_gap_rejects_complex_basis():
+def test_gap_accepts_a_complex_basis():
+    # the rank floor needs no real S; this one-vector S gives rank 1 outputs
     sub = Subspace.from_span([2, 2], [basis_ket([2, 2], 0) * 1j
                                       + basis_ket([2, 2], 3)])
-    with pytest.raises(ValueError):
-        additivity_gap_at_zero(sub, budget=10, seed=0)
+    report = additivity_gap_at_zero(sub, budget=10, seed=0)
+    assert (report.verdict, report.single_use_rank, report.two_use_rank) == ("no-gap", 1, 1)
+
+
+@pytest.mark.parametrize("conjugated", [True, False], ids=["conj-x", "x"])
+def test_the_rank_floor_needs_no_real_subspace(conjugated):
+    # an output of rank below d_B at x puts conj(x) (x) eta in the complement
+    # of S, for a complex S as well; x (x) eta there forces no deficiency
+    rng = np.random.default_rng(3)
+    x, eta = haar_ket(3, rng), haar_ket(3, rng)
+    product = np.kron(x.conj() if conjugated else x, eta)
+    span = [v - np.vdot(product, v) * product for v in (haar_ket(9, rng) for _ in range(5))]
+    channel = make_cj_channel(Subspace.from_span([3, 3], span))
+    rho = apply_channel_to_ket(channel, x)
+    rank = spectrum_rank(_output_spectrum(channel, x))
+    if conjugated:
+        assert rank < 3 and abs(np.vdot(eta, rho @ eta)) < 1e-12
+    else:
+        assert rank == 3
 
 
 def test_gap_rejects_multipartite():

@@ -41,6 +41,10 @@ def _first_weight(doc, value):
     doc["outputs"][1]["components"][0]["weight"] = value
 
 
+def _rename(obj, old, new):
+    obj[new] = obj.pop(old)
+
+
 def _unsized(doc):
     del doc["subspace_dims"]
     return doc
@@ -79,6 +83,16 @@ def _first_coeff(doc, r, s=(0, 1)):
     ("e21", lambda d: _first_coeff(_unsized(d), [10 ** 160, 1]), "s0_basis[0]"),
     ("e12", lambda d: _first_weight(d, [10 ** 400, 1]), "outputs[input 1]"),
     ("e12", lambda d: _first_weight(d, [1, 10 ** 400]), "outputs[input 1]"),
+    # an unknown key inside a spec: renamed, a part of e21's -sqrt(2)
+    # coefficient would read as 0; added, it would be ignored
+    ("e21", lambda d: _rename(d["s0_basis"][5][1]["coeff"]["re"], "s", "S"),
+     "s0_basis[5].S: unknown field"),
+    ("e21", lambda d: _rename(d["s0_basis"][5][1]["coeff"], "re", "Re"),
+     "s0_basis[5].Re: unknown field"),
+    ("e21", lambda d: _set(d["s0_basis"][0][0], "idx", 0), "s0_basis[0].idx: unknown field"),
+    ("e12", lambda d: _set(d["outputs"][1]["components"][0], "wieght", [1, 3]),
+     "outputs[input 1].components.wieght: unknown field"),
+    ("e12", lambda d: _set(d["outputs"][1], "inptu", 1), "outputs[input 1].inptu: unknown field"),
 ])
 def test_malformed_field_is_named_in_one_line(name, edit, field, capsys):
     doc = copy.deepcopy(DESCRIBED[name])
