@@ -31,9 +31,9 @@ from .subspaces import Subspace
 
 # largest joint sender dimension of a flag-output channel, and largest joint
 # sender or receiver dimension of a cq spec. With it at 256, `verify --suite
-# all --seed 0` takes 0.47-0.52 s at 56 MB peak on em1:7 and 2.14-2.21 s at
+# all --seed 0` takes 0.52-0.61 s at 56 MB peak on em1:7 and 2.17-2.56 s at
 # 108 MB on em1:8 (in process, import included, one BLAS thread, 2-CPU Xeon
-# VM, three runs), spread over every suite and no longer mostly `properties`
+# VM, five runs), of which `--suite two-use,privacy` takes 27 and 131 ms
 MAX_INPUT_DIM = 64
 TRACE_TOL = 1e-9      # largest residual of sum K^dag K - I that counts as trace preserving
 
@@ -60,14 +60,6 @@ class BinaryProjectivePayload:
     s1: Subspace
     u_slots: tuple[int, ...]           # slots where the conjugation identity holds
     exact_s0: list                     # exact column vectors spanning S0, unnormalized
-
-    @property
-    def p0(self) -> np.ndarray:
-        return self.s0.projector
-
-    @property
-    def p1(self) -> np.ndarray:
-        return self.s1.projector
 
 
 @dataclass

@@ -4,16 +4,15 @@ one-shot no-transmission certificates, the teleportation decoder and privacy.
 
 from __future__ import annotations
 
-import functools
 import re
 import warnings
 from dataclasses import dataclass
 from math import log2
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channels import MultiUserChannel, apply_channel_to_ket, tensor_power
+from .channels import MultiUserChannel, apply_channel_to_ket
 from .linalg import (
     dim_of,
     max_abs,
@@ -95,13 +94,20 @@ def build_two_use_code(channel: MultiUserChannel, slot: int | str) -> CodeBook:
     return CodeBook(dims=dims, inputs=[psi0, psi1], sender_partition=partition)
 
 
-def two_use_outputs(channel: MultiUserChannel) -> Callable[[int | None], np.ndarray]:
-    """The two-use output of Phi (slot None) or of a slot's codeword 1, each distinct
-    ket applied once: Phi's digits agree on both uses, so slots s and s + m share one."""
-    power, m = tensor_power(channel, 2), len(channel.sender_dims)
-    output = functools.cache(lambda sender: apply_channel_to_ket(
-        power, build_two_use_code(channel, sender or 0).inputs[0 if sender is None else 1]))
-    return lambda slot: output(None if slot is None else slot_index(channel, slot) % m)
+def flag_distribution(channel: MultiUserChannel, slot: int | str | None = None) -> np.ndarray:
+    """Flag distribution p[l, l'] of two uses on Phi (slot None) or on a slot's
+    codeword 1; the two-use output is exactly diag(p), as each Kraus word fills one
+    flag pair. With B the S0 and S1 bases stacked, s the slot's parity signs (none
+    for a sender `extend_trivial_parties` added) and T one use's input dimension,
+    p is the (l, l') block sums of |B s B^T|^2 / T, the words' squared amplitudes."""
+    pl = channel.payload
+    if pl is None:
+        raise ValueError("flag distributions are made for one use of a flag-output channel")
+    u = None if slot is None else slot_index(channel, slot) % len(channel.sender_dims)
+    signs = 1 if u is None or u >= len(pl.s0.dims) else parity_signs(pl.s0.dims, u)
+    b = np.concatenate([pl.s0.basis, pl.s1.basis])
+    flags = np.repeat(np.eye(2), [pl.s0.dim, pl.s1.dim], axis=0)     # row a: the flag of b[a]
+    return flags.T @ (np.abs((b * signs) @ b.T) ** 2) @ flags / pl.s0.total_dim
 
 
 def basis_codebook(channel: MultiUserChannel, uses: int,
@@ -165,13 +171,7 @@ def verify_orthogonal_outputs(channel: MultiUserChannel,
     search is attempted. `apply_channel_to_ket` refuses a codeword whose
     length is not the channel's input dimension.
     """
-    return orthogonality_certificate(channel, [apply_channel_to_ket(channel, psi)
-                                               for psi in code.inputs])
-
-
-def orthogonality_certificate(channel: MultiUserChannel,
-                              outputs: list[np.ndarray]) -> DistinguishabilityCertificate:
-    """`verify_orthogonal_outputs` on the channel's outputs already made."""
+    outputs = [apply_channel_to_ket(channel, psi) for psi in code.inputs]
     n = len(outputs)
     overlaps = np.array([[np.real(np.trace(a @ b)) for b in outputs] for a in outputs],
                         dtype=float).reshape(n, n)
@@ -345,16 +345,14 @@ def privacy_check(channel: MultiUserChannel,
     i, j = (slot_index(channel, s) for s in slot_pair)
     if i == j:
         raise ValueError("privacy check needs two distinct slots")
-    output = two_use_outputs(channel)
-    return privacy_verdict(output(None), output(i), output(j))
+    return privacy_verdict(*(flag_distribution(channel, s) for s in (None, i, j)))
 
 
-def privacy_verdict(out0: np.ndarray, out_i: np.ndarray,
-                    out_j: np.ndarray) -> tuple[bool, dict[str, float]]:
-    """`privacy_check` on the two-use outputs of codeword 0 and of codeword 1
-    for each slot."""
-    same = max_abs(out_i - out_j)
-    cross_i, cross_j = (abs(float(np.real(np.trace(out @ out0)))) for out in (out_i, out_j))
+def privacy_verdict(p0: np.ndarray, p_i: np.ndarray,
+                    p_j: np.ndarray) -> tuple[bool, dict[str, float]]:
+    """`privacy_check` on the flag distributions of Phi and of each slot's codeword 1."""
+    same = max_abs(p_i - p_j)
+    cross_i, cross_j = (float(np.vdot(p, p0)) for p in (p_i, p_j))
     details = {"output_difference": same, "overlap_slot_i": cross_i, "overlap_slot_j": cross_j}
     return all(v <= ORTHO_OVERLAP_TOL for v in details.values()), details
 

@@ -38,6 +38,7 @@ REPORT_FORMAT = "zecap-report/1"
 _COMMON_FIELDS = ("format", "name", "kind", "sender_dims", "receiver_dims")
 _SPEC_FIELDS = {"binary-projective": _COMMON_FIELDS + ("subspace_dims", "u_slots", "s0_basis"),
                 "cq": _COMMON_FIELDS + ("outputs",)}
+MAX_SENDER_PARTIES = 32     # two uses reshape n parties into 2n axes; numpy allows 64
 
 def make_builtin(name: str) -> MultiUserChannel:
     """Channel for a builtin name: e12, e21, em1:<m>, variant34."""
@@ -191,6 +192,9 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
     if not isinstance(name, str):
         raise ValueError(f"name: expected a string, got {name!r}")
     sender_dims = _dims_field(spec, "sender_dims")
+    if len(sender_dims) > MAX_SENDER_PARTIES:
+        raise ValueError(f"sender_dims: {len(sender_dims)} parties, more than the "
+                         f"{MAX_SENDER_PARTIES} that two uses can hold")
     receiver_dims = _dims_field(spec, "receiver_dims")
     if kind == "binary-projective":
         check_input_dim(sender_dims)

@@ -211,7 +211,7 @@ def test_criterion_8_property_bundle():
     ok = True
     # projector idempotence / completeness
     e21 = make_e21()
-    p0, p1 = e21.payload.p0, e21.payload.p1
+    p0, p1 = e21.payload.s0.projector, e21.payload.s1.projector
     ok &= max_abs(p0 @ p0 - p0) <= 1e-10
     ok &= max_abs(p0 + p1 - np.eye(16)) <= 1e-10
     # channel trace preservation

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -23,7 +24,8 @@ from conftest import (
 )
 from zecap.cli import _GRID_RESOLUTIONS, main
 from zecap.linalg import max_abs
-from zecap.specio import channel_from_spec, describe_channel, make_builtin
+from zecap.protocols import certify_alpha_local_one
+from zecap.specio import Report, channel_from_spec, describe_channel, make_builtin
 from zecap.subspaces import grid_product_overlap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -284,15 +286,20 @@ def test_one_sender_spec_reports_its_product_states(tmp_path):
 # e12's report lost teleport/identity and teleport/rate, e21's two-use/rate.
 # em1:4's `verify` and variant34's `renyi-gap` (the ce-multiparty and second
 # renyi-gap benchmark operations) were pinned before the uncertified gap
-# runs stopped searching two-use ranks, which leaves both as they were
+# runs stopped searching two-use ranks, which leaves both as they were.
+# Both `verify` entries on flag channels were re-pinned when the two-use and
+# privacy rows came from flag distributions instead of the two-use Kraus
+# route: em1:4's two-use/*/orthogonal moved from 5.00468046766525e-34 to
+# 5.00468046766524e-34 and e21's privacy/AB from 1.52930143400743e-32 to
+# 1.52930143400742e-32, and no other byte moved
 GOLDEN_DIGESTS = {
     "describe e12": "f78ba61dc79caf997559707f8b0554815065fd76fc94a151020749652cf9b4d1",
     "describe e21": "d6e18f20e93ced93be7fc9bd0d9d2fe570fbcab3d5916073a9d7827f65c13310",
     "renyi-gap e21": "881e3f283b7eac18681fe7d85014fea7ba70b8194050ef16519fa245f84c73fe",
     "renyi-gap variant34": "07ede4c30a4e47dfcf1388ac34490e6a7364c5c98d1ef14d8ab2d9de759fe439",
-    "verify --builtin em1:4": "5a8347fa2a16d49c9b6e0233a09ff956b185b79cbefd28f84558a5b9f7036bf0",
+    "verify --builtin em1:4": "4ce04fbc684ae3d50a30e4dd6595b7fa3f8080585b18f479f69c79e2f088505c",
     "verify --builtin e12": "0d8129e00d33c19074aba7c7847accea7e0041d7b35280174226649dd54e955f",
-    "verify --spec e21": "251a09da9a85a7912cbf72d313981aed73e814c1bfbb93f9379076b9af4bb891",
+    "verify --spec e21": "5f2c934de952f73d06d3d9e5047d59a0427e26a8fcb4baa68e6b23bc6605eeb1",
 }
 
 
@@ -700,23 +707,32 @@ def test_two_use_checks_psi0_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("builtin, senders", [("e21", 2), ("em1:3", 3), ("em1:4", 4)])
-def test_two_use_and_privacy_apply_each_distinct_codeword_once(builtin, senders, tmp_path,
-                                                               monkeypatch):
-    # psi0 and one flip per sender: slot s + m flips the ket of slot s, and
-    # every privacy pair reuses the two-use suite's outputs
-    applied = []
-    apply = zecap.protocols.apply_channel_to_ket
+def test_two_use_and_privacy_make_no_two_use_application(builtin, senders, tmp_path,
+                                                         monkeypatch):
+    # both suites read the flag distributions of psi0 and of one flip per
+    # sender, slot s + m flipping the ket of slot s, and apply no channel
+    applied, flagged = [], []
+    apply, flags = zecap.protocols.apply_channel_to_ket, zecap.cli.flag_distribution
 
     def counting(channel, psi):
         applied.append(psi)
         return apply(channel, psi)
 
+    def counting_flags(channel, slot=None):
+        flagged.append(slot)
+        return flags(channel, slot)
+
     monkeypatch.setattr(zecap.protocols, "apply_channel_to_ket", counting)
+    monkeypatch.setattr(zecap.cli, "flag_distribution", counting_flags)
     out = tmp_path / "r.json"
     assert run(["verify", "--builtin", builtin, "--suite", "two-use,privacy",
                 "--out", str(out)]) == 0
-    assert len(applied) == senders + 1
+    assert applied == []
+    assert flagged == [None, *range(senders)] * 2
     assert len(_checks(out)) == 1 + 2 * 2 * senders + senders * (senders - 1) // 2
+    # e12's teleport suite still applies the two-use channel to its two codewords
+    assert run(["verify", "--builtin", "e12", "--suite", "teleport", "--out", str(out)]) == 0
+    assert len(applied) == 2
 
 
 def test_seed_env_default(tmp_path, monkeypatch):
@@ -788,6 +804,50 @@ def test_malformed_lists_and_unreadable_paths_are_usage_errors(argv, before_suit
     assert "Traceback" not in err
     if before_suites:
         assert searched == []
+
+
+@pytest.mark.parametrize("command", ["verify", "renyi-gap"])
+def test_deeply_nested_spec_is_one_line_usage_error(command, tmp_path, capsys):
+    # json's parser recurses once per bracket and gives up with RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    capsys.readouterr()
+    assert run([command, "--spec", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: spec: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("builtin, code, verdict", [
+    ("e21", 2, "inconclusive"),          # 50 restarts certify nothing
+    ("em1:2", 1, "fail"),                # but a product state found still refutes
+])
+def test_a_starved_ce_search_is_undecided_not_refuted(builtin, code, verdict, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--builtin", builtin, "--suite", "ce", "--restarts", "50",
+                "--out", str(out)]) == code
+    assert read_report(out)["verdict"] == verdict
+
+
+@pytest.mark.parametrize("verdicts, passed", [
+    (("certified-CE", "certified-CE"), True),
+    (("certified-CE", "inconclusive"), None),
+    (("inconclusive", "inconclusive"), None),
+    (("inconclusive", "product-state-found"), False),
+    (("product-state-found", "certified-CE"), False),
+])
+def test_alpha_local_one_row_fails_on_a_product_state_and_waits_on_a_short_search(
+        e21, verdicts, passed):
+    alpha = certify_alpha_local_one(e21, restarts=100)
+    certs = [dataclasses.replace(c, verdict=v)
+             for c, v in zip((alpha.s0_certificate, alpha.s1_certificate), verdicts)]
+    alpha = dataclasses.replace(alpha, s0_certificate=certs[0], s1_certificate=certs[1],
+                                alpha_local_one=all(c.certified for c in certs))
+    report = Report(command="verify", channel="e21", seed=0)
+    zecap.cli._suite_ce(e21, report, alpha)
+    outcome = {"certified-CE": True, "inconclusive": None, "product-state-found": False}
+    assert {c.name: c.passed for c in report.checks} == {
+        "ce/S0": outcome[verdicts[0]], "ce/S1": outcome[verdicts[1]],
+        "ce/alpha-local-one": passed}
 
 
 def test_report_rows_are_unique_for_every_builtin(tmp_path):

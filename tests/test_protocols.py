@@ -19,11 +19,11 @@ from zecap.protocols import (
     capacity_lower_bound,
     certify_alpha_local_one,
     check_local_preparability,
+    flag_distribution,
     privacy_check,
     slot_index,
     teleport_qubit,
     teleportation_decode,
-    two_use_outputs,
     verify_orthogonal_outputs,
 )
 from zecap.specio import make_builtin
@@ -132,17 +132,35 @@ def test_two_use_outputs_all_slots(e21):
 @pytest.mark.parametrize("case", ["e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5",
                                   "em1:6", *SPEC_CASES])
 def test_flips_on_either_use_of_a_sender_give_equal_outputs(case):
-    # the reason `two_use_outputs` gives slots s and s + m one output
+    # the reason `flag_distribution` gives slots s and s + m one distribution
     ch = case_channel(case)
     m, power = len(ch.sender_dims), tensor_power(ch, 2)
-    output = two_use_outputs(ch)
     for s in range(m):
         outs = [apply_channel_to_ket(power, build_two_use_code(ch, u).inputs[1])
                 for u in (s, s + m)]
         assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(output(s), outs[0]) and output(s + m) is output(s)
-    assert np.array_equal(output(None), apply_channel_to_ket(
-        power, build_two_use_code(ch, 0).inputs[0]))
+        assert np.array_equal(flag_distribution(ch, s + m), flag_distribution(ch, s))
+
+
+@pytest.mark.parametrize("case", ["e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5",
+                                  "em1:6", *SPEC_CASES, "e21+trivial"])
+def test_flag_distribution_is_the_two_use_output_diagonal(case):
+    # the Kraus route is the reference: each word |l><e| (x) |l'><e'| fills
+    # one flag pair, so its off-diagonal entries are exact zeros, and its
+    # diagonal summed over added receivers is the flag distribution
+    ch = (extend_trivial_parties(make_builtin("e21"), [2], [2]) if case == "e21+trivial"
+          else case_channel(case))
+    m, power = len(ch.sender_dims), tensor_power(ch, 2)
+    k = len(ch.receiver_dims)
+    for slot in (None, *range(2 * m)):
+        code = build_two_use_code(ch, slot or 0)
+        out = apply_channel_to_ket(power, code.inputs[0 if slot is None else 1])
+        assert not np.any(out - np.diag(np.diag(out)))
+        diag = np.diag(out).real.reshape(ch.receiver_dims * 2)
+        flags = diag.sum(axis=tuple(a for a in range(2 * k) if a not in (0, k)))
+        p = flag_distribution(ch, slot)
+        assert p.shape == (2, 2)
+        assert max_abs(p - flags) <= 1e-15
 
 
 def test_two_use_outputs_em1(em13, em14):

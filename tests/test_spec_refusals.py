@@ -25,12 +25,12 @@ DESCRIBED = {name: describe_channel(make_builtin(name)) for name in ("e21", "e12
 SUITE = {"e21": "properties", "e12": "teleport"}
 
 
-def run_spec(doc, suite):
+def run_spec(doc, suite, *extra):
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/spec.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        return main(["verify", "--spec", path, "--suite", suite])
+        return main(["verify", "--spec", path, "--suite", suite, *extra])
 
 
 def _set(doc, key, value):
@@ -93,6 +93,9 @@ def _first_coeff(doc, r, s=(0, 1)):
     ("e12", lambda d: _set(d["outputs"][1]["components"][0], "wieght", [1, 3]),
      "outputs[input 1].components.wieght: unknown field"),
     ("e12", lambda d: _set(d["outputs"][1], "inptu", 1), "outputs[input 1].inptu: unknown field"),
+    # two uses of 33 parties would reshape a ket into 66 axes, past numpy's 64
+    ("e21", lambda d: _set(d, "sender_dims", [4, 4] + [1] * 31), "sender_dims: 33 parties"),
+    ("e12", lambda d: _set(d, "sender_dims", [2] + [1] * 32), "sender_dims: 33 parties"),
 ])
 def test_malformed_field_is_named_in_one_line(name, edit, field, capsys):
     doc = copy.deepcopy(DESCRIBED[name])
@@ -131,6 +134,15 @@ def test_every_builtin_description_verifies(builtin, suite, capsys):
     """The spec checks accept what describe writes, subspace_dims and name included."""
     assert run_spec(describe_channel(make_builtin(builtin)), suite) == 0
     assert json.loads(capsys.readouterr().out)["channel"] == builtin
+
+
+def test_thirty_two_sender_parties_run_every_suite(capsys):
+    # the most parties whose two uses fit numpy's 64 axes
+    doc = {**copy.deepcopy(DESCRIBED["e21"]), "sender_dims": [4, 4] + [1] * 30}
+    assert run_spec(doc, "all", "--restarts", "100") == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"].split("/")[0] for c in checks} == {"channel", "properties", "ce",
+                                                          "two-use"}
 
 
 def test_spec_without_name_or_subspace_dims_is_custom(capsys):
