@@ -81,10 +81,11 @@ def _load_channel(args) -> MultiUserChannel:
         return make_builtin(args.builtin)
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
-            try:
-                return channel_from_spec(json.load(fh))
-            except RecursionError as exc:      # json.load recurses once per bracket
+            try:    # not UTF-8 or not JSON; json.load recurses once per bracket
+                spec = json.load(fh)
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"spec: {exc}") from None
+        return channel_from_spec(spec)
     raise ValueError("one of --builtin or --spec is required")
 
 

@@ -222,14 +222,15 @@ def keyed_haar_kets(dims: Sequence[int], count: int,
     bitgen = PCG64(SeedSequence(entropy[-1]))
     gen = Generator(bitgen)
     check = gen.standard_normal(z.shape[1])
-    for seed, z_r in zip(seeds, z):
+    # one state dict, refilled per row; setting it resets the buffered uint32
+    full = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    stream, draw = full["state"], gen.standard_normal
+    for (s_hi, s_lo, q_hi, q_lo), z_r in zip(seeds.tolist(), z):
         # PCG64's srandom: inc = initseq << 1 | 1, then step, add initstate, step
-        s_hi, s_lo, q_hi, q_lo = seed.tolist()
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        gen.standard_normal(out=z_r)
+        stream["inc"] = inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        stream["state"] = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
+        bitgen.state = full
+        draw(out=z_r)
     if z[-1].tobytes() != check.tobytes():
         raise RuntimeError("the vectorized SeedSequence hash disagrees with "
                            "numpy's SeedSequence; restart streams would change")
@@ -243,18 +244,3 @@ def keyed_haar_kets(dims: Sequence[int], count: int,
         kets.append(v)
     return kets
 
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (a + dagger(a))
-
-
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(rho - sigma)
-    return 0.5 * float(np.sum(np.abs(w)))

@@ -179,10 +179,12 @@ def channel_from_spec(spec: dict) -> MultiUserChannel:
     Every field read is checked first; a malformed one raises a one-line
     ValueError that names it, and so does a field the spec's kind does not have.
     """
-    if isinstance(spec, dict) and "builtin" in spec:
+    if not isinstance(spec, dict):
+        raise ValueError("spec: the top level must be a JSON object")
+    if "builtin" in spec:
         _refuse_unknown_fields(spec, ("builtin",))
         return make_builtin(str(spec["builtin"]))
-    fmt = spec.get("format") if isinstance(spec, dict) else None
+    fmt = spec.get("format")
     if fmt != SPEC_FORMAT:
         raise ValueError(f"unsupported spec format {fmt!r}")
     kind = spec.get("kind")

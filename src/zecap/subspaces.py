@@ -201,20 +201,20 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return reduce(np.add, a)
 
 
-def _traceless_part(h: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
-    """For the operators M with real coordinates h: shift = tr M/d, the
-    traceless part B = M - shift I stored entry-major, as a (d*d, n) stack,
-    tr B^2 and max|h|, each row on its own."""
-    ht = np.ascontiguousarray(h.T)          # entry-major: one row per coordinate
-    scale = np.abs(ht).max(axis=0)
-    i, j = _upper_pairs(d)
-    shift = _sum_rows(ht[:d]) / d
-    bd = ht[:d] - shift
-    bm = np.empty((d * d, len(h)), dtype=complex)
-    bm[np.arange(d) * (d + 1)] = bd
-    bm[i * d + j] = _SQRT_HALF * (ht[d::2] - 1j * ht[d + 1::2])
-    bm[j * d + i] = bm[i * d + j].conj()
-    return shift, bm, _sum_rows(bd * bd) + _sum_rows(ht[d:] * ht[d:]), scale
+def _real_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re(x^dag y) per column of two (d, n) complex stacks: the sum over their
+    real parts plus the sum over their imaginary parts."""
+    s = np.einsum("in,in->n", x.view(float), y.view(float))
+    return s[0::2] + s[1::2]
+
+
+@lru_cache(maxsize=None)
+def _entry_parts(d: int) -> tuple[np.ndarray, ...]:
+    """For each entry of M = h @ U_d, row-major: the coordinate of h and the factor
+    giving its real part, then its imaginary part (0 on the diagonal); made once per d."""
+    u, cols = _hermitian_coordinates(d), np.arange(d * d)
+    re, im = np.abs(u.real).argmax(axis=0), np.abs(u.imag).argmax(axis=0)
+    return tuple(_frozen(x) for x in (re, u.real[re, cols, None], im, u.imag[im, cols, None]))
 
 
 def _top_root(c2: np.ndarray, c1: np.ndarray, c0: np.ndarray | None) -> np.ndarray:
@@ -228,17 +228,18 @@ def _top_root(c2: np.ndarray, c1: np.ndarray, c0: np.ndarray | None) -> np.ndarr
     to 0, the resolvent cubic U^3 + 2 c2 U^2 + (c2^2 - 4 c0) U - c1^2 has
     roots (t1 + t2)^2 >= (t1 + t3)^2 >= (t1 + t4)^2, found by the same
     trigonometric form. With a and b the roots of the first two (both >= 0)
-    and c = t1 + t4 = -c1/(ab) by Vieta, t1 = (a + b + c)/2.
+    and c = t1 + t4 = -c1/(ab) by Vieta, t1 = (a + b + c)/2. Cubes are
+    products, not `**`, which calls C's `pow` per element.
     """
     if c0 is None:
-        s = np.sqrt(-c2 / 3)
-        return 2 * s * np.cos(_third_angle(-c1 / (2 * s ** 3)))
-    # the resolvent's roots are mean + 2 s cos(angle - 2 pi j/3)
-    mean = -2 * c2 / 3
-    s = np.sqrt(np.maximum(c2 * c2 / 9 + 4 * c0 / 3, 0.0))   # 0 at a triple root
-    angle = _third_angle((2 * c2 ** 3 / 27 - 8 * c2 * c0 / 3 + c1 * c1) / (2 * s ** 3))
-    a = np.sqrt(mean + 2 * s * np.cos(angle))
-    b = np.sqrt(np.maximum(mean + 2 * s * np.cos(angle - _TWO_PI_THIRDS), 0.0))
+        s2 = 2 * np.sqrt(-c2 / 3)                 # 2 s; -c1/(2 s^3) = -4 c1/(2 s)^3
+        return s2 * np.cos(_third_angle(-4 * c1 / (s2 * s2 * s2)))
+    u = c2 / 3          # the resolvent's roots are 2 s cos(angle - 2 pi j/3) - 2u
+    ss = np.maximum(u * u + 4 * c0 / 3, 0.0)      # s^2, 0 at a triple root
+    s2 = 2 * np.sqrt(ss)
+    angle = _third_angle((2 * u * u * u - 8 * u * c0 + c1 * c1) / (s2 * ss))
+    a = np.sqrt(s2 * np.cos(angle) - 2 * u)
+    b = np.sqrt(np.maximum(s2 * np.cos(angle - _TWO_PI_THIRDS) - 2 * u, 0.0))
     return 0.5 * (a + b - c1 / (a * b))
 
 
@@ -247,7 +248,7 @@ def _closed_form_top(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.
     coordinates h, in closed form and row by row: the Rayleigh quotient
     v^dag M v, the coordinates of v v^dag, and whether the row is accepted.
 
-    For the traceless part B (`_traceless_part`), one product B^2 gives
+    For the traceless part B = M - (tr M/d) I, one product B^2 gives
     diag B^3 and tr B^4 = |B^2|_F^2, and Newton's identities the
     characteristic polynomial p: c2 = -tr B^2/2, c1 = -tr B^3/3 and, on
     d = 4, c0 = (tr B^2)^2/8 - tr B^4/4. For its top root t (`_top_root`),
@@ -257,39 +258,49 @@ def _closed_form_top(h: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.
     that plus (t^3 + c2 t + c1) I on d = 4. A row is accepted when v's norm
     is finite and nonzero and |M v - (v^dag M v) v| <= EIG_RESIDUAL_TOL *
     max|h| for the unit v, which a flat or degenerate top fails (or leaves
-    a NaN that fails it). Products are entry by entry and sums run over k
-    in order, so a row's digits do not depend on its batch.
+    a NaN that fails it). Each product and sum is one einsum, no `optimize`, over
+    stacks with the batch axis last and kept, so each row is summed on its own (a
+    lone row is stacked twice: over a batch of one, an einsum loops over the sum).
     """
-    n, cols, diagonal = len(h), np.arange(len(h)), np.arange(d) * (d + 1)
-    shift, bm, tr_b2, scale = _traceless_part(h, d)
-    b = bm.reshape(d, d, n)
+    n = len(h)
+    if n == 1:
+        return tuple(x[:1] for x in _closed_form_top(np.concatenate([h, h]), d))
+    ht = np.ascontiguousarray(h.T)          # entry-major: one row per coordinate
+    scale = np.maximum(ht.max(axis=0), -ht.min(axis=0))        # max|h|, without a temporary
+    shift = np.einsum("in->n", ht[:d]) / d
+    ht[:d] -= shift                         # now B's coordinates
+    tr_b2 = np.einsum("in,in->n", ht, ht)
+    re, re_of, im, im_of = _entry_parts(d)
+    bm = np.empty((d * d, n), dtype=complex)
+    np.multiply(ht[re], re_of, out=bm.real)
+    np.multiply(ht[im], im_of, out=bm.imag)
+    del ht
+    b, b1 = bm.reshape(d, d, n), bm[::d + 1].real       # B and its diagonal
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = b[:, 0, None] * b[None, 0]      # B^2
-        for k in range(1, d):
-            q += b[:, k, None] * b[None, k]
-        # (B^3)_ii = sum_k Re(B_ik conj(B^2)_ik); traces sum over k, then i
-        b3 = _sum_rows((b.real * q.real + b.imag * q.imag).transpose(1, 0, 2))
-        c2, c1 = -0.5 * tr_b2, -_sum_rows(b3) / 3
-        tr_b4 = _sum_rows(_sum_rows(q.real ** 2 + q.imag ** 2)) if d == 4 else None
+        q = np.einsum("ikn,kjn->ijn", b, b)                     # B^2
+        b3 = np.einsum("ikn,kin->in", b, q).real                # (B^3)_ii = sum_k B_ik (B^2)_ki
+        c2, c1 = -0.5 * tr_b2, -np.einsum("in->n", b3) / 3
+        tr_b4 = np.einsum("ijn,jin->n", q, q).real if d == 4 else None
         t = _top_root(c2, c1, None if d == 3 else 0.125 * tr_b2 * tr_b2 - 0.25 * tr_b4)
         k2 = t * t + c2
-        b1, b2 = bm[diagonal].real, q.reshape(d * d, n)[diagonal].real
-        # diag q(B) less its constant term, then column j of q(B)
+        b2 = q.reshape(d * d, n)[::d + 1].real  # diag B^2
+        # diag q(B) less its constant term, then column j of q(B), read at `at` in (d, d * n) views
         j = (b2 + t * b1 if d == 3 else b3 + t * b2 + k2 * b1).argmax(axis=0)
-        v = q[:, j, cols] + t * b[:, j, cols]
+        at = j * n + np.arange(n)
+        v = q.reshape(d, -1).take(at, axis=1)
         del q                               # freed before the products with B below
-        v[j, cols] += k2
+        v += t * bm.reshape(d, -1).take(at, axis=1)
+        v.reshape(-1)[at] += k2             # entry (j[z], z) of the (d, n) v
         if d == 4:
-            v = _sum_rows((b * v).transpose(1, 0, 2))       # B v, summed over k in order
-            v[j, cols] += t * k2 + c1
-        norm = np.sqrt(_sum_rows(v.real ** 2 + v.imag ** 2))
+            v = np.einsum("ikn,kn->in", b, v)
+            v.reshape(-1)[at] += t * k2 + c1
+        norm = np.sqrt(_real_dot(v, v))
         v /= norm
-        bv = _sum_rows((b * v).transpose(1, 0, 2))
-        rho = _sum_rows(v.real * bv.real + v.imag * bv.imag)
+        bv = np.einsum("ikn,kn->in", b, v)
+        rho = _real_dot(v, bv)
         r = bv - rho * v
         # an infinite norm leaves v = 0, which passes the residual test
-        ok = (norm < np.inf) & (_sum_rows(r.real ** 2 + r.imag ** 2)
-                                <= (EIG_RESIDUAL_TOL * scale) ** 2)
+        ok = (norm < np.inf) & (_real_dot(r, r) <= (EIG_RESIDUAL_TOL * scale) ** 2)
         return shift + rho, _ket_coordinates(v.T), ok
 
 

@@ -52,6 +52,22 @@ def basis_ket(dims, index):
     return v
 
 
+def random_hermitian(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (a + a.conj().T)
+
+
+def random_density(dim, rng):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def trace_distance(rho, sigma):
+    w = np.linalg.eigvalsh(rho - sigma)
+    return 0.5 * float(np.sum(np.abs(w)))
+
+
 def tensor(*factors):
     """Kronecker product of kets (1-D) or operators (2-D), big-endian order."""
     if not factors:

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 
+from conftest import random_density, random_hermitian, trace_distance
 from zecap.channels import (
     apply_channel,
     apply_channel_to_ket,
@@ -23,9 +24,6 @@ from zecap.cli import main as cli_main
 from zecap.linalg import (
     max_abs,
     max_entangled_ket,
-    random_density,
-    random_hermitian,
-    trace_distance,
 )
 from zecap.protocols import (
     build_two_use_code,

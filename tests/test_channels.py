@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import basis_ket, permute_factors, tensor
+from conftest import basis_ket, permute_factors, random_density, tensor
 from zecap.channels import (
     apply_channel,
     apply_channel_to_ket,
@@ -18,7 +18,6 @@ from zecap.linalg import (
     max_abs,
     max_entangled_ket,
     partial_trace,
-    random_density,
 )
 from zecap.specio import channel_from_spec, describe_channel, make_builtin
 from zecap.subspaces import Subspace

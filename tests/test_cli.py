@@ -806,15 +806,20 @@ def test_malformed_lists_and_unreadable_paths_are_usage_errors(argv, before_suit
         assert searched == []
 
 
+# json's parser recurses once per bracket and gives up on deep nesting with RecursionError
+@pytest.mark.parametrize("content", [b"[" * 200_000 + b"]" * 200_000, b"{", b"", b"\xff\xfe\x80",
+                                     b"[1, 2]"],
+                         ids=["deeply-nested", "truncated", "empty", "not-utf8", "top-level-list"])
 @pytest.mark.parametrize("command", ["verify", "renyi-gap"])
-def test_deeply_nested_spec_is_one_line_usage_error(command, tmp_path, capsys):
-    # json's parser recurses once per bracket and gives up with RecursionError
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 200_000 + "]" * 200_000)
+def test_a_spec_file_that_does_not_parse_is_named_in_one_line(command, content, tmp_path,
+                                                              capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
     capsys.readouterr()
     assert run([command, "--spec", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: spec: ") and err.count("\n") == 1, err
+    assert "format" not in err
 
 
 @pytest.mark.parametrize("builtin, code, verdict", [

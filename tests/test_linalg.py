@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import basis_ket, gram_rank, permute_factors, tensor
+from conftest import (basis_ket, gram_rank, permute_factors, random_density,
+                      random_hermitian, tensor)
 from zecap import linalg
 from zecap.channels import e21_spanning_terms, make_e21
 from zecap.cli import MAX_RESTARTS
@@ -17,8 +18,6 @@ from zecap.linalg import (
     max_abs,
     max_entangled_ket,
     partial_trace,
-    random_density,
-    random_hermitian,
 )
 
 SQ2 = np.sqrt(2.0)

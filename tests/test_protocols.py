@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SPEC_CASES, basis_ket, case_channel, permute_factors, tensor
+from conftest import SPEC_CASES, basis_ket, case_channel, permute_factors, tensor, trace_distance
 from zecap.channels import (
     apply_channel,
     apply_channel_to_ket,
@@ -12,7 +12,6 @@ from zecap.linalg import (
     dim_of,
     max_abs,
     max_entangled_ket,
-    trace_distance,
 )
 from zecap.protocols import (
     build_two_use_code,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import basis_ket, tensor
+from conftest import basis_ket, random_density, tensor
 import zecap.renyi
 from zecap.channels import (
     MultiUserChannel,
@@ -15,7 +15,6 @@ from zecap.linalg import (
     haar_ket,
     max_abs,
     max_entangled_ket,
-    random_density,
 )
 from zecap.renyi import (
     SPECTRUM_CHUNK,

@@ -615,6 +615,38 @@ def test_a_closed_form_row_does_not_depend_on_its_batch(d):
         assert got_x.tobytes() == x[rows].tobytes()
 
 
+def _searched_slot_operators(sub, monkeypatch):
+    """The slot operators (h, d) of a 1000-restart search of sub at seed 0,
+    one list per sweep."""
+    calls, snapped_rows = [], []
+    step, snap = zecap.subspaces._slot_step, zecap.subspaces._snap
+    monkeypatch.setattr(zecap.subspaces, "_slot_step",
+                        lambda h, d: calls.append((h.copy(), d)) or step(h, d))
+    monkeypatch.setattr(zecap.subspaces, "_snap",
+                        lambda rows, *a: snapped_rows.append(len(rows[0])) or snap(rows, *a))
+    max_product_overlap(sub, restarts=1000, seed=0)
+    # only the leader was snapped, so no sweep from snapped rows is among the calls
+    assert snapped_rows == [1]
+    return [calls[k:k + len(sub.dims)] for k in range(0, len(calls), len(sub.dims))]
+
+
+@pytest.mark.parametrize("builtin", ["e21", "variant34"])
+def test_the_closed_form_step_on_searched_slot_operators(builtin, monkeypatch):
+    # the operators renyi-gap's complement search meets at sweeps 1, 3 and the
+    # last: accepted rows match eigh, and each row alone keeps its bits
+    sweeps = _searched_slot_operators(make_builtin(builtin).payload.s0.complement(), monkeypatch)
+    for h, d in sweeps[0] + sweeps[2] + sweeps[-1]:
+        m = (h @ _hermitian_coordinates(d)).reshape(-1, d, d)
+        scale = np.abs(m).reshape(len(m), -1).max(axis=1)
+        lam, x, ok = _closed_form_top(h, d)
+        assert ok.mean() >= 0.99
+        assert np.all(np.abs(lam - np.linalg.eigvalsh(m)[:, -1])[ok] <= 1e-14 * scale[ok])
+        for z in range(len(h)):
+            got_lam, got_x, got_ok = _closed_form_top(h[[z]], d)
+            assert got_lam.tobytes() == lam[[z]].tobytes() and got_ok[0] == ok[z]
+            assert got_x.tobytes() == x[[z]].tobytes()
+
+
 @pytest.mark.parametrize("builtin,seed", [("e21", 6), ("variant34", 14)])
 def test_a_restart_on_3_and_4_dim_slots_does_not_depend_on_its_batch(builtin, seed):
     # restart 0 wins at this seed and its seven rivals are retired on the way
@@ -625,6 +657,40 @@ def test_a_restart_on_3_and_4_dim_slots_does_not_depend_on_its_batch(builtin, se
     assert (batched.overlap, batched.sweeps) == (alone.overlap, alone.sweeps)
     for a, b in zip(batched.factors, alone.factors):
         assert np.array_equal(a, b)
+
+
+# the winners of the 1000-restart bipartite searches at seeds 0-3, frozen before
+# the 3- and 4-dim slot step was rewritten: (restart_index, sweeps, retired,
+# converged, snapped, overlap); C is S0's complement, searched by renyi-gap
+BIPARTITE_WINNERS = {
+    ("e21", "S0"): [(717, 12, 999, True, False, 0.9748613913550969),
+                    (780, 11, 999, True, False, 0.9748613913549855),
+                    (947, 12, 999, True, False, 0.9748613913549968),
+                    (537, 12, 999, True, False, 0.9748613913550738)],
+    ("e21", "C"): [(717, 12, 999, True, False, 0.9748613913550974),
+                   (780, 11, 999, True, False, 0.9748613913549857),
+                   (947, 12, 999, True, False, 0.9748613913549973),
+                   (537, 12, 999, True, False, 0.9748613913550747)],
+    ("variant34", "S0"): [(945, 9, 999, True, False, 0.9929156928220854),
+                          (906, 10, 999, True, False, 0.9929156928221077),
+                          (817, 10, 999, True, False, 0.9929156928221164),
+                          (824, 10, 999, True, False, 0.9929156928220941)],
+    ("variant34", "C"): [(825, 10, 999, True, False, 0.9929156928221102),
+                         (700, 9, 999, True, False, 0.9929156928221168),
+                         (198, 9, 999, True, False, 0.9929156928220974),
+                         (947, 9, 999, True, False, 0.9929156928220992)],
+}
+
+
+@pytest.mark.parametrize("builtin,which", list(BIPARTITE_WINNERS))
+def test_the_bipartite_winners_are_pinned(builtin, which):
+    s0 = make_builtin(builtin).payload.s0
+    sub = s0 if which == "S0" else s0.complement()
+    for seed, (*fields, overlap) in enumerate(BIPARTITE_WINNERS[builtin, which]):
+        cand = max_product_overlap(sub, restarts=1000, seed=seed)
+        assert [cand.restart_index, cand.sweeps, cand.retired, cand.converged,
+                cand.snapped] == fields, seed
+        assert abs(cand.overlap - overlap) <= 1e-13, seed
 
 
 def test_a_qutrit_search_sends_no_row_to_eigh(s0_v34, monkeypatch):
