@@ -43,6 +43,7 @@ class DistinguishabilityCertificate:
     overlaps: np.ndarray                   # tr(out_i out_j), normalized outputs
     orthogonal: bool
     decoder: str                           # single-receiver-projective | teleportation-LOCC | none
+    decoded: tuple[dict[int, float], ...]  # teleportation outcome probabilities, if shaped for it
 
 
 @dataclass
@@ -166,10 +167,10 @@ def verify_orthogonal_outputs(channel: MultiUserChannel,
 
     Distinguishability under local measurements is certified constructively
     only: a single receiver distinguishes orthogonal outputs by a projective
-    measurement, and for the qubit-pair-output channel used twice the
-    teleportation decoder is run on every codeword. No general local-protocol
-    search is attempted. `apply_channel_to_ket` refuses a codeword whose
-    length is not the channel's input dimension.
+    measurement, and for two codewords of the qubit-pair-output channel used
+    twice the teleportation decoder is run once on each output, orthogonal or
+    not (`decoded`). No general local-protocol search is attempted.
+    `apply_channel_to_ket` refuses a codeword not of the channel's input dimension.
     """
     outputs = [apply_channel_to_ket(channel, psi) for psi in code.inputs]
     n = len(outputs)
@@ -178,25 +179,23 @@ def verify_orthogonal_outputs(channel: MultiUserChannel,
     off = max((abs(overlaps[i, j]) for i in range(n) for j in range(n) if i != j),
               default=0.0)
     orthogonal = off <= ORTHO_OVERLAP_TOL
+    shaped = (channel.uses == 2 and len(channel.sender_dims) == 2
+              and channel.receiver_dims == (2, 2) * 2 and n == 2)
+    decoded = tuple(teleportation_decode(out) for out in outputs) if shaped else ()
     decoder = "none"
     if orthogonal:
         if len(channel.receiver_dims) == channel.uses:       # one receiver
             decoder = "single-receiver-projective"
-        elif _teleportation_decodes(channel, outputs):
+        elif decoded and _decodes_distinctly(decoded):
             decoder = "teleportation-LOCC"
-    return DistinguishabilityCertificate(overlaps, orthogonal, decoder)
+    return DistinguishabilityCertificate(overlaps, orthogonal, decoder, decoded)
 
 
-def _teleportation_decodes(channel: MultiUserChannel,
-                           outputs: list[np.ndarray]) -> bool:
+def _decodes_distinctly(decoded: Sequence[dict[int, float]]) -> bool:
     """True when the teleportation decoder maps the codewords to distinct
     deterministic outcomes (codeword labels themselves do not matter)."""
-    if (channel.uses != 2 or len(channel.sender_dims) != 2
-            or channel.receiver_dims != (2, 2) * 2 or len(outputs) != 2):
-        return False
     seen = set()
-    for out in outputs:
-        probs = teleportation_decode(out)
+    for probs in decoded:
         outcome, best = max(probs.items(), key=lambda kv: kv[1])
         if abs(best - 1.0) > DECODE_TOL or outcome in seen:
             return False

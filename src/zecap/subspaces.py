@@ -13,8 +13,11 @@ factor f as the real row U_d (conj(f) (x) f). The search holds one such row
 per restart and party and updates it in place of f, in closed form on
 parties of 2, 3 and 4 dimensions (`_slot_step`; on 3 and 4 from the
 characteristic polynomial of the slot operator); the grid takes all of a
-party's grid kets at once. After SNAP_SWEEP sweeps the search rounds its
-factors to SNAP_SET once, which ends a crawl to a maximum there (em1:4's 7/8).
+party's grid kets at once. A slot step needs only the entries of the other
+parties' Kronecker row that meet a nonzero row of the slot's matrix
+(`_slot_tables`: 2^m of 4^(m-1) on em1:m), and builds only those. After
+SNAP_SWEEP sweeps the search rounds its factors to SNAP_SET once, which ends
+a crawl to a maximum there (em1:4's 7/8).
 """
 
 from __future__ import annotations
@@ -138,11 +141,6 @@ class CECertificate:
 
 def default_restarts(dims: Sequence[int]) -> int:
     return 1000 if len(dims) == 2 else 200
-
-
-def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Kronecker product: row n is a[n] (x) b[n]."""
-    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
 @lru_cache(maxsize=None)
@@ -361,19 +359,51 @@ def _ket_from_coordinates(x: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:
     return ff[:, k] / np.linalg.norm(ff[:, k])
 
 
-def _sweep(live: list[np.ndarray], dims: Sequence[int], mats: Sequence[np.ndarray],
+SlotTable = tuple[list, np.ndarray]
+
+
+def _slot_tables(coeffs: np.ndarray, dims: Sequence[int]) -> list[SlotTable]:
+    """For each slot s, the rows of P's coefficient tensor with s's axis last
+    (rows over the other parties' coordinates in party order, columns over
+    s's) that are not all zero, and for each other party the coordinate each
+    kept row takes from it: slice(None) where that is every coordinate in
+    order, as on a bipartite slot with no zero row."""
+    tables = []
+    for s, d in enumerate(dims):
+        mat = np.moveaxis(coeffs, s, -1).reshape(-1, d * d)
+        keep = np.flatnonzero(mat.any(axis=1))
+        sizes = [e * e for t, e in enumerate(dims) if t != s]
+        index = [slice(None) if np.array_equal(i, np.arange(n)) else i
+                 for i, n in zip(np.unravel_index(keep, sizes) if sizes else (), sizes)]
+        # einsum sums against a contiguous single column in SIMD partial sums,
+        # but in order when its rows are strided, as in the real-part view
+        # of P's complex coefficients
+        tables.append((index, mat[keep] if d > 1 else np.repeat(mat[keep], 2, axis=0)[::2]))
+    return tables
+
+
+def _slot_rows(others: Sequence[np.ndarray], table: SlotTable, n: int) -> np.ndarray:
+    """The entries of each of the n restarts' row-wise Kronecker product of
+    the other parties' rows that meet a kept row of the slot's matrix:
+    x_0[:, i_0] * x_1[:, i_1] * ..., left to right, which are the Kronecker
+    chain's own floats. One party has no others: a column of ones per kept row."""
+    index, mat = table
+    parts = [x[:, i] for x, i in zip(others, index)]
+    return reduce(np.multiply, parts) if parts else np.ones((n, len(mat)))
+
+
+def _sweep(live: list[np.ndarray], dims: Sequence[int], tables: Sequence[SlotTable],
            cur: np.ndarray) -> np.ndarray:
     """One sweep of slot steps over the parties, from the rows `live` (one per
     restart and party, replaced in the list) at overlaps `cur`; returns the
     overlaps after it. Raises if a step lowers an overlap by more than ASCENT_TOL."""
-    for slot, (d, mat) in enumerate(zip(dims, mats)):
-        others = [x for t, x in enumerate(live) if t != slot]
-        # one party has no others: its row product is a column of ones
-        rows = reduce(_row_kron, others) if others else np.ones((len(cur), 1))
-        # a two-operand einsum without `optimize` sums each row on its own
-        # (a BLAS `rows @ mat` does not), so a restart's digits do not
-        # depend on which other restarts are still alive
-        new, live[slot] = _slot_step(np.einsum("zi,ij->zj", rows, mat), d)
+    for slot, (d, table) in enumerate(zip(dims, tables)):
+        rows = _slot_rows([x for t, x in enumerate(live) if t != slot], table, len(cur))
+        # a two-operand einsum without `optimize` sums each row on its own, in
+        # order (a BLAS `rows @ mat` does not), so a restart's digits do not
+        # depend on which other restarts are still alive; the dropped rows'
+        # terms were exact zeros added to a sum that starts at +0
+        new, live[slot] = _slot_step(np.einsum("zi,ij->zj", rows, table[1]), d)
         if (new - cur).min() < -ASCENT_TOL:
             raise RuntimeError("alternating maximization decreased")
         cur = new
@@ -381,7 +411,7 @@ def _sweep(live: list[np.ndarray], dims: Sequence[int], mats: Sequence[np.ndarra
 
 
 def _snap(rows: list[np.ndarray], dims: Sequence[int], units: Sequence[np.ndarray],
-          mats: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+          tables: Sequence[SlotTable]) -> tuple[list[np.ndarray], np.ndarray]:
     """The snapped rows and their overlaps, row by row. Each factor f is read
     back from its coordinates x as column k of x U_d = f f^dagger over
     sqrt(x_k), k where x_k = |f_k|^2 is largest, so f_k is real and positive;
@@ -397,8 +427,7 @@ def _snap(rows: list[np.ndarray], dims: Sequence[int], units: Sequence[np.ndarra
         norm = np.sqrt(_sum_rows((f.real ** 2 + f.imag ** 2).T))
         with np.errstate(invalid="ignore"):     # a factor of d > 16 may round to 0: NaN
             snapped.append(_ket_coordinates(f / norm[:, None]))
-    others = reduce(_row_kron, snapped[:-1]) if len(dims) > 1 else np.ones((len(rows[0]), 1))
-    h = np.einsum("zi,ij->zj", others, mats[-1])
+    h = np.einsum("zi,ij->zj", _slot_rows(snapped[:-1], tables[-1], len(rows[0])), tables[-1][1])
     return snapped, _sum_rows((h * snapped[-1]).T)
 
 
@@ -413,10 +442,12 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     operator. A restart holds each factor f as the real Hermitian
     coordinates U_d (conj(f) (x) f) of its projector, and each slot has one
     real matrix shared by all restarts, P's coefficient tensor
-    (`_coefficient_tensor`) with that slot's axis last. A slot step is the
-    Kronecker product of the restart's rows for the other parties times that
-    matrix, which gives the slot operator's coordinates, and then
-    `_slot_step`, closed form on slots of 2 to 4 dimensions. The objective
+    (`_coefficient_tensor`) with that slot's axis last, cut to its rows that
+    are not all zero (`_slot_tables`). A slot step takes the entries of the
+    Kronecker product of the restart's rows for the other parties at those
+    rows (`_slot_rows`) times the cut matrix, which gives the slot
+    operator's coordinates to the bit (the terms left out are exact zeros),
+    and then `_slot_step`, closed form on slots of 2 to 4 dimensions. The objective
     never decreases within a restart. Restarts run in lockstep, and each
     step is row by row, so a restart's bits do not depend on its batch; they
     are independent up to the snap below, which only the leader's snapped
@@ -455,9 +486,8 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
         raise ValueError("restarts must be >= 1")
     dims = subspace.dims
     coeffs, units = _coefficient_tensor(subspace)
-    # slot s's matrix, shared by all restarts: rows run over the other
-    # parties' coordinates in party order, columns over slot s's
-    mats = [np.moveaxis(coeffs, s, -1).reshape(-1, d * d) for s, d in enumerate(dims)]
+    # slot s's matrix, shared by all restarts, cut to its nonzero rows
+    tables = _slot_tables(coeffs, dims)
     # each restart draws its factors from a private stream keyed by its index
     coords = [_ket_coordinates(f) for f in keyed_haar_kets(dims, restarts, [seed])]
     live = list(coords)     # the rows of the restarts in `alive`, written back as they stop
@@ -470,7 +500,7 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
     lone = False            # the leader is the only restart still running
     for sweep in range(1, MAX_SWEEPS + 1):
         prev_sweep = obj[alive]
-        cur = _sweep(live, dims, mats, prev_sweep)
+        cur = _sweep(live, dims, tables, prev_sweep)
         obj[alive] = cur
         sweeps[alive] = sweep
         gain = cur - prev_sweep
@@ -478,11 +508,11 @@ def max_product_overlap(subspace: Subspace, restarts: int | None = None,
         if sweep == SNAP_SWEEP:
             # the leader gate: snap the best restart that ran this sweep first
             top = int(np.argmax(cur))
-            if _snap([x[[top]] for x in live], dims, units, mats)[1][0] >= cur[top]:
-                rows, v = _snap(live, dims, units, mats)
+            if _snap([x[[top]] for x in live], dims, units, tables)[1][0] >= cur[top]:
+                rows, v = _snap(live, dims, units, tables)
                 at = np.flatnonzero(v >= cur)
                 # the restarts whose snapped point is a fixed point of the ascent
-                at = at[_sweep([x[at] for x in rows], dims, mats, v[at]) - v[at] < SWEEP_GAIN_TOL]
+                at = at[_sweep([x[at] for x in rows], dims, tables, v[at]) - v[at] < SWEEP_GAIN_TOL]
                 for x, y in zip(live, rows):    # rows from the slot steps, not `coords`
                     x[at] = y[at]
                 obj[alive[at]], snapped[alive[at]] = v[at], True

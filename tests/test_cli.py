@@ -204,6 +204,23 @@ def test_verify_e12_teleport(tmp_path):
     assert assumed and assumed[0]["informational"]
 
 
+def test_the_teleport_suite_applies_and_decodes_each_codeword_once(tmp_path, monkeypatch):
+    calls = []
+    for module, name in [(zecap.channels, "apply_channel"), (zecap.cli, "apply_channel"),
+                         (zecap.protocols, "apply_channel_to_ket"),
+                         (zecap.cli, "teleportation_decode"),
+                         (zecap.protocols, "teleportation_decode")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    out = tmp_path / "report.json"
+    assert run(["verify", "--builtin", "e12", "--suite", "teleport", "--out", str(out)]) == 0
+    assert sorted(calls) == ["apply_channel_to_ket"] * 2 + ["teleportation_decode"] * 2
+    checks = _checks(out)
+    assert checks["teleport/locc-decoder"]["value"] == "teleportation-LOCC"
+    assert all(checks[f"teleport/codeword-{k}"]["passed"] for k in (0, 1))
+
+
 def test_verify_inapplicable_suite_is_usage_error(tmp_path):
     code = run(["verify", "--builtin", "e12", "--suite", "ce",
                 "--out", str(tmp_path / "r.json")])

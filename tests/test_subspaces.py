@@ -44,8 +44,9 @@ from zecap.subspaces import (
     _hermitian_coordinates,
     _ket_coordinates,
     _ket_from_coordinates,
-    _row_kron,
+    _slot_rows,
     _slot_step,
+    _slot_tables,
     certify_completely_entangled,
     conjugated_certificate,
     exact_symmetry_checks,
@@ -299,6 +300,11 @@ def _reference_qubit_step(h):
     return 0.5 * (h[:, 0] + h[:, 1]) + r, x
 
 
+def _row_kron(a, b):
+    """Row-wise Kronecker product: row n is a[n] (x) b[n]."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
 def _reference_sweep(live, dims, mats, cur):
     for slot, (d, mat) in enumerate(zip(dims, mats)):
         others = [x for t, x in enumerate(live) if t != slot]
@@ -407,6 +413,8 @@ def test_the_sweep_loop_matches_its_reference_bit_for_bit(em14):
             rng = np.random.default_rng([k, total])
             subs.append(Subspace.from_span(dims, list(
                 rng.normal(size=(k, total)) + 1j * rng.normal(size=(k, total)))))
+    # slot matrices with zero rows: 32 of em1:5's 256 rows are kept, 12 of e21's 16
+    subs += [make_builtin("em1:5").payload.s0, make_builtin("e21").payload.s0]
     stragglers = capped = snaps = 0
     for sub in subs:
         for restarts, seed in ((1, 0), (7, 3), (30, 11)):
@@ -421,6 +429,96 @@ def test_the_sweep_loop_matches_its_reference_bit_for_bit(em14):
     # the last running restart was not the leader in some searches, some
     # winners were still running at MAX_SWEEPS, and some stopped snapped
     assert stragglers > 0 and capped > 0 and snaps > 0
+
+
+def _random_span(dims, k):
+    total = dim_of(dims)
+    rng = np.random.default_rng([k, total, len(dims)])
+    return Subspace.from_span(dims, list(rng.normal(size=(k, total))
+                                         + 1j * rng.normal(size=(k, total))))
+
+
+def _assert_slot_products_are_the_dense_chain(sub):
+    """Each slot's kept rows times its kept matrix against the row-wise
+    Kronecker chain of the other parties times the whole matrix, both as
+    two-operand einsums, on keyed random rows at n = 1, 2 and 1000."""
+    dims = sub.dims
+    coeffs = _coefficient_tensor(sub)[0]
+    for slot, (d, table) in enumerate(zip(dims, _slot_tables(coeffs, dims))):
+        full = np.moveaxis(coeffs, slot, -1).reshape(-1, d * d)
+        for n in (1, 2, 1000):
+            rows = [_ket_coordinates(f) for f in keyed_haar_kets(dims, n, [slot, n])]
+            others = [x for t, x in enumerate(rows) if t != slot]
+            dense = reduce(_row_kron, others) if others else np.ones((n, 1))
+            got = np.einsum("zi,ij->zj", _slot_rows(others, table, n), table[1])
+            # tobytes, so that the sign of a zero counts too
+            assert got.tobytes() == np.einsum("zi,ij->zj", dense, full).tobytes()
+
+
+@pytest.mark.parametrize("case", ["e21", "variant34", "em1:2", "em1:3", "em1:4", "em1:5",
+                                  "em1:6", *SPEC_CASES])
+def test_the_slot_product_is_the_dense_chain_bit_for_bit(case):
+    pl = case_channel(case).payload
+    for sub in [pl.s0, pl.s1] + ([pl.s0.complement()] if len(pl.s0.dims) == 2 else []):
+        _assert_slot_products_are_the_dense_chain(sub)
+
+
+def test_the_slot_product_on_a_1_dim_party_and_the_empty_subspace():
+    # em1:3 with a 1-dim party inserted: that slot's single column keeps 12 of its 64 rows
+    padded = Subspace.from_span([2, 1, 2, 2], list(make_builtin("em1:3").payload.s0.basis))
+    for sub in (_random_span([2, 1, 2], 1), _random_span([2, 1, 2], 2), padded):
+        _assert_slot_products_are_the_dense_chain(sub)
+    assert len(_slot_tables(_coefficient_tensor(padded)[0], padded.dims)[1][1]) == 12
+    fields, factors, _ = _reference_search(padded, 30, 11)
+    cand = max_product_overlap(padded, restarts=30, seed=11)
+    assert _fields(cand) == fields
+    for a, b in zip(cand.factors, factors):
+        assert a.tobytes() == b.tobytes()
+    for dims in ([2, 2, 2], [4, 4], [3, 4], [2, 1, 2], [3]):
+        empty = Subspace.from_span(dims, [])
+        _assert_slot_products_are_the_dense_chain(empty)
+        # every row is zero: the kept rows are (n, 0) and the overlap stays 0
+        assert all(len(m) == 0 for _, m in _slot_tables(_coefficient_tensor(empty)[0], dims))
+        fields, factors, _ = _reference_search(empty, 7, 3)
+        cand = max_product_overlap(empty, restarts=7, seed=3)
+        assert cand.overlap == 0.0 and _fields(cand) == fields
+        for a, b in zip(cand.factors, factors):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_an_em1_slot_keeps_2_to_the_m_of_its_rows(m):
+    sub = make_builtin(f"em1:{m}").payload.s0
+    for index, mat in _slot_tables(_coefficient_tensor(sub)[0], sub.dims):
+        assert mat.shape == (2 ** m, 4) and all(len(i) == 2 ** m for i in index)
+
+
+@pytest.mark.parametrize("builtin", ["e21", "variant34"])
+def test_a_slot_with_no_zero_row_multiplies_a_view_of_the_other_party(builtin):
+    # renyi-gap's complement searches: every row of both slot matrices is kept
+    sub = make_builtin(builtin).payload.s0.complement()
+    coeffs = _coefficient_tensor(sub)[0]
+    rows = [_ket_coordinates(f) for f in keyed_haar_kets(sub.dims, 5, [0])]
+    for slot, table in enumerate(_slot_tables(coeffs, sub.dims)):
+        other = rows[1 - slot]
+        assert table[0] == [slice(None)] and len(table[1]) == other.shape[1]
+        got = _slot_rows([other], table, 5)
+        assert np.shares_memory(got, other) and got.shape == other.shape
+
+
+@pytest.mark.parametrize("k", [1, 12, 16, 256])
+def test_the_slot_einsum_adds_each_row_in_order(k):
+    # the sum a slot step takes is the sequential one, a separate multiply
+    # and add per term from +0, so dropping terms that are exact zeros
+    # leaves every bit of it
+    rng = np.random.default_rng(k)
+    for n in (1, 2, 1000):
+        rows, mat = rng.normal(size=(n, k)), rng.normal(size=(k, 16))
+        mat[rng.random(size=mat.shape) < 0.5] = 0.0
+        acc = np.zeros((n, 16))
+        for i in range(k):
+            acc = acc + rows[:, i, None] * mat[i]
+        assert np.einsum("zi,ij->zj", rows, mat).tobytes() == acc.tobytes()
 
 
 # (exact maximum, restarts, seeds of 0-15 whose winner stops at its snapped point)
