@@ -31,9 +31,9 @@ from .subspaces import Subspace
 
 # largest joint sender dimension of a flag-output channel, and largest joint
 # sender or receiver dimension of a cq spec. With it at 256, `verify --suite
-# all --seed 0` takes 0.52-0.61 s at 56 MB peak on em1:7 and 2.17-2.56 s at
-# 108 MB on em1:8 (in process, import included, one BLAS thread, 2-CPU Xeon
-# VM, five runs), of which `--suite two-use,privacy` takes 27 and 131 ms
+# all --seed 0` takes 0.16-0.20 s at 43 MB peak on em1:7 and 1.16-1.21 s at
+# 53 MB on em1:8 (in process, timed after import, one BLAS thread, 2-CPU Xeon
+# VM, five runs), of which `--suite two-use,privacy` takes 23-26 and 95-107 ms
 MAX_INPUT_DIM = 64
 TRACE_TOL = 1e-9      # largest residual of sum K^dag K - I that counts as trace preserving
 

@@ -151,18 +151,12 @@ def _applicable_suites(channel: MultiUserChannel) -> list[str]:
 def _suite_properties(channel, report: Report, slots: list[int] | None) -> None:
     pl = channel.payload
     use_slots = slots if slots is not None else list(pl.u_slots)
-    checks = symmetry_checks(pl.s0, pl.s1, use_slots).checks
-    # the slot-independent transpose/orthogonality rows go around the first slot's
-    for check in sorted(checks, key=lambda c: c.slot not in (None, use_slots[0])):
-        tag = f"@{check.slot}" if check.slot is not None else ""
-        report.add(f"properties/{check.name}{tag}",
-                   "projector symmetry residual (float)",
-                   check.residual, SYMMETRY_TOL, check.passed)
-    exact = exact_symmetry_checks(channel.sender_dims, pl.exact_s0, use_slots)
-    for name, ok in exact.items():
+    for name, residual in symmetry_checks(pl.s0, pl.s1, use_slots).items():
+        report.add(f"properties/{name}", "projector symmetry residual (float)",
+                   residual, SYMMETRY_TOL, residual <= SYMMETRY_TOL)
+    for name, ok in exact_symmetry_checks(channel.sender_dims, pl.exact_s0, use_slots).items():
         report.add(f"properties/exact/{name}",
-                   "projector symmetry identity (exact field arithmetic)",
-                   ok, None, ok)
+                   "projector symmetry identity (exact field arithmetic)", ok, None, ok)
 
 
 def _suite_ce(channel, report: Report, alpha: AlphaLocalCertificate) -> None:
@@ -188,7 +182,7 @@ def _suite_ce(channel, report: Report, alpha: AlphaLocalCertificate) -> None:
                alpha.alpha_local_one, None, min(outcomes, key=[False, None, True].index))
 
 
-def _suite_two_use(channel, report: Report, slots: list[int] | None) -> None:
+def _suite_two_use(channel, report: Report, slots: list[int] | None, flags) -> None:
     m = len(channel.sender_dims)
     labels = _slot_labels(channel)
     wanted = slots if slots is not None else [s for s in range(2 * m)
@@ -199,13 +193,11 @@ def _suite_two_use(channel, report: Report, slots: list[int] | None) -> None:
     code = build_two_use_code(channel, 0)
     prep_ok = check_local_preparability(code.inputs[0], code.dims, code.sender_partition)
     # the outputs are diag(p) of their flag distributions; s and s + m share one
-    phi = flag_distribution(channel)
-    flips = {u: flag_distribution(channel, u) for u in dict.fromkeys(s % m for s in wanted)}
     for s in wanted:
         label = labels[s % m] + ("'" if s >= m else "")
         report.add(f"two-use/{label}/local", "codewords are product across senders",
                    prep_ok, None, prep_ok)
-        overlap = float(np.vdot(phi, flips[s % m]))
+        overlap = float(np.vdot(flags(None), flags(s % m)))
         report.add(f"two-use/{label}/orthogonal",
                    "two-use outputs for the two messages are orthogonal",
                    overlap, ORTHO_OVERLAP_TOL, overlap <= ORTHO_OVERLAP_TOL)
@@ -228,14 +220,12 @@ def _suite_teleport(channel, report: Report) -> None:
                "not verified here)", True, None, True, informational=True)
 
 
-def _suite_privacy(channel, report: Report) -> None:
+def _suite_privacy(channel, report: Report, flags) -> None:
     m = len(channel.sender_dims)
     labels = _slot_labels(channel)
-    phi = flag_distribution(channel)
-    flips = [flag_distribution(channel, i) for i in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            ok, details = privacy_verdict(phi, flips[i], flips[j])
+            ok, details = privacy_verdict(flags(None), flags(i), flags(j))
             report.add(f"privacy/{labels[i]}{labels[j]}",
                        "the channel output does not reveal which sender signalled",
                        details["output_difference"], ORTHO_OVERLAP_TOL, ok)
@@ -299,6 +289,9 @@ def cmd_verify(args) -> int:
         alpha = certify_alpha_local_one(channel, restarts=args.restarts, seed=seed)
     report = Report(command="verify", channel=channel.name or "custom", seed=seed)
     report.extra["suites"] = ",".join(suites)
+    # Phi's (slot None) and each sender's flag distribution, made once for the
+    # two-use and privacy suites
+    flags = functools.cache(functools.partial(flag_distribution, channel))
     tp = check_trace_preserving(channel)
     report.add("channel/trace-preserving", "completeness of the measurement/outputs",
                tp, TRACE_TOL, tp <= TRACE_TOL)
@@ -310,11 +303,11 @@ def cmd_verify(args) -> int:
         elif suite == "ce":
             _suite_ce(channel, report, alpha)
         elif suite == "two-use":
-            _suite_two_use(channel, report, slots)
+            _suite_two_use(channel, report, slots, flags)
         elif suite == "teleport":
             _suite_teleport(channel, report)
         elif suite == "privacy":
-            _suite_privacy(channel, report)
+            _suite_privacy(channel, report, flags)
         elif suite == "renyi":
             _suite_renyi(channel, report, seed, args.budget, args.restarts, alpha)
     report.finalize()

@@ -23,7 +23,7 @@ a crawl to a maximum there (em1:4's 7/8).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -734,34 +734,10 @@ def grid_product_overlap(subspace: Subspace, resolution: int) -> float:
 # transpose / phase-conjugation symmetry checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SymmetryCheck:
-    name: str
-    slot: int | None
-    residual: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= SYMMETRY_TOL
-
-
-@dataclass
-class SymmetryReport:
-    checks: list[SymmetryCheck] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def residual(self, name: str, slot: int | None = None) -> float:
-        for c in self.checks:
-            if c.name == name and c.slot == slot:
-                return c.residual
-        raise KeyError(f"no check {name!r} for slot {slot}")
-
-
-def symmetry_checks(s0: Subspace, s1: Subspace, slots: Sequence[int]) -> SymmetryReport:
-    """Residuals of the transpose and phase-conjugation identities.
+def symmetry_checks(s0: Subspace, s1: Subspace, slots: Sequence[int]) -> dict[str, float]:
+    """Residuals of the transpose and phase-conjugation identities, keyed
+    like `exact_symmetry_checks`' rows and in report order: transpose[l],
+    the first slot's rows, orthogonality[l], then the other slots' rows.
 
     Checks, for complementary projectors P0, P1 and the parity phase
     D = diag(+1, -1, +1, ...) on each party slot i in `slots`:
@@ -781,17 +757,22 @@ def symmetry_checks(s0: Subspace, s1: Subspace, slots: Sequence[int]) -> Symmetr
     projs = {0: s0.projector, 1: s1.projector}
     # C-contiguous transposes, so each product is the same BLAS call as P^T P
     transposed = {ell: np.ascontiguousarray(p.T) for ell, p in projs.items()}
-    checks = [SymmetryCheck(f"transpose[{ell}]", None, max_abs(projs[ell] - transposed[ell]))
-              for ell in (0, 1)]
-    for slot in slots:
-        s = parity_signs(s0.dims, slot)
-        checks += [SymmetryCheck(f"conjugation[{ell}]", slot, max_abs(
-            projs[ell] - s[:, None] * projs[1 - ell] * s)) for ell in (0, 1)]
-        checks += [SymmetryCheck(f"twist[{ell}]", slot, max_abs(
-            (transposed[ell] * s) @ projs[ell])) for ell in (0, 1)]
-    checks += [SymmetryCheck(f"orthogonality[{ell}]", None, max_abs(
-        transposed[ell] @ projs[1 - ell])) for ell in (0, 1)]
-    return SymmetryReport(checks)
+
+    def slot_rows(group: Sequence[int]) -> dict[str, float]:
+        rows = {}
+        for slot in group:
+            s = parity_signs(s0.dims, slot)
+            rows |= {f"conjugation[{ell}]@{slot}": max_abs(
+                projs[ell] - s[:, None] * projs[1 - ell] * s) for ell in (0, 1)}
+            rows |= {f"twist[{ell}]@{slot}": max_abs(
+                (transposed[ell] * s) @ projs[ell]) for ell in (0, 1)}
+        return rows
+
+    return {**{f"transpose[{ell}]": max_abs(projs[ell] - transposed[ell]) for ell in (0, 1)},
+            **slot_rows(slots[:1]),
+            **{f"orthogonality[{ell}]": max_abs(transposed[ell] @ projs[1 - ell])
+               for ell in (0, 1)},
+            **slot_rows(slots[1:])}
 
 
 # ---------------------------------------------------------------------------

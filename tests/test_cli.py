@@ -363,6 +363,41 @@ def test_skipping_em1_2s_two_use_search_keeps_its_reports(tmp_path, capsys):
     assert digests == EM1_2_DIGESTS
 
 
+# exit code and sha256 of more `verify` reports, pinned before the float
+# identity rows came from one table keyed like the exact rows: e21+01 and
+# e21-last take the exact-projector route, and the float rows of the last two
+# are ordered by their first listed slot; (source, --suite, --slots) at seed 0
+VERIFY_DIGESTS = {
+    ("variant34", "all", None):
+        (0, "3a4dd37dfc43ffcc577458e7f3a5c321786ae91dc5c3a4ddcc99c0c27e030a63"),
+    ("em1:3", "all", None):
+        (0, "34b42aa2ad4bdd32f764629a06f84c570bc35e1882dea9c4cfb7e583eac83e6b"),
+    ("em1:5", "all", None):
+        (0, "5b807143dacb094727313cf357e0675722aa58a079d649d2e39dc4e3b65abd86"),
+    ("e21-phased", "all", None):
+        (1, "940ff40bb4af14e56830c02afeeb1726aee926c07b27fe0fa02f2ff0cf0b3bec"),
+    ("e21+01", "all", None):
+        (1, "deadb2a0d1916b43636cc7964528a5ed63949f962c936a7729b575d6b459c87c"),
+    ("e21-last", "all", None):
+        (1, "7eb2ea7e4f3ae4311e516beee7a4b95784a6223571a6ea1f0e1f52577004118e"),
+    ("variant34@A", "all", None):
+        (1, "b8fae12996d5ff568e62766e7c01bc51542211d9ca4e02c8abf7b6c2b2776c0d"),
+    ("e21", "properties", "B,A"):
+        (0, "42a58a23e4d8e3c29ad9ad3054fcce17b3396a179d584c3e181fa13eb86c86d6"),
+    ("variant34", "properties", "B"):
+        (0, "18e68a9711bd5e62fb6e3ed2a917d894efeae96c557676c22d924c14135965f3"),
+}
+
+
+@pytest.mark.parametrize("case, suite, slots", list(VERIFY_DIGESTS))
+def test_verify_report_digests(case, suite, slots, tmp_path, capsys):
+    argv = ["verify", *case_source(case, tmp_path), "--suite", suite, "--seed", "0"]
+    capsys.readouterr()
+    code = run(argv + (["--slots", slots] if slots else []))
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == VERIFY_DIGESTS[case, suite, slots]
+
+
 def test_renyi_gap_e21(tmp_path):
     out = tmp_path / "gap.json"
     code = run(["renyi-gap", "--builtin", "e21", "--budget", "300",
@@ -727,7 +762,8 @@ def test_two_use_checks_psi0_once(tmp_path, monkeypatch):
 def test_two_use_and_privacy_make_no_two_use_application(builtin, senders, tmp_path,
                                                          monkeypatch):
     # both suites read the flag distributions of psi0 and of one flip per
-    # sender, slot s + m flipping the ket of slot s, and apply no channel
+    # sender, slot s + m flipping the ket of slot s, made once for both
+    # suites, and apply no channel
     applied, flagged = [], []
     apply, flags = zecap.protocols.apply_channel_to_ket, zecap.cli.flag_distribution
 
@@ -745,7 +781,7 @@ def test_two_use_and_privacy_make_no_two_use_application(builtin, senders, tmp_p
     assert run(["verify", "--builtin", builtin, "--suite", "two-use,privacy",
                 "--out", str(out)]) == 0
     assert applied == []
-    assert flagged == [None, *range(senders)] * 2
+    assert flagged == [None, *range(senders)]
     assert len(_checks(out)) == 1 + 2 * 2 * senders + senders * (senders - 1) // 2
     # e12's teleport suite still applies the two-use channel to its two codewords
     assert run(["verify", "--builtin", "e12", "--suite", "teleport", "--out", str(out)]) == 0
@@ -821,6 +857,28 @@ def test_malformed_lists_and_unreadable_paths_are_usage_errors(argv, before_suit
     assert "Traceback" not in err
     if before_suites:
         assert searched == []
+
+
+def test_a_slot_past_the_second_use_is_out_of_range(capsys, searched):
+    capsys.readouterr()
+    assert run(E21_PROPERTIES + ["--slots", "A''"]) == 3
+    assert capsys.readouterr().err == "error: slot \"A''\" out of range for 2 senders, 2 uses\n"
+    assert searched == []
+
+
+def test_a_full_span_s0_leaves_an_empty_s1_that_is_certified(tmp_path):
+    # S0 = C^2 (x) C^2 holds a product state, and S1 = {0} has overlap 0 on
+    # both routes
+    one = {"re": {"r": [1, 1]}}
+    spec = _spec_with(tmp_path, "em1:2", name="full-span", subspace_dims=[4, 0],
+                      s0_basis=[[{"index": i, "coeff": one}] for i in range(4)])
+    out = tmp_path / "r.json"
+    assert run(["verify", "--spec", spec, "--suite", "ce", "--seed", "0",
+                "--out", str(out)]) == 1
+    checks = _checks(out)
+    assert (checks["ce/S0"]["value"], checks["ce/S0"]["passed"]) == (1.0, False)
+    assert (checks["ce/S1"]["value"], checks["ce/S1"]["passed"]) == (0.0, True)
+    assert checks["ce/S1/grid"]["value"] == 0.0
 
 
 # json's parser recurses once per bracket and gives up on deep nesting with RecursionError

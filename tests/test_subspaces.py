@@ -37,6 +37,7 @@ from zecap.subspaces import (
     SNAP_SET,
     SNAP_SWEEP,
     SWEEP_GAIN_TOL,
+    SYMMETRY_TOL,
     Subspace,
     _closed_form_top,
     _coefficient_tensor,
@@ -1011,26 +1012,24 @@ def test_grid_never_beats_seesaw():
 
 def test_symmetry_e21_all_pass(s0_e21):
     s1 = s0_e21.complement()
-    report = symmetry_checks(s0_e21, s1, slots=[0, 1])
-    assert report.all_passed
-    for check in report.checks:
-        assert check.residual < 1e-9
+    residuals = symmetry_checks(s0_e21, s1, slots=[0, 1])
+    assert len(residuals) == 12
+    assert max(residuals.values()) < 1e-9
 
 
 def test_symmetry_variant_slot_b_only(s0_v34):
     s1 = s0_v34.complement()
-    report_b = symmetry_checks(s0_v34, s1, slots=[1])
-    assert report_b.all_passed
-    report_a = symmetry_checks(s0_v34, s1, slots=[0])
-    assert not report_a.all_passed
-    assert report_a.residual("conjugation[0]", 0) > 1e-3
+    residuals_b = symmetry_checks(s0_v34, s1, slots=[1])
+    assert max(residuals_b.values()) <= SYMMETRY_TOL
+    residuals_a = symmetry_checks(s0_v34, s1, slots=[0])
+    assert max(residuals_a.values()) > SYMMETRY_TOL
+    assert residuals_a["conjugation[0]@0"] > 1e-3
 
 
 def test_symmetry_trivial_counterexample():
     s0 = Subspace.from_span([2, 2], [basis_ket([2, 2], 0), basis_ket([2, 2], 1)])
     s1 = s0.complement()
-    report = symmetry_checks(s0, s1, slots=[0])
-    assert report.residual("conjugation[0]", 0) > 0.9
+    assert symmetry_checks(s0, s1, slots=[0])["conjugation[0]@0"] > 0.9
 
 
 def _dense_parity(dims, slot):
@@ -1051,19 +1050,33 @@ def test_symmetry_residuals_have_the_digits_of_the_dense_parity_products(dims, t
     s0 = subspace_from_terms(dims, terms)
     s1 = s0.complement()
     slots = list(range(len(dims)))
-    report = symmetry_checks(s0, s1, slots)
+    residuals = symmetry_checks(s0, s1, slots)
     p = {0: s0.projector, 1: s1.projector}
     t = {ell: p[ell].T.copy() for ell in (0, 1)}
     for slot in slots:
         d = _dense_parity(dims, slot).astype(complex)
         assert np.array_equal(parity_signs(dims, slot), d.diagonal().real)
         for ell in (0, 1):
-            assert report.residual(f"conjugation[{ell}]", slot) == max_abs(
+            assert residuals[f"conjugation[{ell}]@{slot}"] == max_abs(
                 p[ell] - d @ p[1 - ell] @ d)
-            assert report.residual(f"twist[{ell}]", slot) == max_abs(t[ell] @ d @ p[ell] @ d)
+            assert residuals[f"twist[{ell}]@{slot}"] == max_abs(t[ell] @ d @ p[ell] @ d)
     for ell in (0, 1):
-        assert report.residual(f"transpose[{ell}]") == max_abs(p[ell] - t[ell])
-        assert report.residual(f"orthogonality[{ell}]") == max_abs(t[ell] @ p[1 - ell])
+        assert residuals[f"transpose[{ell}]"] == max_abs(p[ell] - t[ell])
+        assert residuals[f"orthogonality[{ell}]"] == max_abs(t[ell] @ p[1 - ell])
+
+
+@pytest.mark.parametrize("slots", [[], [0], [1], [0, 1], [1, 0]])
+def test_float_symmetry_rows_are_keyed_like_the_exact_rows(slots):
+    # the float rows come in report order: the transpose rows, then the
+    # first slot's rows, the orthogonality rows and the other slots' rows
+    pl = make_builtin("e21").payload
+    residuals = symmetry_checks(pl.s0, pl.s1, slots)
+    assert residuals.keys() == exact_symmetry_checks(pl.s0.dims, pl.exact_s0, slots).keys()
+    def slot_rows(group):
+        return [f"{row}[{ell}]@{u}" for u in group for row in ("conjugation", "twist")
+                for ell in (0, 1)]
+    assert list(residuals) == ["transpose[0]", "transpose[1]", *slot_rows(slots[:1]),
+                               "orthogonality[0]", "orthogonality[1]", *slot_rows(slots[1:])]
 
 
 def test_exact_symmetry_e21():
